@@ -23,7 +23,6 @@ from .simulator import fit_policy_params, run_trial
 from .variance import (
     VarianceReport,
     adaptive_sandwich,
-    block_lower_triangular_inverse,
     check_equivalence,
     confidence_interval,
     sandwich,
@@ -49,7 +48,6 @@ __all__ = [
     "run_trial",
     "VarianceReport",
     "adaptive_sandwich",
-    "block_lower_triangular_inverse",
     "check_equivalence",
     "confidence_interval",
     "sandwich",

@@ -24,7 +24,7 @@ from .errors import DiagnosticFailure, PoolTrialError
 from .estimators import fit_theta
 from .montecarlo import emit_table, run_grid
 from .simulator import run_trial
-from .variance import variance_report
+from .variance import check_equivalence, variance_report
 
 log = logging.getLogger("pooltrial")
 
@@ -85,11 +85,16 @@ def cmd_estimate(args) -> int:
     trajset = TrajectorySet.load(args.input, config)
     est = fit_theta(trajset)
     report = variance_report(trajset, est, alpha=args.alpha, which=args.variance)
+    gap = None
+    if args.variance != "sandwich":
+        # the dense stacked cross-check, once per run
+        gap, _ = check_equivalence(trajset, est)
     out = {
         "theta_hat": est.theta_hat.tolist(),
         "psi_residual_norm": est.psi_residual_norm,
         "beta_hats": np.asarray(est.beta_hats).tolist(),
         **report.to_dict(),
+        "equivalence_gap": gap,
     }
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "estimate.json"), "w") as f:

@@ -23,6 +23,10 @@ STREAM_LABELS = ("errors", "actions", "init")
 
 _LABEL_CODES = {label: i for i, label in enumerate(STREAM_LABELS)}
 
+# Absolute tolerance on stored action probabilities: their clip range, and
+# their agreement with a policy replay when loaded from disk.
+PROB_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class SeedPlan:
@@ -164,7 +168,7 @@ class TrajectorySet:
             )
         pmin = self.config.policy.pi_min
         lo, hi = self.action_probs.min(), self.action_probs.max()
-        if lo < pmin - 1e-12 or hi > 1.0 - pmin + 1e-12:
+        if lo < pmin - PROB_TOL or hi > 1.0 - pmin + PROB_TOL:
             raise DataIntegrityError(
                 f"action_probs outside [{pmin}, {1 - pmin}]: range ({lo}, {hi})"
             )
@@ -209,30 +213,71 @@ class TrajectorySet:
 
     @classmethod
     def load(cls, in_dir, config: TrialConfig) -> "TrajectorySet":
+        """Read a trajectory directory written by ``save``.
+
+        Every (user, t) row of the configured n_users x horizon_T grid must
+        appear exactly once, actions must be 0 or 1, and each stored
+        action_prob must match its replay through the policy map (stored
+        states, actions and beta_hats) within PROB_TOL; any other input
+        raises DataIntegrityError.
+        """
         import os
 
+        from .simulator import replay_action_probs
+
         d_S = config.state_dim
-        rows = np.loadtxt(
-            os.path.join(in_dir, "trajectories.csv"), delimiter=",", skiprows=1
+        n, T = config.n_users, config.horizon_T
+        rows = _read_rows(os.path.join(in_dir, "trajectories.csv"), 5 + d_S)
+        rows = rows[np.lexsort((rows[:, 1], rows[:, 0]))]
+        if (
+            len(rows) != n * T
+            or not np.array_equal(rows[:, 0], np.repeat(np.arange(n), T))
+            or not np.array_equal(rows[:, 1], np.tile(np.arange(1, T + 1), n))
+        ):
+            raise DataIntegrityError(
+                f"trajectories.csv must hold each (user, t) in 0..{n - 1} x "
+                f"1..{T} exactly once; got {len(rows)} rows"
+            )
+        actions = rows[:, 2 + d_S].reshape(n, T)
+        if not np.isin(actions, (0.0, 1.0)).all():
+            raise DataIntegrityError("actions must be 0 or 1")
+        beta_rows = _read_rows(
+            os.path.join(in_dir, "beta_hats.csv"), 1 + config.policy_dim
         )
-        users = rows[:, 0].astype(int)
-        times = rows[:, 1].astype(int)
-        n, T = users.max() + 1, times.max()
-        order = np.lexsort((times, users))
-        rows = rows[order]
-        states = rows[:, 2 : 2 + d_S].reshape(n, T, d_S)
-        actions = rows[:, 2 + d_S].reshape(n, T).astype(np.int8)
-        rewards = rows[:, 3 + d_S].reshape(n, T)
-        action_probs = rows[:, 4 + d_S].reshape(n, T)
-        beta_rows = np.loadtxt(
-            os.path.join(in_dir, "beta_hats.csv"), delimiter=",", skiprows=1, ndmin=2
-        )
-        beta_hats = beta_rows[np.argsort(beta_rows[:, 0])][:, 1:]
-        return cls(
-            states=states,
-            actions=actions,
-            rewards=rewards,
-            action_probs=action_probs,
-            beta_hats=beta_hats,
+        beta_rows = beta_rows[np.argsort(beta_rows[:, 0])]
+        if not np.array_equal(beta_rows[:, 0], np.arange(1, T)):
+            raise DataIntegrityError(
+                f"beta_hats.csv must hold each t in 1..{T - 1} exactly once"
+            )
+        trajset = cls(
+            states=rows[:, 2 : 2 + d_S].reshape(n, T, d_S),
+            actions=actions.astype(np.int8),
+            rewards=rows[:, 3 + d_S].reshape(n, T),
+            action_probs=rows[:, 4 + d_S].reshape(n, T),
+            beta_hats=beta_rows[:, 1:],
             config=config,
         )
+        replayed = replay_action_probs(trajset)
+        mismatch = ~(np.abs(replayed - trajset.action_probs) <= PROB_TOL)
+        if mismatch.any():
+            i, t = np.argwhere(mismatch)[0]
+            raise DataIntegrityError(
+                f"stored action_prob of user {i} at t={t + 1} does not match "
+                f"its replay through the policy"
+            )
+        return trajset
+
+
+def _read_rows(path, n_cols: int) -> np.ndarray:
+    """Numeric CSV body (header skipped) as a finite (rows, n_cols) array."""
+    try:
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as err:
+        raise DataIntegrityError(f"{path}: {err}") from err
+    if rows.shape[0] == 0 or rows.shape[1] != n_cols:
+        raise DataIntegrityError(
+            f"{path}: expected {n_cols} columns, got shape {rows.shape}"
+        )
+    if not np.isfinite(rows).all():
+        raise DataIntegrityError(f"{path}: non-finite value")
+    return rows

@@ -38,7 +38,6 @@ class RepResult:
     ci_sandwich: tuple
     ci_adaptive: tuple
     invariance_norms: np.ndarray
-    equivalence_gap: float
     sandwich_cov: np.ndarray
     adaptive_cov: np.ndarray
 
@@ -58,7 +57,6 @@ def run_replication(
         ci_sandwich=report.ci_sandwich[coord],
         ci_adaptive=report.ci_adaptive[coord],
         invariance_norms=report.policy_invariance_norms,
-        equivalence_gap=report.equivalence_gap,
         sandwich_cov=report.sandwich_cov,
         adaptive_cov=report.adaptive_cov,
     )

@@ -127,7 +127,7 @@ def replay_action_probs(trajset: TrajectorySet) -> np.ndarray:
     """Recompute action_probs from stored states/actions/beta_hats.
 
     Simulator output satisfies ``replay_action_probs(ts) == ts.action_probs``
-    bit for bit; this is the function the weight machinery trusts.
+    bit for bit; ``TrajectorySet.load`` checks stored files against it.
     """
     policy = trajset.config.policy
     n, T = trajset.n_users, trajset.horizon_T

@@ -1,7 +1,7 @@
 """Standard and adaptive sandwich variance estimators.
 
 The adaptive estimator treats the per-time policy fits as plug-in nuisance
-Z-estimators and works with the stacked system
+Z-estimators inside the stacked system
 
     bread = [[Phi_dot_{1:T-1}, 0     ]      meat = (1/n) sum_i u_i u_i'
              [V_hat,           Psi_dot]],
@@ -14,6 +14,20 @@ is the lower-right d_theta block of bread^{-1} meat bread^{-T}; with
 parameter-free policies every ratio gradient vanishes and it collapses to the
 standard sandwich.
 
+Only the last block row L = [L_1 .. L_{T-1}, L_T] of bread^{-1} enters that
+block, and it solves a backward recursion on per-user corrected scores
+q_i = sum_r L_r u_{r,i}:
+
+    L_T = Psi_dot^{-1},                 q_i = L_T psi_i,
+    L_c = -[(1/n) sum_i q_i g_{c,i}'] Phi_dot_c^{-1},   q_i += L_c phi_{c,i}
+                                        for c = T-1 down to 1,
+    cov = (1/n) sum_i q_i q_i',
+
+with g_{c,i} the ratio gradient of user i for the beta_c block.  This is the
+production path (``adaptive_sandwich``): O(n T d^2), no D x D matrix.  The
+dense stacked system (``build_stacked_system``) is kept as the cross-check
+that ``check_equivalence`` compares against with dense solves.
+
 All covariances are scaled as the variance of sqrt(n) (theta_hat - theta*),
 so standard errors are sqrt(diag / n).
 """
@@ -21,20 +35,16 @@ so standard errors are sqrt(diag / n).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 from scipy.stats import norm
 
 from .core import TrajectorySet
-from .errors import (
-    DataIntegrityError,
-    SingularBreadError,
-    SingularPolicyBreadError,
-)
+from .errors import SingularBreadError, SingularPolicyBreadError
 from .estimators import COND_LIMIT, EstimationResult, condition_number
 from .policies import PolicyParams, mirror_prob_chain, prob_grad, prob_realized
-from .simulator import replay_action_probs
 
 
 # ---------------------------------------------------------------------------
@@ -43,38 +53,21 @@ from .simulator import replay_action_probs
 
 @dataclass(frozen=True)
 class WeightEval:
-    """Per-user weight ratios at the fitted parameters and their gradients.
+    """Gradients of the per-user weight product at the fitted parameters.
 
-    ``ratios_at_hat[i, s]`` is W_{s+1}(beta_hat_s, beta_hat_s) -- identically
-    one when the stored action_probs replay exactly.  ``grad_blocks[i, s]``
-    is the gradient of W_{2:T}(beta, beta_hat) w.r.t. the beta_s block at
-    beta = beta_hat, i.e. prob_grad(A_{s+1}, S_{s+1}; beta_hat_s) divided by
-    the realised sampling probability at time s+1.
+    ``grad_blocks[i, s]`` is the gradient of W_{2:T}(beta, beta_hat) w.r.t.
+    the beta_s block at beta = beta_hat, i.e. prob_grad(A_{s+1}, S_{s+1};
+    beta_hat_s) divided by the realised sampling probability at time s+1.
     """
 
-    ratios_at_hat: np.ndarray  # (n, T-1)
     grad_blocks: np.ndarray    # (n, T-1, d_t)
-    stacked_grads: np.ndarray  # (n, (T-1) * d_t), block-concatenated
-
-
-def _check_probs(trajset: TrajectorySet) -> None:
-    pmin = trajset.config.policy.pi_min
-    probs = trajset.action_probs
-    if probs.min() < pmin - 1e-12 or probs.max() > 1.0 - pmin + 1e-12:
-        raise DataIntegrityError(
-            f"stored action_probs escape [{pmin}, {1 - pmin}]"
-        )
 
 
 def weight_products(trajset: TrajectorySet) -> WeightEval:
-    """Evaluate the weight ratios at beta_hat and their parameter gradients."""
-    _check_probs(trajset)
+    """Parameter gradients of the weight product at beta_hat."""
     policy = trajset.config.policy
     n, T = trajset.n_users, trajset.horizon_T
     d_t = trajset.config.policy_dim
-    replayed = replay_action_probs(trajset)
-    ratios = replayed[:, 1:] / trajset.action_probs[:, 1:]
-
     grads = np.zeros((n, T - 1, d_t))
     for s in range(1, T):  # beta_s realised at decision time s + 1
         u = s + 1
@@ -86,11 +79,7 @@ def weight_products(trajset: TrajectorySet) -> WeightEval:
             prev = mirror_prob_chain(policy, trajset.beta_hats, s_u, u - 1)
         g = prob_grad(policy, params, s_u, a_u, prev_prob1=prev, t=u)
         grads[:, s - 1] = g / trajset.action_probs[:, u - 1][:, None]
-    return WeightEval(
-        ratios_at_hat=ratios,
-        grad_blocks=grads,
-        stacked_grads=grads.reshape(n, (T - 1) * d_t),
-    )
+    return WeightEval(grad_blocks=grads)
 
 
 def weight_product_at(trajset: TrajectorySet, betas) -> np.ndarray:
@@ -100,7 +89,6 @@ def weight_product_at(trajset: TrajectorySet, betas) -> np.ndarray:
     parameters; the denominator is the stored sampling probability of the
     realised action.
     """
-    _check_probs(trajset)
     policy = trajset.config.policy
     n, T = trajset.n_users, trajset.horizon_T
     out = np.ones(n)
@@ -117,47 +105,6 @@ def weight_product_at(trajset: TrajectorySet, betas) -> np.ndarray:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Blockwise linear algebra
-# ---------------------------------------------------------------------------
-
-def _check_block(block: np.ndarray, index: int):
-    cond = condition_number(block)
-    if cond > COND_LIMIT:
-        raise SingularPolicyBreadError(
-            f"singular diagonal block {index} (cond={cond:.3e})",
-            t=index,
-            cond=cond,
-        )
-    return cond
-
-
-def block_lower_triangular_inverse(mat: np.ndarray, block_sizes) -> np.ndarray:
-    """Invert a block lower-triangular matrix by the bordered recursion.
-
-    Repeatedly applies [[A, 0], [C, D]]^{-1} = [[A^{-1}, 0],
-    [-D^{-1} C A^{-1}, D^{-1}]] down the block diagonal, which is forward
-    substitution at block granularity: O(K^3 d^3) for K blocks of size d
-    instead of a general dense inverse of the full matrix.
-    """
-    sizes = list(block_sizes)
-    offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-    dim = offsets[-1]
-    if mat.shape != (dim, dim):
-        raise ValueError(f"matrix shape {mat.shape} does not match blocks {sizes}")
-    inv = np.zeros_like(mat, dtype=float)
-    for r, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
-        block = mat[lo:hi, lo:hi]
-        _check_block(block, r)
-        diag_inv = np.linalg.inv(block)
-        inv[lo:hi, lo:hi] = diag_inv
-        if lo > 0:
-            # inv[k, c] vanishes for k < c, so one slice product collects
-            # sum_k C[r, k] inv[k, c] for every c < r at once
-            inv[lo:hi, :lo] = -diag_inv @ (mat[lo:hi, :lo] @ inv[:lo, :lo])
-    return inv
-
-
 def confidence_interval(center: float, se: float, alpha: float):
     """Normal-quantile interval center +/- z_{1 - alpha/2} * se."""
     if se < 0:
@@ -172,6 +119,25 @@ def confidence_interval(center: float, se: float, alpha: float):
 # Sandwich estimators
 # ---------------------------------------------------------------------------
 
+def _check_bread(psi_dot: np.ndarray) -> None:
+    cond = condition_number(psi_dot)
+    if cond > COND_LIMIT:
+        raise SingularBreadError(f"singular bread (cond={cond:.3e})", cond=cond)
+
+
+def _check_policy_breads(phi_dots: np.ndarray) -> None:
+    """Raise for the earliest ill-conditioned diagonal block Phi_dot_t."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        conds = np.linalg.cond(phi_dots)
+    bad = np.flatnonzero(~(conds <= COND_LIMIT))
+    if bad.size:
+        t = int(bad[0]) + 1
+        cond = condition_number(phi_dots[t - 1])
+        raise SingularPolicyBreadError(
+            f"singular policy bread at t={t} (cond={cond:.3e})", t=t, cond=cond
+        )
+
+
 def sandwich_covariance(psi_mat: np.ndarray, psi_dot: np.ndarray) -> np.ndarray:
     """bread^{-1} meat bread^{-T} with meat = (1/n) sum psi psi'.
 
@@ -180,9 +146,7 @@ def sandwich_covariance(psi_mat: np.ndarray, psi_dot: np.ndarray) -> np.ndarray:
     """
     psi_mat = np.atleast_2d(np.asarray(psi_mat, dtype=float))
     psi_dot = np.atleast_2d(np.asarray(psi_dot, dtype=float))
-    cond = condition_number(psi_dot)
-    if cond > COND_LIMIT:
-        raise SingularBreadError(f"singular bread (cond={cond:.3e})", cond=cond)
+    _check_bread(psi_dot)
     n = psi_mat.shape[0]
     meat = psi_mat.T @ psi_mat / n
     half = np.linalg.solve(psi_dot, meat)
@@ -197,13 +161,12 @@ def sandwich(trajset: TrajectorySet, est: EstimationResult) -> np.ndarray:
 
 @dataclass
 class StackedSystem:
-    """Assembled stacked bread/score pieces for one replication."""
+    """Dense stacked bread and scores for one replication (cross-check)."""
 
     sizes: list
     offsets: np.ndarray
     bread: np.ndarray        # (D, D) block lower triangular
     scores: np.ndarray       # (n, D) per-user stacked [phi_1..phi_{T-1}, psi]
-    grad_stack: np.ndarray   # (n, D) weight-gradient blocks (theta block zero)
     v_blocks: np.ndarray     # (d_theta, D - d_theta) == V_hat_{T,1:T-1}
 
     @property
@@ -211,16 +174,15 @@ class StackedSystem:
         return int(self.offsets[-1])
 
 
-def build_stacked_system(trajset: TrajectorySet, est: EstimationResult) -> StackedSystem:
+def build_stacked_system(
+    trajset: TrajectorySet, est: EstimationResult, weights: WeightEval
+) -> StackedSystem:
     n, T = trajset.n_users, trajset.horizon_T
     d_t, d_theta = trajset.config.policy_dim, trajset.config.theta_dim
     blocks = est.blocks
-    weights = weight_products(trajset)
 
     scores = np.concatenate(blocks.phi_mats + [blocks.psi_mat], axis=1)
-    grad_stack = np.concatenate(
-        [weights.stacked_grads, np.zeros((n, d_theta))], axis=1
-    )
+    grad_stack = weights.grad_blocks.reshape(n, (T - 1) * d_t)
     sizes = [d_t] * (T - 1) + [d_theta]
     offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
     dim = offsets[-1]
@@ -241,50 +203,63 @@ def build_stacked_system(trajset: TrajectorySet, est: EstimationResult) -> Stack
         offsets=offsets,
         bread=bread,
         scores=scores,
-        grad_stack=grad_stack,
         v_blocks=v_blocks,
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class AdaptiveResult:
+    """Adaptive covariance and the last block row of the stacked inverse.
+
+    ``system`` is the dense stacked system behind the same numbers.  It is
+    built on first access, for the dense cross-check, and never on the
+    replication path.
+    """
+
     cov: np.ndarray
     m_blocks: np.ndarray                  # (d_theta, sum d_t), M_1..M_{T-1}
     invariance_norms: np.ndarray          # (T-1,), ||V_hat_{T,t}||_F
-    system: StackedSystem
+    trajset: TrajectorySet = field(repr=False)
+    est: EstimationResult = field(repr=False)
+    weights: WeightEval = field(repr=False)
+
+    @cached_property
+    def system(self) -> StackedSystem:
+        return build_stacked_system(self.trajset, self.est, self.weights)
 
 
 def adaptive_sandwich(trajset: TrajectorySet, est: EstimationResult) -> AdaptiveResult:
-    """Adaptive sandwich covariance via the stacked-system inverse.
+    """Adaptive sandwich covariance via the backward corrected-score recursion.
 
     Returns the lower-right d_theta block of bread^{-1} meat bread^{-T}
     together with the M_t blocks (the lower-left blocks of the stacked
-    inverse) and the per-time Frobenius norms of V_hat.
+    inverse) and the per-time Frobenius norms of V_hat.  The diagonal blocks
+    are checked first, earliest time first and Psi_dot last.
     """
-    sys = build_stacked_system(trajset, est)
-    d_theta = sys.sizes[-1]
-    try:
-        binv = block_lower_triangular_inverse(sys.bread, sys.sizes)
-    except SingularPolicyBreadError as err:
-        if err.t == len(sys.sizes) - 1:
-            raise SingularBreadError(str(err), cond=err.cond) from err
-        raise SingularPolicyBreadError(str(err), t=(err.t or 0) + 1, cond=err.cond)
-    last_rows = binv[-d_theta:]
-    projected = sys.scores @ last_rows.T              # (n, d_theta)
-    cov = projected.T @ projected / trajset.n_users
-    cov = 0.5 * (cov + cov.T)
-    d_t = trajset.config.policy_dim
-    norms = np.array(
-        [
-            np.linalg.norm(sys.v_blocks[:, t * d_t : (t + 1) * d_t])
-            for t in range(trajset.horizon_T - 1)
-        ]
-    )
+    blocks = est.blocks
+    n = trajset.n_users
+    _check_policy_breads(blocks.phi_dots)
+    _check_bread(blocks.psi_dot)
+    weights = weight_products(trajset)
+    grads = weights.grad_blocks                       # (n, T-1, d_t)
+    phi_dot_invs = np.linalg.inv(blocks.phi_dots)     # (T-1, d_t, d_t)
+
+    n_blocks, d_t = grads.shape[1:]
+    m = np.empty((n_blocks, trajset.config.theta_dim, d_t))   # L_1..L_{T-1}
+    # q holds the per-user sum of L_r u_r over the blocks r already solved
+    q = blocks.psi_mat @ np.linalg.inv(blocks.psi_dot).T   # (n, d_theta)
+    for c in range(n_blocks - 1, -1, -1):
+        m[c] = -(q.T @ grads[:, c] / n) @ phi_dot_invs[c]
+        q = q + blocks.phi_mats[c] @ m[c].T
+    cov = q.T @ q / n
+    v_hat = np.einsum("nk,ntl->tkl", blocks.psi_mat, grads) / n
     return AdaptiveResult(
-        cov=cov,
-        m_blocks=last_rows[:, : sys.offsets[-2]],
-        invariance_norms=norms,
-        system=sys,
+        cov=0.5 * (cov + cov.T),
+        m_blocks=np.concatenate(m, axis=1),
+        invariance_norms=np.linalg.norm(v_hat, axis=(1, 2)),
+        trajset=trajset,
+        est=est,
+        weights=weights,
     )
 
 
@@ -293,14 +268,14 @@ def check_equivalence(
     est: EstimationResult,
     adaptive: Optional[AdaptiveResult] = None,
 ):
-    """Gap between the stacked-block and corrected-score variance forms.
+    """Gap between the recursion's covariance and the dense corrected-score form.
 
-    The corrected-score form computes M = -Psi_dot^{-1} V_hat Phi_dot^{-1}
-    with dense solves, builds the per-user corrected scores
-    psi_i + Psi_dot sum_t M_t phi_{t,i}, and sandwiches their second moment;
-    algebraically this equals the stacked lower-right block exactly, so the
-    max-abs elementwise gap is pure floating-point noise.  Returns
-    (gap, scale).
+    The dense form reads the stacked system, computes
+    M = -Psi_dot^{-1} V_hat Phi_dot^{-1} with dense solves, builds the
+    per-user corrected scores psi_i + Psi_dot sum_t M_t phi_{t,i}, and
+    sandwiches their second moment; algebraically this equals the stacked
+    lower-right block exactly, so the max-abs elementwise gap is pure
+    floating-point noise.  Returns (gap, scale).
     """
     if adaptive is None:
         adaptive = adaptive_sandwich(trajset, est)
@@ -341,7 +316,6 @@ class VarianceReport:
     ci_adaptive: Optional[list]
     policy_invariance_norms: Optional[np.ndarray]
     stacked_dim: int
-    equivalence_gap: Optional[float]
     alpha: float
     theta_hat: np.ndarray = field(default=None)
 
@@ -360,7 +334,6 @@ class VarianceReport:
             "ci_sandwich": arr(self.ci_sandwich),
             "ci_adaptive": arr(self.ci_adaptive),
             "policy_invariance_norms": arr(self.policy_invariance_norms),
-            "equivalence_gap": self.equivalence_gap,
         }
 
 
@@ -384,7 +357,7 @@ def variance_report(
         for j in range(d_theta)
     ]
 
-    ad_cov = se_a = ci_a = norms = gap = None
+    ad_cov = se_a = ci_a = norms = None
     if which in ("adaptive", "both"):
         result = adaptive_sandwich(trajset, est)
         ad_cov = result.cov
@@ -394,7 +367,6 @@ def variance_report(
             for j in range(d_theta)
         ]
         norms = result.invariance_norms
-        gap, _ = check_equivalence(trajset, est, adaptive=result)
 
     return VarianceReport(
         sandwich_cov=sand_cov,
@@ -405,7 +377,6 @@ def variance_report(
         ci_adaptive=ci_a,
         policy_invariance_norms=norms,
         stacked_dim=stacked_dim,
-        equivalence_gap=gap,
         alpha=alpha,
         theta_hat=est.theta_hat,
     )

@@ -39,7 +39,6 @@ from pooltrial import (
     PolicySpec,
     SeedPlan,
     TrialConfig,
-    block_lower_triangular_inverse,
     check_equivalence,
     estimate_theta_star,
     fit_theta,
@@ -50,6 +49,8 @@ from pooltrial.diagnostics import BoundedFunctional, bernstein_check, clt_check
 from pooltrial.estimators import jacobian_phi_beta, jacobian_psi_theta, phi_matrix, psi_matrix
 from pooltrial.montecarlo import ORACLE_REP_BASE, CoverageCell, run_replication
 from pooltrial.variance import weight_product_at, weight_products
+
+from oracles import block_lower_triangular_inverse
 
 MASTER_SEED = 0
 REPS = 500

@@ -104,6 +104,7 @@ class TestEstimate:
             assert key in report
         assert len(report["theta_hat"]) == 3
         assert report["stacked_dim"] == 5 * 4 + 3
+        assert 0.0 <= report["equivalence_gap"] < 1e-10
         assert report["psi_residual_norm"] < 1e-8
 
     def test_estimate_matches_in_process(self, tiny_config_file, tmp_path):
@@ -128,6 +129,7 @@ class TestEstimate:
         assert code == 0
         report = json.loads((est_dir / "estimate.json").read_text())
         assert report["adaptive_cov"] is None
+        assert report["equivalence_gap"] is None
         assert report["alpha"] == 0.1
 
     def test_missing_manifest_exits_1(self, tmp_path):
@@ -194,3 +196,30 @@ class TestCheck:
         monkeypatch.setattr(diag, "invariance_scan", fake_scan)
         code = main(["check", "--suite", "invariance", "--reps", "5"])
         assert code == 3
+
+
+class TestEstimateRejectsBadInput:
+    @pytest.fixture()
+    def sim_dir(self, tiny_config_file, tmp_path):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", tiny_config_file, "--out", str(out)]) == 0
+        return out
+
+    def test_truncated_csv_exits_1(self, sim_dir, tmp_path):
+        path = sim_dir / "trajectories.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-3]))
+        code = main(["estimate", "--in", str(sim_dir), "--out", str(tmp_path / "e")])
+        assert code == 1
+        assert not (tmp_path / "e" / "estimate.json").exists()
+
+    def test_tampered_action_prob_exits_1(self, sim_dir, tmp_path):
+        path = sim_dir / "trajectories.csv"
+        header, *lines = path.read_text().splitlines()
+        fields = lines[3].split(",")  # user 0, t = 4
+        fields[-1] = "0.5" if fields[-1] != "0.5" else "0.55"
+        lines[3] = ",".join(fields)
+        path.write_text("\n".join([header] + lines) + "\n")
+        code = main(["estimate", "--in", str(sim_dir), "--out", str(tmp_path / "e")])
+        assert code == 1
+        assert not (tmp_path / "e" / "estimate.json").exists()

@@ -124,3 +124,76 @@ class TestTrajectorySet:
             SeedPlan(-1, 0)
         with pytest.raises(ConfigError):
             SeedPlan(1, -3)
+
+
+def _edit_csv(directory, edit):
+    """Rewrite trajectories.csv as ``edit(header, rows)`` (rows as field lists)."""
+    path = directory / "trajectories.csv"
+    header, *lines = path.read_text().splitlines()
+    rows = edit(header, [line.split(",") for line in lines])
+    path.write_text("\n".join([header] + [",".join(r) for r in rows]) + "\n")
+
+
+class TestLoadIntegrity:
+    """Bad trajectory files fail at the load boundary with DataIntegrityError."""
+
+    @pytest.fixture()
+    def saved(self, small_trajset, tmp_path):
+        small_trajset.save(tmp_path)
+        return tmp_path
+
+    def load(self, directory, small_trajset):
+        return TrajectorySet.load(directory, small_trajset.config)
+
+    def test_missing_rows(self, saved, small_trajset):
+        _edit_csv(saved, lambda h, rows: rows[:-3])
+        with pytest.raises(DataIntegrityError, match="exactly once"):
+            self.load(saved, small_trajset)
+
+    def test_missing_whole_user(self, saved, small_trajset):
+        T = small_trajset.horizon_T
+        _edit_csv(saved, lambda h, rows: rows[:-T])
+        with pytest.raises(DataIntegrityError, match="exactly once"):
+            self.load(saved, small_trajset)
+
+    def test_duplicated_row(self, saved, small_trajset):
+        _edit_csv(saved, lambda h, rows: rows[:-1] + [rows[0]])
+        with pytest.raises(DataIntegrityError, match="exactly once"):
+            self.load(saved, small_trajset)
+
+    def test_truncated_last_line(self, saved, small_trajset):
+        _edit_csv(saved, lambda h, rows: rows[:-1] + [rows[-1][:3]])
+        with pytest.raises(DataIntegrityError):
+            self.load(saved, small_trajset)
+
+    def test_missing_sidecar(self, saved, small_trajset):
+        (saved / "beta_hats.csv").unlink()
+        with pytest.raises(DataIntegrityError, match="beta_hats.csv"):
+            self.load(saved, small_trajset)
+
+    def test_non_binary_action(self, saved, small_trajset):
+        def edit(header, rows):
+            rows[5][header.split(",").index("action")] = "2"
+            return rows
+
+        _edit_csv(saved, edit)
+        with pytest.raises(DataIntegrityError, match="actions"):
+            self.load(saved, small_trajset)
+
+    def test_tampered_action_prob(self, saved, small_trajset):
+        # an in-range edit at t = 4 that only the policy replay can detect
+        stored = small_trajset.action_probs[0, 3]
+        tampered = 0.5 if abs(stored - 0.5) > 0.05 else stored + 0.05
+
+        def edit(header, rows):
+            rows[3][header.split(",").index("action_prob")] = repr(tampered)
+            return rows
+
+        _edit_csv(saved, edit)
+        with pytest.raises(DataIntegrityError, match="user 0 at t=4"):
+            self.load(saved, small_trajset)
+
+    def test_order_of_rows_is_free(self, saved, small_trajset):
+        _edit_csv(saved, lambda h, rows: rows[::-1])
+        loaded = self.load(saved, small_trajset)
+        assert np.array_equal(loaded.action_probs, small_trajset.action_probs)

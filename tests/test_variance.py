@@ -7,7 +7,6 @@ from pooltrial import (
     SeedPlan,
     TrialConfig,
     adaptive_sandwich,
-    block_lower_triangular_inverse,
     check_equivalence,
     confidence_interval,
     fit_theta,
@@ -17,15 +16,11 @@ from pooltrial import (
     weight_products,
 )
 from pooltrial.core import TrajectorySet
-from pooltrial.errors import SingularPolicyBreadError
-from pooltrial.estimators import (
-    jacobian_phi_beta,
-    jacobian_psi_theta,
-    phi_matrix,
-    psi_matrix,
-)
-from pooltrial.policies import PolicyParams, prob_grad, prob_realized
+from pooltrial.errors import SingularBreadError, SingularPolicyBreadError
+from pooltrial.policies import PolicyParams, prob_realized
 from pooltrial.variance import sandwich_covariance, weight_product_at
+
+from oracles import block_lower_triangular_inverse, dense_stacked_oracle
 
 
 @pytest.fixture(scope="module")
@@ -59,48 +54,7 @@ def hand_instance():
     )
 
 
-def dense_stacked_oracle(ts, est):
-    """Brute-force stacked-system build with explicit loops + generic inverse."""
-    n, T = ts.n_users, ts.horizon_T
-    d_t, d_th = ts.config.policy_dim, ts.config.theta_dim
-    D = (T - 1) * d_t + d_th
-    U = np.zeros((n, D))
-    G = np.zeros((n, D))
-    for t in range(1, T):
-        U[:, (t - 1) * d_t : t * d_t] = phi_matrix(ts, t, ts.beta_hats[t - 1])
-    U[:, -d_th:] = psi_matrix(ts, est.theta_hat)
-    for s in range(1, T):
-        u = s + 1
-        params = PolicyParams.from_stacked(ts.beta_hats[s - 1])
-        g = prob_grad(ts.config.policy, params, ts.states[:, u - 1], ts.actions[:, u - 1])
-        G[:, (s - 1) * d_t : s * d_t] = g / ts.action_probs[:, u - 1][:, None]
-    bread = np.zeros((D, D))
-    for t in range(1, T):
-        sl_t = slice((t - 1) * d_t, t * d_t)
-        bread[sl_t, sl_t] = jacobian_phi_beta(ts, t)
-        for s in range(1, t):
-            sl_s = slice((s - 1) * d_t, s * d_t)
-            acc = np.zeros((d_t, d_t))
-            for i in range(n):
-                acc += np.outer(U[i, sl_t], G[i, sl_s])
-            bread[sl_t, sl_s] = acc / n
-    bread[-d_th:, -d_th:] = jacobian_psi_theta(ts)
-    for s in range(1, T):
-        sl_s = slice((s - 1) * d_t, s * d_t)
-        acc = np.zeros((d_th, d_t))
-        for i in range(n):
-            acc += np.outer(U[i, -d_th:], G[i, sl_s])
-        bread[-d_th:, sl_s] = acc / n
-    binv = np.linalg.inv(bread)
-    full = binv @ (U.T @ U / n) @ binv.T
-    return full[-d_th:, -d_th:]
-
-
 class TestWeights:
-    def test_identity_ratio_at_hat(self, small_trajset):
-        w = weight_products(small_trajset)
-        assert np.all(w.ratios_at_hat == 1.0)
-
     def test_constant_uniform_gradients_zero(self, uniform_trajset):
         w = weight_products(uniform_trajset)
         assert np.all(w.grad_blocks == 0.0)
@@ -177,8 +131,6 @@ class TestSandwich:
         )
 
     def test_singular_bread_rejected(self):
-        from pooltrial.errors import SingularBreadError
-
         scores = np.array([[1.0, 2.0], [3.0, 5.0]])
         with pytest.raises(SingularBreadError) as err:
             sandwich_covariance(scores, np.zeros((2, 2)))
@@ -201,15 +153,82 @@ class TestAdaptiveSandwich:
     def test_dense_oracle_hand_instance(self, hand_instance):
         est = fit_theta(hand_instance)
         result = adaptive_sandwich(hand_instance, est)
-        oracle = dense_stacked_oracle(hand_instance, est)
+        oracle = dense_stacked_oracle(hand_instance, est).cov
         assert np.abs(result.cov - oracle).max() < 1e-10
 
     def test_dense_oracle_simulated(self, small_trajset):
         est = fit_theta(small_trajset)
         result = adaptive_sandwich(small_trajset, est)
-        oracle = dense_stacked_oracle(small_trajset, est)
+        oracle = dense_stacked_oracle(small_trajset, est).cov
         scale = np.abs(oracle).max()
         assert np.abs(result.cov - oracle).max() < 1e-10 * max(scale, 1.0)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            TrialConfig(
+                n_users=50,
+                horizon_T=50,
+                master_seed=3,
+                policy=PolicySpec(kind="boltzmann", rho=5.0),
+                env=EnvConfig(kappa1=5.0),
+            ),
+            TrialConfig(
+                n_users=100,
+                horizon_T=12,
+                master_seed=4,
+                policy=PolicySpec(kind="mirror_descent", eta=0.5),
+                env=EnvConfig(kappa1=5.0),
+            ),
+        ],
+        ids=["boltzmann_T50", "mirror_descent"],
+    )
+    def test_dense_oracle_last_row_and_v_hat(self, config):
+        ts = run_trial(config, SeedPlan(config.master_seed, 0))
+        est = fit_theta(ts)
+        result = adaptive_sandwich(ts, est)
+        oracle = dense_stacked_oracle(ts, est)
+        assert np.abs(oracle.m_blocks).max() > 0.0
+        for got, want in (
+            (result.cov, oracle.cov),
+            (result.m_blocks, oracle.m_blocks),
+            (result.invariance_norms, np.linalg.norm(oracle.v_hat, axis=(1, 2))),
+        ):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_singular_policy_bread_reports_time(self, small_trajset):
+        # no user treated at t = 1: the A*S columns of the time-1 policy
+        # Gram vanish, so Phi_dot_1 is exactly singular
+        actions = np.array(small_trajset.actions)
+        actions[:, 0] = 0
+        ts = TrajectorySet(
+            states=small_trajset.states,
+            actions=actions,
+            rewards=small_trajset.rewards,
+            action_probs=small_trajset.action_probs,
+            beta_hats=small_trajset.beta_hats,
+            config=small_trajset.config,
+        )
+        with pytest.raises(SingularPolicyBreadError) as err:
+            adaptive_sandwich(ts, fit_theta(ts))
+        assert err.value.t == 1
+        assert err.value.cond == float("inf")
+
+    def test_singular_psi_bread_rejected(self, small_trajset):
+        # psi_scale = 0 zeroes Psi_dot while every policy block stays regular
+        est = fit_theta(small_trajset, psi_scale=0.0)
+        with pytest.raises(SingularBreadError) as err:
+            adaptive_sandwich(small_trajset, est)
+        assert err.value.cond == float("inf")
+
+    def test_dense_system_built_on_demand(self, small_trajset):
+        est = fit_theta(small_trajset)
+        result = adaptive_sandwich(small_trajset, est)
+        assert "system" not in vars(result)
+        check_equivalence(small_trajset, est, adaptive=result)
+        assert "system" in vars(result)
+        assert result.system.dim == (small_trajset.horizon_T - 1) * 4 + 3
 
     def test_constant_uniform_collapse(self, uniform_trajset):
         est = fit_theta(uniform_trajset)
@@ -353,7 +372,6 @@ class TestVarianceReport:
         assert rep.sandwich_cov.shape == (3, 3)
         assert rep.adaptive_cov.shape == (3, 3)
         assert len(rep.ci_sandwich) == 3
-        assert rep.equivalence_gap >= 0.0
         assert len(rep.policy_invariance_norms) == T - 1
         d = rep.to_dict()
         assert set(d) >= {
@@ -365,7 +383,6 @@ class TestVarianceReport:
             "ci_adaptive",
             "policy_invariance_norms",
             "stacked_dim",
-            "equivalence_gap",
         }
 
     def test_sandwich_only(self, small_trajset):
