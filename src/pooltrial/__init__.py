@@ -18,8 +18,8 @@ from .core import (
 )
 from .estimators import EstimationResult, fit_theta
 from .montecarlo import CoverageCell, estimate_theta_star, run_cell, run_grid
-from .policies import PolicyParams, PolicySpec
-from .simulator import fit_policy_params, run_trial
+from .policies import PolicySpec
+from .simulator import run_trial
 from .variance import (
     VarianceReport,
     adaptive_sandwich,
@@ -42,9 +42,7 @@ __all__ = [
     "estimate_theta_star",
     "run_cell",
     "run_grid",
-    "PolicyParams",
     "PolicySpec",
-    "fit_policy_params",
     "run_trial",
     "VarianceReport",
     "adaptive_sandwich",

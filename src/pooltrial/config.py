@@ -31,11 +31,12 @@ from __future__ import annotations
 
 import os
 from importlib import resources
+from numbers import Integral
 
 import yaml
 
 from .core import EnvConfig, TrialConfig
-from .errors import ConfigError
+from .errors import ConfigError, real_number
 from .policies import PolicySpec
 
 _TRIAL_KEYS = {"n_users", "horizon_T", "state_dim", "master_seed"}
@@ -46,10 +47,29 @@ _GRID_KEYS = {"kappa1", "rho", "n_users"}
 PRESETS = ("paper_table1",)
 
 
-def _check_keys(section: dict, allowed: set, name: str) -> None:
+def _mapping(section, allowed: set, name: str) -> dict:
+    if not isinstance(section, dict):
+        raise ConfigError(f"config {name} must be a mapping")
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in '{name}' section: {sorted(unknown)}")
+    return section
+
+
+def _integer(value, name: str) -> int:
+    """An integral value (20 or 20.0) as an int; anything else is a ConfigError."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _grid_axis(grid: dict, key: str, default, convert) -> list:
+    values = grid.get(key, [default])
+    if not isinstance(values, list):
+        raise ConfigError(f"grid {key} must be a list, got {values!r}")
+    return [convert(v, f"grid {key}") for v in values]
 
 
 def resolve_config_path(path_or_preset: str) -> str:
@@ -63,24 +83,19 @@ def resolve_config_path(path_or_preset: str) -> str:
 
 def parse_config(raw: dict):
     """Build (TrialConfig, grid-or-None) from a parsed YAML mapping."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a mapping")
-    _check_keys(raw, {"trial", "policy", "env", "grid"}, "root")
-    trial = dict(raw.get("trial") or {})
-    policy = dict(raw.get("policy") or {})
-    env = dict(raw.get("env") or {})
-    _check_keys(trial, _TRIAL_KEYS, "trial")
-    _check_keys(policy, _POLICY_KEYS, "policy")
-    _check_keys(env, _ENV_KEYS, "env")
+    _mapping(raw, {"trial", "policy", "env", "grid"}, "root")
+    trial = _mapping(raw.get("trial") or {}, _TRIAL_KEYS, "trial")
+    policy = _mapping(raw.get("policy") or {}, _POLICY_KEYS, "policy")
+    env = _mapping(raw.get("env") or {}, _ENV_KEYS, "env")
 
     try:
         spec = PolicySpec(**policy)
         env_cfg = EnvConfig(**env)
         config = TrialConfig(
-            n_users=int(trial.get("n_users", 100)),
-            horizon_T=int(trial.get("horizon_T", 50)),
-            state_dim=int(trial.get("state_dim", 2)),
-            master_seed=int(trial.get("master_seed", 0)),
+            n_users=_integer(trial.get("n_users", 100), "n_users"),
+            horizon_T=_integer(trial.get("horizon_T", 50), "horizon_T"),
+            state_dim=_integer(trial.get("state_dim", 2), "state_dim"),
+            master_seed=_integer(trial.get("master_seed", 0), "master_seed"),
             policy=spec,
             env=env_cfg,
         )
@@ -89,12 +104,11 @@ def parse_config(raw: dict):
 
     grid = None
     if raw.get("grid") is not None:
-        grid = dict(raw["grid"])
-        _check_keys(grid, _GRID_KEYS, "grid")
+        grid = _mapping(raw["grid"], _GRID_KEYS, "grid")
         grid = {
-            "kappa1": [float(v) for v in grid.get("kappa1", [config.env.kappa1])],
-            "rho": [float(v) for v in grid.get("rho", [config.policy.rho])],
-            "n_users": [int(v) for v in grid.get("n_users", [config.n_users])],
+            "kappa1": _grid_axis(grid, "kappa1", config.env.kappa1, real_number),
+            "rho": _grid_axis(grid, "rho", config.policy.rho, real_number),
+            "n_users": _grid_axis(grid, "n_users", config.n_users, _integer),
         }
     return config, grid
 

@@ -10,16 +10,16 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
-from .errors import ConfigError, DataIntegrityError
+from .errors import ConfigError, DataIntegrityError, real_number
 from .policies import PolicySpec
 
 # Substream labels recognised by derive_stream.  "errors" drives reward-noise
-# generation, "actions" drives Bernoulli action sampling, "init" is reserved
-# for any per-replication initialisation draws.
-STREAM_LABELS = ("errors", "actions", "init")
+# generation, "actions" drives Bernoulli action sampling.
+STREAM_LABELS = ("errors", "actions")
 
 _LABEL_CODES = {label: i for i, label in enumerate(STREAM_LABELS)}
 
@@ -84,6 +84,8 @@ class EnvConfig:
     error_corr_base: float = 0.5
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            real_number(getattr(self, f.name), f.name)
         if not 0.0 < self.gamma < 1.0:
             raise ConfigError(f"gamma must be in (0,1), got {self.gamma}")
         # 0.0 is the documented i.i.d. limit of the AR error process.
@@ -105,6 +107,10 @@ class TrialConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_users", "horizon_T", "state_dim", "master_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.n_users < 2:
             raise ConfigError(f"n_users must be >= 2, got {self.n_users}")
         if self.horizon_T < 2:
@@ -117,6 +123,12 @@ class TrialConfig:
             )
         if not 0 <= int(self.master_seed) < 2**64:
             raise ConfigError(f"master_seed must be a u64, got {self.master_seed}")
+        eta = self.policy.eta
+        if eta is not None and 1 < len(eta) < self.horizon_T - 1:
+            raise ConfigError(
+                f"per-time eta has {len(eta)} entries; decision times "
+                f"2..{self.horizon_T} need {self.horizon_T - 1}"
+            )
 
     @property
     def policy_dim(self) -> int:
@@ -168,7 +180,8 @@ class TrajectorySet:
             )
         pmin = self.config.policy.pi_min
         lo, hi = self.action_probs.min(), self.action_probs.max()
-        if lo < pmin - PROB_TOL or hi > 1.0 - pmin + PROB_TOL:
+        # a positive test, so that a NaN (which compares False) fails it
+        if not pmin - PROB_TOL <= lo <= hi <= 1.0 - pmin + PROB_TOL:
             raise DataIntegrityError(
                 f"action_probs outside [{pmin}, {1 - pmin}]: range ({lo}, {hi})"
             )

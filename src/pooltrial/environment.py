@@ -37,11 +37,6 @@ def generate_errors(
     return out
 
 
-def dosage_update(d_prev, a_prev, gamma: float):
-    """One step of D_t = gamma * D_{t-1} + A_{t-1}; equals the discounted sum."""
-    return gamma * np.asarray(d_prev, dtype=float) + np.asarray(a_prev, dtype=float)
-
-
 def dosage_normalizer(gamma: float) -> float:
     """c_gamma = 1 / (1 - gamma)."""
     return 1.0 / (1.0 - gamma)

@@ -5,6 +5,9 @@ numerical failures (degenerate designs, singular bread matrices), 3 for
 diagnostic-suite failures.
 """
 
+import math
+from numbers import Real
+
 
 class PoolTrialError(Exception):
     exit_code = 1
@@ -14,6 +17,15 @@ class ConfigError(PoolTrialError):
     """Invalid configuration, unknown labels, or misuse of an operation."""
 
     exit_code = 1
+
+
+def real_number(value, name: str) -> float:
+    """``value`` as a float if it is a finite real number, else ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 class DataIntegrityError(PoolTrialError):

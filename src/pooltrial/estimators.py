@@ -112,13 +112,23 @@ def condition_number(mat: np.ndarray) -> float:
 
 
 def solve_normal_equations(gram: np.ndarray, rhs: np.ndarray, what: str, t=None):
-    """Solve gram @ coef = rhs, raising DegenerateDesignError when ill posed."""
+    """Solve gram @ coef = rhs, raising DegenerateDesignError when ill posed.
+
+    Non-finite input (data that overflowed) is ill posed too: a non-finite
+    gram is rejected before its SVD, and a non-finite right-hand side gives
+    a non-finite solution.
+    """
+    if not np.isfinite(gram).all():
+        raise DegenerateDesignError(f"non-finite {what} design", t=t)
     cond = condition_number(gram)
     if cond > COND_LIMIT:
         raise DegenerateDesignError(
             f"rank-deficient {what} design (cond={cond:.3e})", t=t, cond=cond
         )
-    return np.linalg.solve(gram, rhs)
+    coef = np.linalg.solve(gram, rhs)
+    if not np.isfinite(coef).all():
+        raise DegenerateDesignError(f"non-finite {what} solution", t=t, cond=cond)
+    return coef
 
 
 class EstimationBlocks:

@@ -6,13 +6,15 @@ Three kinds are supported:
   pi(1, s; beta) = Clip[expit(rho * beta1' s)] with Clip into
   [pi_min, 1 - pi_min].  Depends on beta1 only.
 * ``mirror_descent`` -- one online mirror-descent step,
-  pi_t(1, s) = Clip[pi_{t-1}(1, s) + 0.5 * eta_t * beta1' s]; the previous
-  policy's probability at the *same* state is threaded in as ``prev_prob1``.
+  pi_t(1, s) = Clip[pi_{t-1}(1, s) + 0.5 * eta_t * beta1' s], starting from
+  pi_1 = 0.5; the previous policy is evaluated at the *same* state s.
 * ``constant_uniform`` -- probability exactly 0.5 regardless of parameters;
   serves as the exact policy-invariance control (all parameter gradients are
   identically zero).
 
-All evaluation functions broadcast over a leading batch axis of states.
+``policy_path`` evaluates the policy map of any kind at every user and
+decision time of a trial in one sweep; ``prob_slope`` turns its pre-clip
+values into the derivatives behind the ratio gradients.
 """
 
 from __future__ import annotations
@@ -23,36 +25,9 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from scipy.special import expit
 
-from .errors import ConfigError
+from .errors import ConfigError, real_number
 
 POLICY_KINDS = ("boltzmann", "mirror_descent", "constant_uniform")
-
-
-@dataclass(frozen=True)
-class PolicyParams:
-    """Stacked policy parameter [beta0, beta1], each of length d_S."""
-
-    beta0: np.ndarray
-    beta1: np.ndarray
-
-    def __post_init__(self):
-        b0 = np.atleast_1d(np.asarray(self.beta0, dtype=float))
-        b1 = np.atleast_1d(np.asarray(self.beta1, dtype=float))
-        if b0.shape != b1.shape or b0.ndim != 1:
-            raise ConfigError("beta0/beta1 must be equal-length vectors")
-        if not (np.isfinite(b0).all() and np.isfinite(b1).all()):
-            raise ConfigError("policy parameters must be finite")
-        object.__setattr__(self, "beta0", b0)
-        object.__setattr__(self, "beta1", b1)
-
-    @classmethod
-    def from_stacked(cls, vec) -> "PolicyParams":
-        vec = np.asarray(vec, dtype=float)
-        d = vec.shape[-1] // 2
-        return cls(beta0=vec[:d], beta1=vec[d:])
-
-    def stacked(self) -> np.ndarray:
-        return np.concatenate([self.beta0, self.beta1])
 
 
 @dataclass(frozen=True)
@@ -67,17 +42,17 @@ class PolicySpec:
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
             raise ConfigError(f"unknown policy kind {self.kind!r}")
-        if not 0.0 < self.pi_min < 0.5:
+        if not 0.0 < real_number(self.pi_min, "pi_min") < 0.5:
             raise ConfigError(f"pi_min must be in (0, 0.5), got {self.pi_min}")
-        if self.kind == "boltzmann" and self.rho < 0:
+        if real_number(self.rho, "rho") < 0 and self.kind == "boltzmann":
             raise ConfigError(f"rho must be >= 0, got {self.rho}")
         if self.kind == "mirror_descent":
             if self.eta is None:
                 raise ConfigError("mirror_descent requires eta")
-            eta = np.atleast_1d(np.asarray(self.eta, dtype=float))
-            if (eta <= 0).any():
-                raise ConfigError("eta entries must be > 0")
-            object.__setattr__(self, "eta", tuple(float(e) for e in eta))
+            eta = [real_number(e, "eta") for e in np.atleast_1d(self.eta)]
+            if not eta or min(eta) <= 0:
+                raise ConfigError("eta must hold one or more entries, all > 0")
+            object.__setattr__(self, "eta", tuple(eta))
         elif self.eta is not None:
             raise ConfigError(f"eta is a mirror_descent parameter, not {self.kind}")
 
@@ -100,80 +75,81 @@ def clip_prob(x, pi_min: float):
     return np.clip(x, pi_min, 1.0 - pi_min)
 
 
-def prob_action1(
-    spec: PolicySpec,
-    params: PolicyParams,
-    state,
-    prev_prob1=None,
-    t: Optional[int] = None,
-):
-    """Probability of action 1 in the given state(s).
+def _linear(states, beta1):
+    """beta1' s over the last axis, summed term by term.
 
-    ``state`` has shape (d_S,) or (m, d_S); the result matches the batch
-    shape.  ``prev_prob1`` is required for mirror_descent (the previous
-    policy's probability of action 1 at the same state) and ignored
-    otherwise.  Always lies in [pi_min, 1 - pi_min].
+    Unlike a matmul, the term-by-term sum gives the same bits for a state
+    whether it is evaluated alone or inside a strided block of decision
+    times, so every caller of ``policy_path`` sees identical probabilities.
     """
-    state = np.asarray(state, dtype=float)
-    batch_shape = state.shape[:-1]
-    if spec.kind == "constant_uniform":
-        return np.full(batch_shape, 0.5) if batch_shape else 0.5
-    if spec.kind == "boltzmann":
-        lin = state @ params.beta1
-        return clip_prob(expit(spec.rho * lin), spec.pi_min)
-    # mirror_descent
-    if prev_prob1 is None:
-        raise ConfigError("mirror_descent requires prev_prob1")
-    prev = np.asarray(prev_prob1, dtype=float)
-    if (prev < spec.pi_min - 1e-12).any() or (prev > 1 - spec.pi_min + 1e-12).any():
-        raise ConfigError("prev_prob1 outside [pi_min, 1 - pi_min]")
-    step = 0.5 * spec.eta_at(t) * (state @ params.beta1)
-    return clip_prob(prev + step, spec.pi_min)
+    lin = states[..., 0] * beta1[..., 0]
+    for j in range(1, states.shape[-1]):
+        lin = lin + states[..., j] * beta1[..., j]
+    return lin
 
 
-def _unclipped_value(spec, params, state, prev_prob1, t):
-    """Pre-clip probability of action 1 (drives the saturation rule)."""
-    if spec.kind == "boltzmann":
-        return expit(spec.rho * (state @ params.beta1))
-    if spec.kind == "mirror_descent":
-        prev = np.asarray(prev_prob1, dtype=float)
-        return prev + 0.5 * spec.eta_at(t) * (state @ params.beta1)
-    raise ConfigError(f"no unclipped value for kind {spec.kind!r}")
+def policy_path(spec: PolicySpec, states, beta_hats, betas=None):
+    """Action-1 probabilities at the trailing decision times of one trial.
 
+    ``states`` is (n, m, d_S) and ``beta_hats`` holds the k stored policy
+    fits, (k, 2 d_S).  Column j of ``states`` is decision time k - m + 2 + j:
+    the last column is time k + 1, and a full trajectory (m = k + 1) starts
+    at time 1, which gets the pre-specified 0.5.  The step at decision time t
+    uses ``betas[t - 2]`` (``beta_hats`` by default); a mirror-descent step
+    starts from the chain pi_{t-1}(1, s) through ``beta_hats`` at the same
+    state s, swept over all columns at once in k vectorised steps.
 
-def prob_grad(
-    spec: PolicySpec,
-    params: PolicyParams,
-    state,
-    action,
-    prev_prob1=None,
-    t: Optional[int] = None,
-):
-    """Gradient of pi(action, state; beta) w.r.t. the stacked [beta0, beta1].
-
-    The beta0 block is always zero.  In the clip-saturated region (the
-    unclipped value lies outside the open interval (pi_min, 1 - pi_min)) the
-    whole gradient is defined as the zero vector, as it is for
-    constant_uniform.  Shape: state batch shape + (2 * d_S,).
+    Returns (p1, pre), both (n, m): the clipped probability of action 1 and
+    its value before the clip (0.5 where no parameter enters).
     """
-    state = np.asarray(state, dtype=float)
-    action = np.asarray(action)
-    d_S = state.shape[-1]
-    out = np.zeros(state.shape[:-1] + (2 * d_S,))
-    if spec.kind == "constant_uniform":
-        return out
+    states = np.asarray(states, dtype=float)
+    beta_hats = np.asarray(beta_hats, dtype=float)
+    betas = beta_hats if betas is None else np.asarray(betas, dtype=float)
+    n, m, d_S = states.shape
+    k = len(beta_hats)
+    first = k - m + 2  # decision time of column 0
+    if first < 1 or betas.shape != beta_hats.shape or beta_hats.shape[1:] != (2 * d_S,):
+        raise ConfigError(
+            f"policy_path: {m} decision times of {d_S}-dim states do not fit "
+            f"beta_hats {beta_hats.shape} and betas {betas.shape}"
+        )
+    pre = np.full((n, m), 0.5)
     if spec.kind == "boltzmann":
-        p = expit(spec.rho * (state @ params.beta1))
-        slope = spec.rho * p * (1.0 - p)
+        lo = max(2 - first, 0)  # first column with a decision time >= 2
+        beta1 = betas[first + lo - 2 :, d_S:]
+        pre[:, lo:] = expit(spec.rho * _linear(states[:, lo:], beta1))
+    elif spec.kind == "mirror_descent":
+        chain = np.full((n, m), 0.5)  # pi_{t-1}(1, s) for the columns after t
+        for t in range(2, k + 2):
+            half_eta = 0.5 * spec.eta_at(t)
+            j = t - first  # the column whose decision time is t
+            if j >= 0:
+                lin = _linear(states[:, j], betas[t - 2, d_S:])
+                pre[:, j] = chain[:, j] + half_eta * lin
+            c = max(j + 1, 0)
+            if c < m:
+                lin = _linear(states[:, c:], beta_hats[t - 2, d_S:])
+                chain[:, c:] = clip_prob(chain[:, c:] + half_eta * lin, spec.pi_min)
+    return clip_prob(pre, spec.pi_min), pre
+
+
+def prob_slope(spec: PolicySpec, pre, times):
+    """Derivative of the action-1 probability along beta1' s.
+
+    ``pre`` holds ``policy_path``'s pre-clip values with decision times
+    ``times`` on its last axis.  The slope is rho p (1 - p) for boltzmann
+    (p = pre) and 0.5 eta_t for mirror descent; it is 0 for constant_uniform
+    and wherever the clip saturates (pre outside (pi_min, 1 - pi_min)).
+    """
+    pre = np.asarray(pre, dtype=float)
+    if spec.kind == "boltzmann":
+        slope = spec.rho * pre * (1.0 - pre)
+    elif spec.kind == "mirror_descent":
+        slope = 0.5 * np.array([spec.eta_at(t) for t in times])
     else:
-        if prev_prob1 is None:
-            raise ConfigError("mirror_descent requires prev_prob1")
-        p = _unclipped_value(spec, params, state, prev_prob1, t)
-        slope = np.broadcast_to(0.5 * spec.eta_at(t), np.shape(p))
-    live = np.asarray((p > spec.pi_min) & (p < 1.0 - spec.pi_min))
-    sign = np.where(action == 1, 1.0, -1.0)
-    out[..., d_S:] = np.where(live[..., None], (sign * slope)[..., None] * state, 0.0)
-    return out
+        return np.zeros_like(pre)
+    live = (pre > spec.pi_min) & (pre < 1.0 - spec.pi_min)
+    return np.where(live, slope, 0.0)
 
 
 def sample_action(stream: np.random.Generator, prob1) -> np.ndarray:
@@ -198,21 +174,6 @@ def lipschitz_bound(spec: PolicySpec, state, t: Optional[int] = None):
     return np.zeros_like(norm)
 
 
-def mirror_prob_chain(spec: PolicySpec, beta_hats, state, upto_t: int):
-    """pi_t(1, state) for the mirror-descent recursion, evaluated at upto_t.
-
-    Starts at the pre-specified pi_1 = 0.5 and applies one clipped step per
-    decision time 2..upto_t with the stored beta_hats (beta_hats[k] is the
-    fit used at decision time k+2... i.e. index t-2 for decision time t).
-    """
-    state = np.asarray(state, dtype=float)
-    p = np.full(state.shape[:-1], 0.5) if state.ndim > 1 else 0.5
-    for u in range(2, upto_t + 1):
-        params = PolicyParams.from_stacked(np.asarray(beta_hats[u - 2]))
-        p = prob_action1(spec, params, state, prev_prob1=p, t=u)
-    return p
-
-
 def realized_from_p1(p1, action, pi_min: float):
     """p1 if action is 1 else 1 - p1, snapped back into [pi_min, 1 - pi_min].
 
@@ -222,16 +183,3 @@ def realized_from_p1(p1, action, pi_min: float):
     """
     out = np.where(np.asarray(action) == 1, p1, 1.0 - np.asarray(p1))
     return np.clip(out, pi_min, 1.0 - pi_min)
-
-
-def prob_realized(
-    spec: PolicySpec,
-    params: PolicyParams,
-    state,
-    action,
-    prev_prob1=None,
-    t: Optional[int] = None,
-):
-    """Probability assigned to the realised action: p1 if action is 1 else 1 - p1."""
-    p1 = prob_action1(spec, params, state, prev_prob1=prev_prob1, t=t)
-    return realized_from_p1(p1, action, spec.pi_min)

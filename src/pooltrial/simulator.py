@@ -14,39 +14,9 @@ import numpy as np
 
 from .core import SeedPlan, TrajectorySet, TrialConfig, derive_stream
 from .environment import dosage_normalizer, generate_errors, reward
+from .errors import ConfigError
 from .estimators import solve_normal_equations
-from .policies import (
-    PolicyParams,
-    mirror_prob_chain,
-    prob_action1,
-    realized_from_p1,
-    sample_action,
-)
-
-
-def fit_policy_params(states, actions, rewards) -> PolicyParams:
-    """Pooled least-squares root of the policy estimating equation.
-
-    ``states``/``actions``/``rewards`` hold the history slice to fit on,
-    shapes (n, t, d_S), (n, t), (n, t).  Returns the unique root of the
-    normal equations for the working model R ~ beta0'S + A * beta1'S; a
-    rank-deficient pooled design raises DegenerateDesignError.
-    """
-    states = np.asarray(states, dtype=float)
-    actions = np.asarray(actions, dtype=float)
-    rewards = np.asarray(rewards, dtype=float)
-    x = np.concatenate([states, actions[..., None] * states], axis=2)
-    gram = np.einsum("ntk,ntl->kl", x, x)
-    rhs = np.einsum("ntk,nt->k", x, rewards)
-    coef = solve_normal_equations(gram, rhs, "policy", t=states.shape[1])
-    return PolicyParams.from_stacked(coef)
-
-
-def _build_state(prev_reward: np.ndarray, d_S: int) -> np.ndarray:
-    n = prev_reward.shape[0]
-    if d_S == 1:
-        return np.ones((n, 1))
-    return np.stack([np.ones(n), prev_reward], axis=1)
+from .policies import policy_path, realized_from_p1, sample_action
 
 
 def run_trial(
@@ -54,9 +24,10 @@ def run_trial(
 ) -> TrajectorySet:
     """Simulate one replication; all randomness derives from ``plan``.
 
-    With ``frozen_betas`` (sequence of T-1 stacked parameter vectors) the
-    per-time refits are skipped and the supplied parameters drive the policy
-    instead -- this is how target-policy (i.i.d.) reference runs are produced.
+    With ``frozen_betas`` (a finite (T-1, 2 d_S) array of stacked parameter
+    vectors) the per-time refits are skipped and the supplied parameters
+    drive the policy instead -- this is how target-policy (i.i.d.) reference
+    runs are produced.
     """
     n, T, d_S = config.n_users, config.horizon_T, config.state_dim
     env, policy = config.env, config.policy
@@ -70,11 +41,18 @@ def run_trial(
     eps = generate_errors(err_stream, n, T + 1, env.error_corr_base)
     r_prev = env.kappa0 + eps[:, 0]
 
-    states = np.empty((n, T, d_S))
+    states = np.ones((n, T, d_S))  # S_t = [1, R_{t-1}], or [1] when d_S = 1
     actions = np.empty((n, T), dtype=np.int8)
     rewards = np.empty((n, T))
     action_probs = np.empty((n, T))
-    beta_hats = np.empty((T - 1, 2 * d_S))
+    if frozen_betas is None:
+        beta_hats = np.empty((T - 1, 2 * d_S))
+    else:
+        beta_hats = np.array(frozen_betas, dtype=float)
+        if beta_hats.shape != (T - 1, 2 * d_S) or not np.isfinite(beta_hats).all():
+            raise ConfigError(
+                f"frozen_betas must be a finite ({T - 1}, {2 * d_S}) array"
+            )
 
     c_gamma = dosage_normalizer(env.gamma)
     dosage = np.zeros(n)
@@ -83,29 +61,19 @@ def run_trial(
     rhs = np.zeros(2 * d_S)
 
     for t in range(1, T + 1):
-        s_t = _build_state(r_prev, d_S)
-        states[:, t - 1] = s_t
+        states[:, t - 1, 1:] = r_prev[:, None]
         if t == 1:
             p1 = np.full(n, 0.5)
         else:
-            x_prev = np.concatenate(
-                [states[:, t - 2], actions[:, t - 2, None] * states[:, t - 2]],
-                axis=1,
-            )
-            gram += np.einsum("nk,nl->kl", x_prev, x_prev)
-            rhs += rewards[:, t - 2] @ x_prev
             if frozen_betas is None:
-                coef = solve_normal_equations(gram, rhs, "policy", t=t - 1)
-                beta_hats[t - 2] = coef
-                params = PolicyParams.from_stacked(coef)
-            else:
-                beta_hats[t - 2] = np.asarray(frozen_betas[t - 2], dtype=float)
-                params = PolicyParams.from_stacked(beta_hats[t - 2])
-            if policy.kind == "mirror_descent":
-                prev = mirror_prob_chain(policy, beta_hats, s_t, t - 1)
-                p1 = prob_action1(policy, params, s_t, prev_prob1=prev, t=t)
-            else:
-                p1 = prob_action1(policy, params, s_t)
+                x_prev = np.concatenate(
+                    [states[:, t - 2], actions[:, t - 2, None] * states[:, t - 2]],
+                    axis=1,
+                )
+                gram += np.einsum("nk,nl->kl", x_prev, x_prev)
+                rhs += rewards[:, t - 2] @ x_prev
+                beta_hats[t - 2] = solve_normal_equations(gram, rhs, "policy", t=t - 1)
+            p1 = policy_path(policy, states[:, t - 1 : t], beta_hats[: t - 1])[0][:, 0]
             dosage = env.gamma * dosage + actions[:, t - 2]
         a_t = sample_action(act_stream, p1)
         actions[:, t - 1] = a_t
@@ -130,16 +98,5 @@ def replay_action_probs(trajset: TrajectorySet) -> np.ndarray:
     bit for bit; ``TrajectorySet.load`` checks stored files against it.
     """
     policy = trajset.config.policy
-    n, T = trajset.n_users, trajset.horizon_T
-    out = np.empty((n, T))
-    out[:, 0] = 0.5
-    for t in range(2, T + 1):
-        s_t = trajset.states[:, t - 1]
-        params = PolicyParams.from_stacked(trajset.beta_hats[t - 2])
-        if policy.kind == "mirror_descent":
-            prev = mirror_prob_chain(policy, trajset.beta_hats, s_t, t - 1)
-            p1 = prob_action1(policy, params, s_t, prev_prob1=prev, t=t)
-        else:
-            p1 = prob_action1(policy, params, s_t)
-        out[:, t - 1] = realized_from_p1(p1, trajset.actions[:, t - 1], policy.pi_min)
-    return out
+    p1, _ = policy_path(policy, trajset.states, trajset.beta_hats)
+    return realized_from_p1(p1, trajset.actions, policy.pi_min)

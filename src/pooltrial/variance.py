@@ -44,42 +44,32 @@ from scipy.stats import norm
 from .core import TrajectorySet
 from .errors import SingularBreadError, SingularPolicyBreadError
 from .estimators import COND_LIMIT, EstimationResult, condition_number
-from .policies import PolicyParams, mirror_prob_chain, prob_grad, prob_realized
+from .policies import policy_path, prob_slope, realized_from_p1
 
 
 # ---------------------------------------------------------------------------
 # Radon-Nikodym weight machinery
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WeightEval:
-    """Gradients of the per-user weight product at the fitted parameters.
+def weight_products(trajset: TrajectorySet) -> np.ndarray:
+    """Parameter gradients of the weight product at beta_hat, (n, T-1, d_t).
 
-    ``grad_blocks[i, s]`` is the gradient of W_{2:T}(beta, beta_hat) w.r.t.
-    the beta_s block at beta = beta_hat, i.e. prob_grad(A_{s+1}, S_{s+1};
-    beta_hat_s) divided by the realised sampling probability at time s+1.
+    Entry [i, s] is the gradient of W_{2:T}(beta, beta_hat) w.r.t. the beta_s
+    block at beta = beta_hat: the gradient of the realised action's
+    probability at decision time s+1 divided by that probability.  The
+    beta0 half of each block is zero.
     """
-
-    grad_blocks: np.ndarray    # (n, T-1, d_t)
-
-
-def weight_products(trajset: TrajectorySet) -> WeightEval:
-    """Parameter gradients of the weight product at beta_hat."""
     policy = trajset.config.policy
-    n, T = trajset.n_users, trajset.horizon_T
-    d_t = trajset.config.policy_dim
-    grads = np.zeros((n, T - 1, d_t))
-    for s in range(1, T):  # beta_s realised at decision time s + 1
-        u = s + 1
-        s_u = trajset.states[:, u - 1]
-        a_u = trajset.actions[:, u - 1]
-        params = PolicyParams.from_stacked(trajset.beta_hats[s - 1])
-        prev = None
-        if policy.kind == "mirror_descent":
-            prev = mirror_prob_chain(policy, trajset.beta_hats, s_u, u - 1)
-        g = prob_grad(policy, params, s_u, a_u, prev_prob1=prev, t=u)
-        grads[:, s - 1] = g / trajset.action_probs[:, u - 1][:, None]
-    return WeightEval(grad_blocks=grads)
+    n, T, d_S = trajset.states.shape
+    _, pre = policy_path(policy, trajset.states, trajset.beta_hats)
+    slope = prob_slope(policy, pre[:, 1:], range(2, T + 1))
+    sign = np.where(trajset.actions[:, 1:] == 1, 1.0, -1.0)
+    grads = np.zeros((n, T - 1, 2 * d_S))
+    grads[..., d_S:] = (
+        (sign * slope)[..., None] * trajset.states[:, 1:]
+        / trajset.action_probs[:, 1:, None]
+    )
+    return grads
 
 
 def weight_product_at(trajset: TrajectorySet, betas) -> np.ndarray:
@@ -87,22 +77,13 @@ def weight_product_at(trajset: TrajectorySet, betas) -> np.ndarray:
 
     ``betas`` is a (T-1, d_t) array (or sequence) of alternative policy
     parameters; the denominator is the stored sampling probability of the
-    realised action.
+    realised action, and a mirror-descent step stays anchored at the
+    realised previous policy.
     """
     policy = trajset.config.policy
-    n, T = trajset.n_users, trajset.horizon_T
-    out = np.ones(n)
-    for t in range(2, T + 1):
-        s_t = trajset.states[:, t - 1]
-        a_t = trajset.actions[:, t - 1]
-        params = PolicyParams.from_stacked(np.asarray(betas[t - 2], dtype=float))
-        prev = None
-        if policy.kind == "mirror_descent":
-            # the recursion is anchored at the realised previous policy
-            prev = mirror_prob_chain(policy, trajset.beta_hats, s_t, t - 1)
-        num = prob_realized(policy, params, s_t, a_t, prev_prob1=prev, t=t)
-        out *= num / trajset.action_probs[:, t - 1]
-    return out
+    p1, _ = policy_path(policy, trajset.states, trajset.beta_hats, betas)
+    num = realized_from_p1(p1[:, 1:], trajset.actions[:, 1:], policy.pi_min)
+    return np.prod(num / trajset.action_probs[:, 1:], axis=1)
 
 
 def confidence_interval(center: float, se: float, alpha: float):
@@ -175,14 +156,14 @@ class StackedSystem:
 
 
 def build_stacked_system(
-    trajset: TrajectorySet, est: EstimationResult, weights: WeightEval
+    trajset: TrajectorySet, est: EstimationResult, grads: np.ndarray
 ) -> StackedSystem:
     n, T = trajset.n_users, trajset.horizon_T
     d_t, d_theta = trajset.config.policy_dim, trajset.config.theta_dim
     blocks = est.blocks
 
     scores = np.concatenate(blocks.phi_mats + [blocks.psi_mat], axis=1)
-    grad_stack = weights.grad_blocks.reshape(n, (T - 1) * d_t)
+    grad_stack = grads.reshape(n, (T - 1) * d_t)
     sizes = [d_t] * (T - 1) + [d_theta]
     offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
     dim = offsets[-1]
@@ -221,11 +202,11 @@ class AdaptiveResult:
     invariance_norms: np.ndarray          # (T-1,), ||V_hat_{T,t}||_F
     trajset: TrajectorySet = field(repr=False)
     est: EstimationResult = field(repr=False)
-    weights: WeightEval = field(repr=False)
+    grads: np.ndarray = field(repr=False)   # weight_products(trajset)
 
     @cached_property
     def system(self) -> StackedSystem:
-        return build_stacked_system(self.trajset, self.est, self.weights)
+        return build_stacked_system(self.trajset, self.est, self.grads)
 
 
 def adaptive_sandwich(trajset: TrajectorySet, est: EstimationResult) -> AdaptiveResult:
@@ -240,8 +221,7 @@ def adaptive_sandwich(trajset: TrajectorySet, est: EstimationResult) -> Adaptive
     n = trajset.n_users
     _check_policy_breads(blocks.phi_dots)
     _check_bread(blocks.psi_dot)
-    weights = weight_products(trajset)
-    grads = weights.grad_blocks                       # (n, T-1, d_t)
+    grads = weight_products(trajset)                  # (n, T-1, d_t)
     phi_dot_invs = np.linalg.inv(blocks.phi_dots)     # (T-1, d_t, d_t)
 
     n_blocks, d_t = grads.shape[1:]
@@ -259,7 +239,7 @@ def adaptive_sandwich(trajset: TrajectorySet, est: EstimationResult) -> Adaptive
         invariance_norms=np.linalg.norm(v_hat, axis=(1, 2)),
         trajset=trajset,
         est=est,
-        weights=weights,
+        grads=grads,
     )
 
 

@@ -1,16 +1,21 @@
-"""Dense reference implementations the tests compare the package against.
+"""Reference implementations the tests compare the package against.
 
-The package computes the adaptive sandwich with a backward recursion over the
-last block row of the stacked inverse.  The forms here build and invert the
-full stacked system instead: slow (O(D^3) for D = (T-1) d_t + d_theta), but
-independent of the recursion.
+The package evaluates the policy map of a whole trial in one sweep
+(``policies.policy_path``) and computes the adaptive sandwich with a backward
+recursion over the last block row of the stacked inverse.  The forms here
+work one state and one decision time at a time, fit by explicit design
+matrices, and build and invert the full stacked system: slow (O(D^3) for
+D = (T-1) d_t + d_theta), but independent of the package's sweeps.
+
+Policy parameters are stacked vectors [beta0, beta1], each half of length d_S.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
-from pooltrial.errors import SingularPolicyBreadError
+from pooltrial.errors import ConfigError, SingularPolicyBreadError
 from pooltrial.estimators import (
     COND_LIMIT,
     condition_number,
@@ -18,8 +23,116 @@ from pooltrial.estimators import (
     jacobian_psi_theta,
     phi_matrix,
     psi_matrix,
+    solve_normal_equations,
 )
-from pooltrial.policies import PolicyParams, mirror_prob_chain, prob_grad
+
+
+def _beta1(beta, state):
+    return np.asarray(beta, dtype=float)[np.shape(state)[-1]:]
+
+
+def _pre_clip(spec, beta, state, prev_prob1, t):
+    """Pre-clip probability of action 1 at one decision time."""
+    lin = state @ _beta1(beta, state)
+    if spec.kind == "boltzmann":
+        return expit(spec.rho * lin)
+    if prev_prob1 is None:
+        raise ConfigError("mirror_descent requires prev_prob1")
+    return np.asarray(prev_prob1, dtype=float) + 0.5 * spec.eta_at(t) * lin
+
+
+def prob_action1(spec, beta, state, prev_prob1=None, t=None):
+    """pi_t(1, s; beta) for state(s) s of shape (d_S,) or (m, d_S).
+
+    ``prev_prob1`` is the previous mirror-descent policy's probability at the
+    same state (required for mirror_descent, ignored otherwise).
+    """
+    state = np.asarray(state, dtype=float)
+    if spec.kind == "constant_uniform":
+        return np.full(state.shape[:-1], 0.5) if state.ndim > 1 else 0.5
+    pre = _pre_clip(spec, beta, state, prev_prob1, t)
+    return np.clip(pre, spec.pi_min, 1.0 - spec.pi_min)
+
+
+def prob_realized(spec, beta, state, action, prev_prob1=None, t=None):
+    """Probability of the realised action: p1 if action is 1 else 1 - p1."""
+    p1 = prob_action1(spec, beta, state, prev_prob1=prev_prob1, t=t)
+    out = np.where(np.asarray(action) == 1, p1, 1.0 - p1)
+    return np.clip(out, spec.pi_min, 1.0 - spec.pi_min)
+
+
+def prob_grad(spec, beta, state, action, prev_prob1=None, t=None):
+    """Gradient of pi_t(action, s; beta) w.r.t. the stacked [beta0, beta1].
+
+    The beta0 block is zero; the whole gradient is zero for constant_uniform
+    and where the clip saturates (pre-clip value outside the open interval
+    (pi_min, 1 - pi_min)).  Shape: state batch shape + (2 d_S,).
+    """
+    state = np.asarray(state, dtype=float)
+    d_S = state.shape[-1]
+    out = np.zeros(state.shape[:-1] + (2 * d_S,))
+    if spec.kind == "constant_uniform":
+        return out
+    p = _pre_clip(spec, beta, state, prev_prob1, t)
+    if spec.kind == "boltzmann":
+        slope = spec.rho * p * (1.0 - p)
+    else:
+        slope = np.broadcast_to(0.5 * spec.eta_at(t), np.shape(p))
+    live = np.asarray((p > spec.pi_min) & (p < 1.0 - spec.pi_min))
+    sign = np.where(np.asarray(action) == 1, 1.0, -1.0)
+    out[..., d_S:] = np.where(live[..., None], (sign * slope)[..., None] * state, 0.0)
+    return out
+
+
+def mirror_prob_chain(spec, beta_hats, state, upto_t):
+    """pi_{upto_t}(1, s) of the mirror-descent recursion from pi_1 = 0.5.
+
+    One clipped step per decision time 2..upto_t, the step at time u using
+    beta_hats[u - 2].
+    """
+    state = np.asarray(state, dtype=float)
+    p = np.full(state.shape[:-1], 0.5) if state.ndim > 1 else 0.5
+    for u in range(2, upto_t + 1):
+        p = prob_action1(spec, beta_hats[u - 2], state, prev_prob1=p, t=u)
+    return p
+
+
+def path_oracle(spec, states, beta_hats, betas=None):
+    """policy_path's (p1, pre) column by column: chain, then one step."""
+    betas = beta_hats if betas is None else betas
+    n, m, _ = states.shape
+    first = len(beta_hats) - m + 2
+    p1, pre = np.full((n, m), 0.5), np.full((n, m), 0.5)
+    for j in range(m):
+        t = first + j
+        if t == 1 or spec.kind == "constant_uniform":
+            continue
+        prev = None
+        if spec.kind == "mirror_descent":
+            prev = mirror_prob_chain(spec, beta_hats, states[:, j], t - 1)
+        pre[:, j] = _pre_clip(spec, betas[t - 2], states[:, j], prev, t)
+        p1[:, j] = prob_action1(spec, betas[t - 2], states[:, j], prev, t)
+    return p1, pre
+
+
+def fit_policy_params(states, actions, rewards):
+    """Pooled least-squares root of the policy estimating equation.
+
+    Fits R ~ beta0'S + A * beta1'S on the history slice given ((n, t, d_S),
+    (n, t), (n, t)) in one batch; returns the stacked coefficient vector.
+    """
+    states = np.asarray(states, dtype=float)
+    actions = np.asarray(actions, dtype=float)
+    rewards = np.asarray(rewards, dtype=float)
+    x = np.concatenate([states, actions[..., None] * states], axis=2)
+    gram = np.einsum("ntk,ntl->kl", x, x)
+    rhs = np.einsum("ntk,nt->k", x, rewards)
+    return solve_normal_equations(gram, rhs, "policy", t=states.shape[1])
+
+
+def dosage_update(d_prev, a_prev, gamma):
+    """One step of D_t = gamma * D_{t-1} + A_{t-1}; equals the discounted sum."""
+    return gamma * np.asarray(d_prev, dtype=float) + np.asarray(a_prev, dtype=float)
 
 
 def block_lower_triangular_inverse(mat: np.ndarray, block_sizes) -> np.ndarray:
@@ -74,11 +187,12 @@ def dense_stacked_oracle(ts, est) -> DenseStacked:
     for s in range(1, T):
         u = s + 1
         state = ts.states[:, u - 1]
-        params = PolicyParams.from_stacked(ts.beta_hats[s - 1])
         prev = None
         if spec.kind == "mirror_descent":
             prev = mirror_prob_chain(spec, ts.beta_hats, state, u - 1)
-        g = prob_grad(spec, params, state, ts.actions[:, u - 1], prev_prob1=prev, t=u)
+        g = prob_grad(
+            spec, ts.beta_hats[s - 1], state, ts.actions[:, u - 1], prev_prob1=prev, t=u
+        )
         G[:, (s - 1) * d_t : s * d_t] = g / ts.action_probs[:, u - 1][:, None]
     bread = np.zeros((D, D))
     for t in range(1, T):

@@ -393,7 +393,7 @@ class TestCriterion07GradientOracles:
             bp[s - 1, j] += h
             bm[s - 1, j] -= h
             fd = (weight_product_at(ts, bp) - weight_product_at(ts, bm)) / (2 * h)
-            worst = max(worst, np.abs(fd - w.grad_blocks[:, s - 1, j]).max())
+            worst = max(worst, np.abs(fd - w[:, s - 1, j]).max())
         ok = worst < 1e-6
         record("07 gradient oracles (FD)", f"max abs err={worst:.3e}", ok)
         assert ok
@@ -402,7 +402,9 @@ class TestCriterion07GradientOracles:
 class TestCriterion08Lipschitz:
     @staticmethod
     def _scan(kind):
-        from pooltrial.policies import lipschitz_bound, prob_action1, PolicyParams
+        from pooltrial.policies import lipschitz_bound
+
+        from oracles import prob_action1
 
         rng = np.random.default_rng(808)
         if kind == "boltzmann":
@@ -416,8 +418,8 @@ class TestCriterion08Lipschitz:
             kw = {}
             if kind == "mirror_descent":
                 kw = dict(prev_prob1=rng.uniform(0.1, 0.9), t=2)
-            pa = prob_action1(spec, PolicyParams(np.zeros(2), b1), s, **kw)
-            pb = prob_action1(spec, PolicyParams(np.zeros(2), b1p), s, **kw)
+            pa = prob_action1(spec, np.concatenate([np.zeros(2), b1]), s, **kw)
+            pb = prob_action1(spec, np.concatenate([np.zeros(2), b1p]), s, **kw)
             bound = lipschitz_bound(spec, s, t=2)
             if abs(pa - pb) > bound * np.linalg.norm(b1 - b1p) + 1e-12:
                 violations += 1

@@ -69,6 +69,31 @@ class TestSimulate:
         code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "trial: {n_users: abc}",
+            "trial: {n_users: 20.7}",
+            "env: {kappa1: abc}",
+            "env: {kappa1: .inf}",
+            "policy: {rho: .nan}",
+            "policy: {kind: mirror_descent, eta: .nan}",
+            "policy: {kind: mirror_descent, eta: abc}",
+            "trial: {horizon_T: 6}\npolicy: {kind: mirror_descent, eta: [0.5, 0.5]}",
+            "trial: 5",
+            "grid: {n_users: [50, abc]}",
+        ],
+    )
+    def test_bad_config_value_exits_1(self, text, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text + "\n")
+        out = tmp_path / "o"
+        code = main(["simulate", "--config", str(path), "--out", str(out)])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert not out.exists()
+
     def test_usage_error_exits_1(self):
         assert main(["simulate"]) == 1
 

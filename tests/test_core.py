@@ -31,8 +31,9 @@ class TestDeriveStream:
         assert np.any(a != b)
 
     def test_unknown_label_rejected(self):
-        with pytest.raises(ConfigError):
-            derive_stream(SeedPlan(1, 0), "bootstrap")
+        for label in ("bootstrap", "init"):
+            with pytest.raises(ConfigError):
+                derive_stream(SeedPlan(1, 0), label)
 
     def test_master_seed_separation(self):
         a = derive_stream(SeedPlan(1, 0), "errors").random(100)
@@ -85,6 +86,19 @@ class TestTrajectorySet:
     def test_corrupt_probs_rejected(self, small_trajset):
         bad = np.array(small_trajset.action_probs)
         bad[0, 1] = 0.01
+        with pytest.raises(DataIntegrityError):
+            TrajectorySet(
+                states=small_trajset.states,
+                actions=small_trajset.actions,
+                rewards=small_trajset.rewards,
+                action_probs=bad,
+                beta_hats=small_trajset.beta_hats,
+                config=small_trajset.config,
+            )
+
+    def test_nan_prob_rejected(self, small_trajset):
+        bad = np.array(small_trajset.action_probs)
+        bad[3, 2] = np.nan
         with pytest.raises(DataIntegrityError):
             TrajectorySet(
                 states=small_trajset.states,

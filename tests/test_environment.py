@@ -4,12 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pooltrial import EnvConfig, SeedPlan, derive_stream
-from pooltrial.environment import (
-    dosage_normalizer,
-    dosage_update,
-    generate_errors,
-    reward,
-)
+from pooltrial.environment import dosage_normalizer, generate_errors, reward
+
+from oracles import dosage_update
 
 
 class TestDosage:

@@ -13,6 +13,7 @@ from pooltrial.estimators import (
     psi,
     psi_matrix,
     score_jacobian,
+    solve_normal_equations,
 )
 from pooltrial.variance import sandwich
 
@@ -254,7 +255,7 @@ class TestJacobians:
             assert np.allclose(col, jac[:, j], atol=1e-6)
 
     def test_degenerate_design_all_actions_zero(self):
-        from pooltrial.simulator import fit_policy_params
+        from oracles import fit_policy_params
 
         rng = np.random.default_rng(3)
         states = np.stack(
@@ -264,6 +265,20 @@ class TestJacobians:
         rewards = rng.normal(size=(4, 5))
         with pytest.raises(DegenerateDesignError):
             fit_policy_params(states, actions, rewards)
+
+    @pytest.mark.parametrize(
+        "gram, rhs",
+        [
+            (np.eye(2), np.array([1.0, np.inf])),
+            (np.array([[np.inf, 0.0], [0.0, 1.0]]), np.ones(2)),
+            (np.array([[1.0, np.nan], [np.nan, 1.0]]), np.ones(2)),
+            (np.eye(2), np.array([np.nan, 1.0])),
+            (1e-10 * np.eye(2), np.array([1e300, 1.0])),  # the solution overflows
+        ],
+    )
+    def test_non_finite_normal_equations_degenerate(self, gram, rhs):
+        with pytest.raises(DegenerateDesignError):
+            solve_normal_equations(gram, rhs, "policy", t=3)
 
     def test_fit_theta_degenerate_design(self, rng):
         from pooltrial.core import TrajectorySet

@@ -4,15 +4,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pooltrial import PolicyParams, PolicySpec, SeedPlan, derive_stream
+from pooltrial import PolicySpec, SeedPlan, derive_stream
 from pooltrial.errors import ConfigError
 from pooltrial.policies import (
     lipschitz_bound,
+    policy_path,
+    prob_slope,
+    realized_from_p1,
+    sample_action,
+)
+
+from oracles import (
     mirror_prob_chain,
+    path_oracle,
     prob_action1,
     prob_grad,
     prob_realized,
-    sample_action,
 )
 
 BOLTZ = PolicySpec(kind="boltzmann", rho=1.0, pi_min=0.1)
@@ -25,29 +32,38 @@ finite_vec = arrays(
 
 
 def params(b0, b1):
-    return PolicyParams(beta0=np.asarray(b0, float), beta1=np.asarray(b1, float))
+    """Stacked policy parameter [beta0, beta1]."""
+    return np.concatenate([np.asarray(b0, float), np.asarray(b1, float)])
+
+
+def p1_at(spec, beta, state):
+    """policy_path's action-1 probability for one state at decision time 2."""
+    state = np.asarray(state, dtype=float)[None, None]
+    p1, _ = policy_path(spec, state, np.asarray(beta, dtype=float)[None])
+    return p1[0, 0]
 
 
 class TestProbAction1:
     def test_zero_parameter(self):
-        assert prob_action1(BOLTZ, params([0, 0], [0, 0]), [1.0, 3.0]) == 0.5
+        assert p1_at(BOLTZ, params([0, 0], [0, 0]), [1.0, 3.0]) == 0.5
 
     def test_clip_saturation(self):
         # expit(10) = 0.99995... clipped to 0.9
-        p = prob_action1(BOLTZ, params([0, 0], [10.0, 0.0]), [1.0, 0.0])
-        assert p == 0.9
+        assert p1_at(BOLTZ, params([0, 0], [10.0, 0.0]), [1.0, 0.0]) == 0.9
 
     def test_scalar_oracle_value(self):
         spec = PolicySpec(kind="boltzmann", rho=0.5, pi_min=0.1)
-        p = prob_action1(spec, params([0, 0], [1.0, 0.0]), [1.0, 0.0])
+        p = p1_at(spec, params([0, 0], [1.0, 0.0]), [1.0, 0.0])
         assert p == pytest.approx(0.6224593312018546, abs=1e-12)
 
     def test_constant_uniform_ignores_params(self):
-        assert prob_action1(UNIFORM, params([3, 1], [9, -2]), [1.0, 4.0]) == 0.5
+        assert p1_at(UNIFORM, params([3, 1], [9, -2]), [1.0, 4.0]) == 0.5
 
     def test_mirror_descent_step(self):
-        p = prob_action1(MIRROR, params([0, 0], [0.2, 0.0]), [1.0, 0.0], prev_prob1=0.5)
-        assert p == pytest.approx(0.6)
+        # the first step starts from pi_1 = 0.5
+        assert p1_at(MIRROR, params([0, 0], [0.2, 0.0]), [1.0, 0.0]) == pytest.approx(
+            0.6
+        )
 
     def test_mirror_descent_requires_prev(self):
         with pytest.raises(ConfigError):
@@ -56,29 +72,28 @@ class TestProbAction1:
     def test_rho_zero_collapses_to_half(self):
         spec = PolicySpec(kind="boltzmann", rho=0.0, pi_min=0.1)
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            p = prob_action1(
-                spec, params(rng.normal(size=2), rng.normal(size=2)),
-                rng.normal(size=2),
-            )
-            assert p == 0.5
+        states = rng.normal(size=(3, 51, 2))
+        p1, _ = policy_path(spec, states, rng.normal(size=(50, 4)))
+        assert np.all(p1 == 0.5)
 
     @given(s=finite_vec, b1=finite_vec)
     @settings(max_examples=200)
     def test_exploration_floor(self, s, b1):
         spec = PolicySpec(kind="boltzmann", rho=5.0, pi_min=0.1)
-        p = prob_action1(spec, params([0, 0], b1), s)
+        p = p1_at(spec, params([0, 0], b1), s)
         assert 0.1 <= p <= 0.9
 
     @given(s=finite_vec, b1=finite_vec)
     @settings(max_examples=100)
     def test_probs_sum_to_one(self, s, b1):
-        p1 = prob_action1(BOLTZ, params([0, 0], b1), s)
-        p0 = prob_realized(BOLTZ, params([0, 0], b1), s, 0)
+        p1 = p1_at(BOLTZ, params([0, 0], b1), s)
+        p0 = realized_from_p1(p1, 0, BOLTZ.pi_min)
         assert p0 + p1 == pytest.approx(1.0, abs=1e-15)
 
 
 class TestProbGrad:
+    """The per-state gradient oracle that the dense stacked oracle uses."""
+
     def test_midpoint_value(self):
         g = prob_grad(BOLTZ, params([0, 0], [0.0, 0.0]), [1.0, 0.0], 1)
         assert np.allclose(g, [0, 0, 0.25, 0], atol=1e-15)
@@ -91,10 +106,14 @@ class TestProbGrad:
     def test_saturated_is_zero(self):
         g = prob_grad(BOLTZ, params([0, 0], [10.0, 0.0]), [1.0, 0.0], 1)
         assert np.all(g == 0.0)
+        state, beta = np.array([[[1.0, 0.0]]]), params([0, 0], [10.0, 0.0])
+        _, pre = policy_path(BOLTZ, state, beta[None])
+        assert np.all(prob_slope(BOLTZ, pre, [2]) == 0.0)
 
     def test_constant_uniform_zero(self):
         g = prob_grad(UNIFORM, params([1, 2], [3, 4]), [1.0, 2.0], 1)
         assert np.all(g == 0.0)
+        assert np.all(prob_slope(UNIFORM, np.full((2, 3), 0.5), [2, 3, 4]) == 0.0)
 
     def test_beta0_block_zero(self, rng):
         for _ in range(20):
@@ -192,8 +211,11 @@ class TestMirrorChain:
     def test_chain_starts_at_half_and_clips(self):
         spec = PolicySpec(kind="mirror_descent", pi_min=0.1, eta=2.0)
         betas = np.array([[0, 0, 10.0, 0.0], [0, 0, 10.0, 0.0]])
-        p = mirror_prob_chain(spec, betas, np.array([[1.0, 0.0]]), 3)
-        assert p[0] == 0.9  # two big positive steps, clipped
+        state = np.array([[1.0, 0.0]])
+        p1, pre = policy_path(spec, state[:, None], betas)  # decision time 3
+        assert p1[0, 0] == 0.9  # two big positive steps, clipped
+        assert pre[0, 0] == pytest.approx(0.9 + 10.0)  # the chain is clipped first
+        assert mirror_prob_chain(spec, betas, state, 3)[0] == 0.9
 
     def test_eta_sequence_indexing(self):
         spec = PolicySpec(kind="mirror_descent", pi_min=0.1, eta=[1.0, 2.0, 3.0])
@@ -201,3 +223,95 @@ class TestMirrorChain:
         assert spec.eta_at(4) == 3.0
         with pytest.raises(ConfigError):
             spec.eta_at(5)
+
+
+PATH_SPECS = {
+    "boltzmann": PolicySpec(kind="boltzmann", rho=4.0, pi_min=0.1),
+    "mirror_scalar": PolicySpec(kind="mirror_descent", pi_min=0.1, eta=0.7),
+    "mirror_sequence": PolicySpec(
+        kind="mirror_descent", pi_min=0.1, eta=[0.2 + 0.1 * k for k in range(12)]
+    ),
+    "constant_uniform": UNIFORM,
+}
+
+
+def random_path_inputs(seed, d_S=2):
+    """Random states, fits and alternative betas; a few saturate the clip."""
+    rng = np.random.default_rng(seed)
+    n, k = int(rng.integers(1, 6)), int(rng.integers(1, 12))
+    states = rng.normal(size=(n, k + 1, d_S)) * rng.uniform(0.2, 3.0)
+    states[..., 0] = 1.0
+    beta_hats = rng.normal(size=(k, 2 * d_S)) * rng.uniform(0.05, 1.5)
+    betas = beta_hats + 0.1 * rng.normal(size=beta_hats.shape)
+    return rng, states, beta_hats, betas
+
+
+# The oracles take beta1's through a matmul, whose summation order (and so
+# its last bit) can depend on the batch size; the sweep sums term by term.
+ORACLE_TOL = dict(rtol=1e-13, atol=1e-13)
+
+
+class TestPolicyPath:
+    """policy_path against the per-state oracles: one chain plus one step."""
+
+    @pytest.mark.parametrize("name", sorted(PATH_SPECS))
+    @given(seed=st.integers(0, 2**32 - 1), d_S=st.sampled_from([1, 2]))
+    @settings(max_examples=40, deadline=None)
+    def test_full_path_matches_oracle(self, name, seed, d_S):
+        spec = PATH_SPECS[name]
+        _, states, beta_hats, betas = random_path_inputs(seed, d_S)
+        for alt in (None, betas):
+            p1, pre = policy_path(spec, states, beta_hats, alt)
+            want_p1, want_pre = path_oracle(spec, states, beta_hats, alt)
+            np.testing.assert_allclose(p1, want_p1, **ORACLE_TOL)
+            np.testing.assert_allclose(pre, want_pre, **ORACLE_TOL)
+
+    @pytest.mark.parametrize("name", sorted(PATH_SPECS))
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_trailing_columns_match_full_path(self, name, seed):
+        spec = PATH_SPECS[name]
+        rng, states, beta_hats, betas = random_path_inputs(seed)
+        full, full_pre = policy_path(spec, states, beta_hats, betas)
+        k = len(beta_hats)
+        # the single new column the simulator evaluates at decision time k + 1
+        p1, pre = policy_path(spec, states[:, -1:], beta_hats, betas)
+        assert np.array_equal(p1, full[:, -1:])
+        assert np.array_equal(pre, full_pre[:, -1:])
+        # any trailing block of m columns, and an earlier time by truncating
+        m = int(rng.integers(1, k + 2))
+        p1, _ = policy_path(spec, states[:, k + 1 - m :], beta_hats, betas)
+        assert np.array_equal(p1, full[:, k + 1 - m :])
+        p1, _ = policy_path(spec, states[:, -2:-1], beta_hats[:-1], betas[:-1])
+        assert np.array_equal(p1, full[:, -2:-1])
+
+    @pytest.mark.parametrize("name", sorted(PATH_SPECS))
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_slope_matches_oracle_gradient(self, name, seed):
+        spec = PATH_SPECS[name]
+        rng, states, beta_hats, _ = random_path_inputs(seed)
+        n, T, d_S = states.shape
+        actions = rng.integers(0, 2, size=(n, T))
+        _, pre = policy_path(spec, states, beta_hats)
+        slope = prob_slope(spec, pre[:, 1:], range(2, T + 1))
+        sign = np.where(actions[:, 1:] == 1, 1.0, -1.0)
+        for t in range(2, T + 1):
+            prev = None
+            if spec.kind == "mirror_descent":
+                prev = mirror_prob_chain(spec, beta_hats, states[:, t - 1], t - 1)
+            want = prob_grad(
+                spec, beta_hats[t - 2], states[:, t - 1], actions[:, t - 1], prev, t
+            )
+            got = (sign * slope)[:, t - 2, None] * states[:, t - 1]
+            assert np.all(want[:, :d_S] == 0.0)
+            np.testing.assert_allclose(got, want[:, d_S:], **ORACLE_TOL)
+
+    def test_rejects_inconsistent_shapes(self):
+        states = np.ones((2, 4, 2))
+        with pytest.raises(ConfigError):
+            policy_path(BOLTZ, states, np.zeros((2, 4)))  # 4 columns need 3 fits
+        with pytest.raises(ConfigError):
+            policy_path(BOLTZ, states, np.zeros((3, 4)), np.zeros((2, 4)))
+        with pytest.raises(ConfigError):
+            policy_path(BOLTZ, states, np.zeros((3, 2)))

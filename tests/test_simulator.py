@@ -1,17 +1,11 @@
 import numpy as np
 import pytest
 
-from pooltrial import (
-    EnvConfig,
-    PolicyParams,
-    PolicySpec,
-    SeedPlan,
-    TrialConfig,
-    fit_policy_params,
-    run_trial,
-)
-from pooltrial.errors import DegenerateDesignError
+from pooltrial import EnvConfig, PolicySpec, SeedPlan, TrialConfig, run_trial
+from pooltrial.errors import ConfigError, DegenerateDesignError
 from pooltrial.simulator import replay_action_probs
+
+from oracles import fit_policy_params
 
 
 class TestRunTrial:
@@ -83,6 +77,24 @@ class TestRunTrial:
         assert np.array_equal(ts.beta_hats, frozen)
         assert np.array_equal(replay_action_probs(ts), ts.action_probs)
 
+    @pytest.mark.parametrize("bad", ["short", "nan", "inf"])
+    def test_frozen_betas_validated(self, small_trajset, small_config, bad):
+        frozen = np.array(small_trajset.beta_hats)
+        if bad == "short":
+            frozen = frozen[:-1]
+        else:
+            frozen[2, 3] = float(bad)
+        with pytest.raises(ConfigError):
+            run_trial(small_config, SeedPlan(99, 0), frozen_betas=frozen)
+
+    def test_overflowing_rewards_abort_as_degenerate(self):
+        # rewards near 1e306 overflow the pooled Gram of the policy refit
+        config = TrialConfig(
+            n_users=20, horizon_T=5, policy=PolicySpec(), env=EnvConfig(kappa1=1e308)
+        )
+        with pytest.raises(DegenerateDesignError):
+            run_trial(config, SeedPlan(0, 0))
+
     def test_mirror_descent_end_to_end(self):
         config = TrialConfig(
             n_users=50,
@@ -104,12 +116,12 @@ class TestRunTrial:
                 small_trajset.actions[:, :t],
                 small_trajset.rewards[:, :t],
             )
-            assert np.allclose(
-                refit.stacked(), small_trajset.beta_hats[t - 1], rtol=1e-9
-            )
+            assert np.allclose(refit, small_trajset.beta_hats[t - 1], rtol=1e-9)
 
 
 class TestFitPolicyParams:
+    """The batch fit that the simulator's running refits are checked against."""
+
     def test_interpolating_recovery(self, rng):
         n, t = 6, 3
         states = np.stack(
@@ -119,8 +131,8 @@ class TestFitPolicyParams:
         beta_true = np.array([1.0, -0.5, 0.8, 0.3])
         x = np.concatenate([states, actions[..., None] * states], axis=2)
         rewards = x @ beta_true
-        params = fit_policy_params(states, actions, rewards)
-        assert np.allclose(params.stacked(), beta_true, rtol=1e-10)
+        coef = fit_policy_params(states, actions, rewards)
+        assert np.allclose(coef, beta_true, rtol=1e-10)
 
     def test_all_actions_zero_degenerate(self, rng):
         states = np.stack(
@@ -136,13 +148,13 @@ class TestFitPolicyParams:
         )
         actions = rng.integers(0, 2, size=(n, t)).astype(float)
         rewards = rng.normal(size=(n, t))
-        params = fit_policy_params(states, actions, rewards)
+        coef = fit_policy_params(states, actions, rewards)
         x = np.concatenate([states, actions[..., None] * states], axis=2).reshape(
             -1, 4
         )
         y = rewards.reshape(-1)
         brute = np.linalg.inv(x.T @ x) @ (x.T @ y)
-        assert np.allclose(params.stacked(), brute, rtol=1e-10)
+        assert np.allclose(coef, brute, rtol=1e-10)
 
     def test_root_residual(self, rng):
         n, t = 15, 6
@@ -151,9 +163,9 @@ class TestFitPolicyParams:
         )
         actions = rng.integers(0, 2, size=(n, t)).astype(float)
         rewards = rng.normal(size=(n, t))
-        params = fit_policy_params(states, actions, rewards)
+        coef = fit_policy_params(states, actions, rewards)
         x = np.concatenate([states, actions[..., None] * states], axis=2)
-        resid = rewards - x @ params.stacked()
+        resid = rewards - x @ coef
         criterion = np.einsum("nt,ntk->k", resid, x)
         scale = max(1.0, np.abs(np.einsum("nt,ntk->k", rewards, x)).max())
         assert np.abs(criterion).max() < 1e-8 * scale

@@ -17,10 +17,10 @@ from pooltrial import (
 )
 from pooltrial.core import TrajectorySet
 from pooltrial.errors import SingularBreadError, SingularPolicyBreadError
-from pooltrial.policies import PolicyParams, prob_realized
+from pooltrial.policies import policy_path, realized_from_p1
 from pooltrial.variance import sandwich_covariance, weight_product_at
 
-from oracles import block_lower_triangular_inverse, dense_stacked_oracle
+from oracles import block_lower_triangular_inverse, dense_stacked_oracle, prob_realized
 
 
 @pytest.fixture(scope="module")
@@ -42,8 +42,9 @@ def hand_instance():
     beta_hats = np.array([[0.1, 0.3]])
     probs = np.empty((2, 2))
     probs[:, 0] = 0.5
-    params = PolicyParams.from_stacked(beta_hats[0])
-    probs[:, 1] = prob_realized(config.policy, params, states[:, 1], actions[:, 1])
+    probs[:, 1] = prob_realized(
+        config.policy, beta_hats[0], states[:, 1], actions[:, 1]
+    )
     return TrajectorySet(
         states=states,
         actions=actions,
@@ -56,8 +57,7 @@ def hand_instance():
 
 class TestWeights:
     def test_constant_uniform_gradients_zero(self, uniform_trajset):
-        w = weight_products(uniform_trajset)
-        assert np.all(w.grad_blocks == 0.0)
+        assert np.all(weight_products(uniform_trajset) == 0.0)
 
     def test_product_at_hat_is_one(self, small_trajset):
         prod = weight_product_at(small_trajset, small_trajset.beta_hats)
@@ -77,24 +77,23 @@ class TestWeights:
                 weight_product_at(small_trajset, bp)
                 - weight_product_at(small_trajset, bm)
             ) / (2 * h)
-            assert np.abs(fd - w.grad_blocks[:, s - 1, j]).max() < 1e-6
+            assert np.abs(fd - w[:, s - 1, j]).max() < 1e-6
 
     def test_per_time_ratio_range(self, small_trajset, rng):
         # W_t is a ratio of two clipped probabilities
         pmin = small_trajset.config.policy.pi_min
         lo, hi = pmin / (1 - pmin), (1 - pmin) / pmin
-        for t in range(2, small_trajset.horizon_T + 1):
-            beta = np.asarray(small_trajset.beta_hats[t - 2]) + rng.normal(size=4)
-            params = PolicyParams.from_stacked(beta)
-            num = prob_realized(
-                small_trajset.config.policy,
-                params,
-                small_trajset.states[:, t - 1],
-                small_trajset.actions[:, t - 1],
-            )
-            ratio = num / small_trajset.action_probs[:, t - 1]
-            assert np.all(ratio >= lo - 1e-12)
-            assert np.all(ratio <= hi + 1e-12)
+        betas = small_trajset.beta_hats + rng.normal(size=small_trajset.beta_hats.shape)
+        p1, _ = policy_path(
+            small_trajset.config.policy,
+            small_trajset.states,
+            small_trajset.beta_hats,
+            betas,
+        )
+        num = realized_from_p1(p1, small_trajset.actions, pmin)
+        ratio = num[:, 1:] / small_trajset.action_probs[:, 1:]
+        assert np.all(ratio >= lo - 1e-12)
+        assert np.all(ratio <= hi + 1e-12)
 
     def test_change_of_measure_mean_one(self):
         config = TrialConfig(
