@@ -178,6 +178,11 @@ class TrajectorySet:
             raise DataIntegrityError(
                 f"beta_hats shape {self.beta_hats.shape} invalid"
             )
+        for name in ("states", "rewards", "beta_hats"):
+            arr = getattr(self, name)
+            # min and max carry a NaN or an inf out, with no temporary array
+            if not -np.inf < arr.min() <= arr.max() < np.inf:
+                raise DataIntegrityError(f"{name} holds a non-finite value")
         pmin = self.config.policy.pi_min
         lo, hi = self.action_probs.min(), self.action_probs.max()
         # a positive test, so that a NaN (which compares False) fails it
@@ -205,24 +210,25 @@ class TrajectorySet:
         import os
 
         os.makedirs(out_dir, exist_ok=True)
-        d_S = self.config.state_dim
-        state_cols = ",".join(f"state_{j}" for j in range(d_S))
-        with open(os.path.join(out_dir, "trajectories.csv"), "w") as f:
-            f.write(f"user,t,{state_cols},action,reward,action_prob\n")
-            for i in range(self.n_users):
-                for t in range(self.horizon_T):
-                    svals = ",".join(repr(float(v)) for v in self.states[i, t])
-                    f.write(
-                        f"{i},{t + 1},{svals},{int(self.actions[i, t])},"
-                        f"{repr(float(self.rewards[i, t]))},"
-                        f"{repr(float(self.action_probs[i, t]))}\n"
-                    )
-        with open(os.path.join(out_dir, "beta_hats.csv"), "w") as f:
-            coef_cols = ",".join(f"b_{j}" for j in range(self.config.policy_dim))
-            f.write(f"t,{coef_cols}\n")
-            for t in range(self.horizon_T - 1):
-                coefs = ",".join(repr(float(v)) for v in self.beta_hats[t])
-                f.write(f"{t + 1},{coefs}\n")
+        n, T, d_S = self.states.shape
+        tables = {
+            "trajectories.csv": (
+                ["user", "t", *(f"state_{j}" for j in range(d_S)),
+                 "action", "reward", "action_prob"],
+                [np.repeat(np.arange(n), T), np.tile(np.arange(1, T + 1), n),
+                 *self.states.reshape(n * T, d_S).T, self.actions.ravel(),
+                 self.rewards.ravel(), self.action_probs.ravel()],
+            ),
+            "beta_hats.csv": (
+                ["t", *(f"b_{j}" for j in range(2 * d_S))],
+                [np.arange(1, T), *self.beta_hats.T],
+            ),
+        }
+        for name, (header, columns) in tables.items():
+            fields = [map(repr, col.tolist()) for col in columns]
+            with open(os.path.join(out_dir, name), "w") as f:
+                f.write(",".join(header) + "\n")
+                f.writelines(",".join(row) + "\n" for row in zip(*fields))
 
     @classmethod
     def load(cls, in_dir, config: TrialConfig) -> "TrajectorySet":

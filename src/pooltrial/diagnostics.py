@@ -20,8 +20,8 @@ import numpy as np
 from scipy.stats import kstest
 
 from .core import SeedPlan, TrialConfig
-from .errors import ConfigError, NumericalError
-from .montecarlo import ORACLE_REP_BASE, run_replication
+from .errors import ConfigError
+from .montecarlo import ORACLE_REP_BASE, replicate
 from .simulator import run_trial
 
 # KS critical value c(alpha) with D_n <= c / sqrt(reps), alpha = 0.01
@@ -71,6 +71,21 @@ def inverse_prob_products(trajset) -> np.ndarray:
     return 1.0 / np.prod(trajset.action_probs[:, 1:], axis=1)
 
 
+def _target_policy_oracle(config: TrialConfig, oracle_n: int):
+    """(beta_star, frozen): the policy fits of an adaptive n = oracle_n run,
+    and a second run with its policies frozen at them (the target policies)."""
+    oracle_config = config.replace(n_users=oracle_n)
+    beta_star = run_trial(
+        oracle_config, SeedPlan(config.master_seed, ORACLE_REP_BASE)
+    ).beta_hats
+    frozen = run_trial(
+        oracle_config,
+        SeedPlan(config.master_seed, ORACLE_REP_BASE + 1),
+        frozen_betas=beta_star,
+    )
+    return beta_star, frozen
+
+
 @dataclass
 class BernsteinReport:
     x_grid: np.ndarray
@@ -105,14 +120,7 @@ def bernstein_check(
     T = config.horizon_T
     sup = f_spec.sup_norm
 
-    oracle_config = config.replace(n_users=oracle_n)
-    oracle_plan = SeedPlan(config.master_seed, ORACLE_REP_BASE)
-    adaptive_oracle = run_trial(oracle_config, oracle_plan)
-    frozen = run_trial(
-        oracle_config,
-        SeedPlan(config.master_seed, ORACLE_REP_BASE + 1),
-        frozen_betas=adaptive_oracle.beta_hats,
-    )
+    _, frozen = _target_policy_oracle(config, oracle_n)
     rho_star = inverse_prob_products(frozen)
     f_star = f_spec.evaluate(frozen)
     centering = float(np.mean(rho_star * f_star))
@@ -195,14 +203,11 @@ def clt_check(
     test the empirical distribution against standard normal (KS, 1% level)."""
     theta_star_1 = float(np.asarray(theta_star)[-1])
     coord = config.theta_dim - 1
-    zs = []
-    for r in range(reps):
-        try:
-            res = run_replication(config, SeedPlan(config.master_seed, r), alpha)
-        except NumericalError:
-            continue
-        zs.append((res.theta_hat[coord] - theta_star_1) / res.se_adaptive[coord])
-    zs = np.asarray(zs)
+    zs = np.asarray([
+        (rep.theta_hat[coord] - theta_star_1) / rep.se_adaptive[coord]
+        for rep in replicate(config, reps, alpha)
+        if rep is not None
+    ])
     if zs.size < 2:
         return CltReport(
             reps=int(zs.size),
@@ -236,13 +241,10 @@ def invariance_scan(
     for label, config in labeled_configs:
         total = np.zeros(config.horizon_T - 1)
         count = 0
-        for r in range(reps):
-            try:
-                res = run_replication(config, SeedPlan(config.master_seed, r))
-            except NumericalError:
-                continue
-            total += res.invariance_norms
-            count += 1
+        for rep in replicate(config, reps):
+            if rep is not None:
+                total += rep.policy_invariance_norms
+                count += 1
         out[label] = total / max(count, 1)
     return out
 
@@ -263,14 +265,7 @@ def weighted_wlln_gap(
     from .variance import weight_product_at
 
     theta_probe = np.zeros(config.theta_dim)
-    oracle_plan = SeedPlan(config.master_seed, ORACLE_REP_BASE)
-    adaptive_oracle = run_trial(config.replace(n_users=oracle_n), oracle_plan)
-    beta_star = adaptive_oracle.beta_hats
-    frozen = run_trial(
-        config.replace(n_users=oracle_n),
-        SeedPlan(config.master_seed, ORACLE_REP_BASE + 1),
-        frozen_betas=beta_star,
-    )
+    beta_star, frozen = _target_policy_oracle(config, oracle_n)
     target_vals = psi_matrix(frozen, theta_probe)[:, coord]
     target_mean = float(target_vals.mean())
     target_se = float(target_vals.std() / np.sqrt(oracle_n))

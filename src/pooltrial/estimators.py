@@ -42,33 +42,6 @@ def policy_design(trajset: TrajectorySet) -> np.ndarray:
     return np.concatenate([trajset.states, a * trajset.states], axis=2)
 
 
-def psi(states, actions, rewards, theta, scale: float = 1.0) -> np.ndarray:
-    """Estimating-function value for one user's trajectory.
-
-    ``scale`` multiplies the sum (1.0 reproduces the unscaled criterion; 1/T
-    gives the averaged variant -- either choice leaves theta-hat and both
-    sandwich covariances unchanged).
-    """
-    states = np.asarray(states, dtype=float)
-    actions = np.asarray(actions, dtype=float)
-    rewards = np.asarray(rewards, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    z = np.concatenate([states, actions[:, None]], axis=1)
-    resid = rewards - z @ theta
-    return scale * (resid @ z)
-
-
-def phi(states, actions, rewards, t: int, beta) -> np.ndarray:
-    """Policy estimating-function value for one user, summed over times 1..t."""
-    states = np.asarray(states, dtype=float)[:t]
-    actions = np.asarray(actions, dtype=float)[:t]
-    rewards = np.asarray(rewards, dtype=float)[:t]
-    beta = np.asarray(beta, dtype=float)
-    x = np.concatenate([states, actions[:, None] * states], axis=1)
-    resid = rewards - x @ beta
-    return resid @ x
-
-
 def psi_matrix(trajset: TrajectorySet, theta, scale: float = 1.0) -> np.ndarray:
     """Per-user psi values, shape (n, d_theta)."""
     z = inference_design(trajset)

@@ -19,7 +19,7 @@ from .core import SeedPlan, TrialConfig
 from .errors import NumericalError
 from .estimators import fit_theta
 from .simulator import run_trial
-from .variance import variance_report
+from .variance import VarianceReport, variance_report
 
 # Oracle runs live in a disjoint rep-index range so their draws never overlap
 # with coverage replications (which use rep_index 0..reps-1).
@@ -28,38 +28,39 @@ ORACLE_REP_BASE = 1_000_000
 _theta_star_cache: dict = {}
 
 
-@dataclass(frozen=True)
-class RepResult:
-    """Per-replication outcome used by coverage counting and diagnostics."""
-
-    theta_hat: np.ndarray
-    se_sandwich: np.ndarray
-    se_adaptive: np.ndarray
-    ci_sandwich: tuple
-    ci_adaptive: tuple
-    invariance_norms: np.ndarray
-    sandwich_cov: np.ndarray
-    adaptive_cov: np.ndarray
-
-
 def run_replication(
     config: TrialConfig, plan: SeedPlan, alpha: float = 0.05
-) -> RepResult:
+) -> VarianceReport:
     """Simulate -> estimate -> both variances for one replication."""
     trajset = run_trial(config, plan)
     est = fit_theta(trajset)
-    report = variance_report(trajset, est, alpha=alpha, which="both")
-    coord = config.theta_dim - 1  # treatment-effect coordinate
-    return RepResult(
-        theta_hat=est.theta_hat,
-        se_sandwich=report.se_sandwich,
-        se_adaptive=report.se_adaptive,
-        ci_sandwich=report.ci_sandwich[coord],
-        ci_adaptive=report.ci_adaptive[coord],
-        invariance_norms=report.policy_invariance_norms,
-        sandwich_cov=report.sandwich_cov,
-        adaptive_cov=report.adaptive_cov,
-    )
+    return variance_report(trajset, est, alpha=alpha, which="both")
+
+
+def _replicate(args):
+    config, rep, alpha = args
+    try:
+        return run_replication(config, SeedPlan(config.master_seed, rep), alpha)
+    except NumericalError:
+        return None
+
+
+def replicate(
+    config: TrialConfig, reps: int, alpha: float = 0.05, jobs: int = 1
+) -> list:
+    """Reports of replications 0..reps-1 in order, None for each that aborted.
+
+    An aborted replication is one that raised ``NumericalError`` (degenerate
+    design, singular bread).  ``jobs`` > 1 spreads the replications over a
+    process pool, 0 over every CPU; the results do not depend on it.
+    """
+    tasks = [(config, rep, alpha) for rep in range(reps)]
+    if jobs == 0:
+        jobs = os.cpu_count() or 1
+    if jobs > 1:
+        with multiprocessing.Pool(jobs) as pool:
+            return pool.map(_replicate, tasks, chunksize=8)
+    return [_replicate(t) for t in tasks]
 
 
 def _theta_star_key(config: TrialConfig, oracle_n: int, plan: SeedPlan):
@@ -131,18 +132,6 @@ class CoverageCell:
         }
 
 
-def _cover_one(args):
-    config, rep, alpha, theta_star_1 = args
-    plan = SeedPlan(config.master_seed, rep)
-    try:
-        res = run_replication(config, plan, alpha=alpha)
-    except NumericalError:
-        return None
-    lo_s, hi_s = res.ci_sandwich
-    lo_a, hi_a = res.ci_adaptive
-    return (lo_s <= theta_star_1 <= hi_s, lo_a <= theta_star_1 <= hi_a)
-
-
 def run_cell(
     config: TrialConfig,
     reps: int,
@@ -159,16 +148,16 @@ def run_cell(
     interval only, and by the adaptive interval only.
     """
     theta_star_1 = float(np.asarray(theta_star)[-1])
-    tasks = [(config, rep, alpha, theta_star_1) for rep in range(reps)]
-    if jobs == 0:
-        jobs = os.cpu_count() or 1
-    if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            outcomes = pool.map(_cover_one, tasks, chunksize=8)
-    else:
-        outcomes = [_cover_one(t) for t in tasks]
 
-    completed = [o for o in outcomes if o is not None]
+    def covers(ci):
+        lo, hi = ci[-1]  # the treatment-effect coordinate
+        return lo <= theta_star_1 <= hi
+
+    completed = [
+        (covers(rep.ci_sandwich), covers(rep.ci_adaptive))
+        for rep in replicate(config, reps, alpha, jobs)
+        if rep is not None
+    ]
     aborted = reps - len(completed)
     m = max(len(completed), 1)
     cover_s = sum(o[0] for o in completed) / m

@@ -159,21 +159,6 @@ def sample_action(stream: np.random.Generator, prob1) -> np.ndarray:
     return (u < prob1).astype(np.int8)
 
 
-def lipschitz_bound(spec: PolicySpec, state, t: Optional[int] = None):
-    """Per-state Lipschitz constant of beta |-> pi(a, s; beta).
-
-    0.25 * rho * ||s||_2 for boltzmann, 0.5 * eta_t * ||s||_2 for
-    mirror descent, 0 for constant_uniform.
-    """
-    state = np.asarray(state, dtype=float)
-    norm = np.linalg.norm(state, axis=-1)
-    if spec.kind == "boltzmann":
-        return 0.25 * spec.rho * norm
-    if spec.kind == "mirror_descent":
-        return 0.5 * spec.eta_at(t) * norm
-    return np.zeros_like(norm)
-
-
 def realized_from_p1(p1, action, pi_min: float):
     """p1 if action is 1 else 1 - p1, snapped back into [pi_min, 1 - pi_min].
 

@@ -60,26 +60,29 @@ def run_trial(
     gram = np.zeros((2 * d_S, 2 * d_S))
     rhs = np.zeros(2 * d_S)
 
-    for t in range(1, T + 1):
-        states[:, t - 1, 1:] = r_prev[:, None]
-        if t == 1:
-            p1 = np.full(n, 0.5)
-        else:
-            if frozen_betas is None:
-                x_prev = np.concatenate(
-                    [states[:, t - 2], actions[:, t - 2, None] * states[:, t - 2]],
-                    axis=1,
-                )
-                gram += np.einsum("nk,nl->kl", x_prev, x_prev)
-                rhs += rewards[:, t - 2] @ x_prev
-                beta_hats[t - 2] = solve_normal_equations(gram, rhs, "policy", t=t - 1)
-            p1 = policy_path(policy, states[:, t - 1 : t], beta_hats[: t - 1])[0][:, 0]
-            dosage = env.gamma * dosage + actions[:, t - 2]
-        a_t = sample_action(act_stream, p1)
-        actions[:, t - 1] = a_t
-        action_probs[:, t - 1] = realized_from_p1(p1, a_t, policy.pi_min)
-        rewards[:, t - 1] = reward(env, dosage / c_gamma, a_t, eps[:, t])
-        r_prev = rewards[:, t - 1]
+    # overflowing data raises a typed error (a non-finite policy design, or
+    # TrajectorySet's non-finite check), not numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, T + 1):
+            states[:, t - 1, 1:] = r_prev[:, None]
+            if t == 1:
+                p1 = np.full(n, 0.5)
+            else:
+                if frozen_betas is None:
+                    x_prev = np.concatenate(
+                        [states[:, t - 2], actions[:, t - 2, None] * states[:, t - 2]],
+                        axis=1,
+                    )
+                    gram += np.einsum("nk,nl->kl", x_prev, x_prev)
+                    rhs += rewards[:, t - 2] @ x_prev
+                    beta_hats[t - 2] = solve_normal_equations(gram, rhs, "policy", t=t - 1)
+                p1 = policy_path(policy, states[:, t - 1 : t], beta_hats[: t - 1])[0][:, 0]
+                dosage = env.gamma * dosage + actions[:, t - 2]
+            a_t = sample_action(act_stream, p1)
+            actions[:, t - 1] = a_t
+            action_probs[:, t - 1] = realized_from_p1(p1, a_t, policy.pi_min)
+            rewards[:, t - 1] = reward(env, dosage / c_gamma, a_t, eps[:, t])
+            r_prev = rewards[:, t - 1]
 
     return TrajectorySet(
         states=states,

@@ -10,23 +10,23 @@ where u_i stacks [phi_1.. phi_{T-1}, psi] for user i, Phi_dot is block lower
 triangular (diagonal blocks are the policy Jacobians, sub-diagonal blocks are
 outer products of phi values with action-probability ratio gradients), and
 V_hat collects the same ratio gradients against psi.  The adaptive covariance
-is the lower-right d_theta block of bread^{-1} meat bread^{-T}; with
-parameter-free policies every ratio gradient vanishes and it collapses to the
-standard sandwich.
+is the lower-right d_theta block of bread^{-1} meat bread^{-T}.
 
-Only the last block row L = [L_1 .. L_{T-1}, L_T] of bread^{-1} enters that
-block, and it solves a backward recursion on per-user corrected scores
-q_i = sum_r L_r u_{r,i}:
+That block is the ordinary sandwich of per-user scores corrected for the
+policy fits, c_i = psi_i + sum_t K_t phi_{t,i}, with gains from a backward
+recursion in psi-space (g_{c,i} is user i's ratio gradient for beta_c):
 
-    L_T = Psi_dot^{-1},                 q_i = L_T psi_i,
-    L_c = -[(1/n) sum_i q_i g_{c,i}'] Phi_dot_c^{-1},   q_i += L_c phi_{c,i}
+    c_i = psi_i,
+    K_c = -[(1/n) sum_i c_i g_{c,i}'] Phi_dot_c^{-1},   c_i += K_c phi_{c,i}
                                         for c = T-1 down to 1,
-    cov = (1/n) sum_i q_i q_i',
+    cov = sandwich_covariance(c, Psi_dot).
 
-with g_{c,i} the ratio gradient of user i for the beta_c block.  This is the
-production path (``adaptive_sandwich``): O(n T d^2), no D x D matrix.  The
-dense stacked system (``build_stacked_system``) is kept as the cross-check
-that ``check_equivalence`` compares against with dense solves.
+So ``sandwich_covariance`` is the one kernel behind both estimators, and with
+parameter-free policies (every g = 0) the adaptive covariance is the standard
+sandwich bit for bit.  The last block row of bread^{-1} is
+Psi_dot^{-1} [K_1 .. K_{T-1}, I].  This path (``adaptive_sandwich``) costs
+O(n T d^2) and builds no D x D matrix; the dense stacked system
+(``build_stacked_system``) is the cross-check of ``check_equivalence``.
 
 All covariances are scaled as the variance of sqrt(n) (theta_hat - theta*),
 so standard errors are sqrt(diag / n).
@@ -39,7 +39,7 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .core import TrajectorySet
 from .errors import SingularBreadError, SingularPolicyBreadError
@@ -92,7 +92,7 @@ def confidence_interval(center: float, se: float, alpha: float):
         raise ValueError(f"se must be >= 0, got {se}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0,1), got {alpha}")
-    z = norm.ppf(1.0 - alpha / 2.0)
+    z = ndtri(1.0 - alpha / 2.0)
     return float(center - z * se), float(center + z * se)
 
 
@@ -144,7 +144,6 @@ def sandwich(trajset: TrajectorySet, est: EstimationResult) -> np.ndarray:
 class StackedSystem:
     """Dense stacked bread and scores for one replication (cross-check)."""
 
-    sizes: list
     offsets: np.ndarray
     bread: np.ndarray        # (D, D) block lower triangular
     scores: np.ndarray       # (n, D) per-user stacked [phi_1..phi_{T-1}, psi]
@@ -180,7 +179,6 @@ def build_stacked_system(
     bread[offsets[-2]:, offsets[-2]:] = blocks.psi_dot
     v_blocks = bread[offsets[-2]:, : offsets[-2]]
     return StackedSystem(
-        sizes=sizes,
         offsets=offsets,
         bread=bread,
         scores=scores,
@@ -212,10 +210,11 @@ class AdaptiveResult:
 def adaptive_sandwich(trajset: TrajectorySet, est: EstimationResult) -> AdaptiveResult:
     """Adaptive sandwich covariance via the backward corrected-score recursion.
 
-    Returns the lower-right d_theta block of bread^{-1} meat bread^{-T}
-    together with the M_t blocks (the lower-left blocks of the stacked
-    inverse) and the per-time Frobenius norms of V_hat.  The diagonal blocks
-    are checked first, earliest time first and Psi_dot last.
+    Returns the lower-right d_theta block of bread^{-1} meat bread^{-T}, the
+    sandwich of the corrected scores, together with the M_t = Psi_dot^{-1} K_t
+    blocks (the lower-left blocks of the stacked inverse) and the per-time
+    Frobenius norms of V_hat.  The diagonal blocks are checked before any
+    arithmetic, earliest time first and Psi_dot last.
     """
     blocks = est.blocks
     n = trajset.n_users
@@ -225,17 +224,15 @@ def adaptive_sandwich(trajset: TrajectorySet, est: EstimationResult) -> Adaptive
     phi_dot_invs = np.linalg.inv(blocks.phi_dots)     # (T-1, d_t, d_t)
 
     n_blocks, d_t = grads.shape[1:]
-    m = np.empty((n_blocks, trajset.config.theta_dim, d_t))   # L_1..L_{T-1}
-    # q holds the per-user sum of L_r u_r over the blocks r already solved
-    q = blocks.psi_mat @ np.linalg.inv(blocks.psi_dot).T   # (n, d_theta)
+    gains = np.empty((n_blocks, trajset.config.theta_dim, d_t))   # K_1..K_{T-1}
+    corrected = blocks.psi_mat
     for c in range(n_blocks - 1, -1, -1):
-        m[c] = -(q.T @ grads[:, c] / n) @ phi_dot_invs[c]
-        q = q + blocks.phi_mats[c] @ m[c].T
-    cov = q.T @ q / n
+        gains[c] = -(corrected.T @ grads[:, c] / n) @ phi_dot_invs[c]
+        corrected = corrected + blocks.phi_mats[c] @ gains[c].T
     v_hat = np.einsum("nk,ntl->tkl", blocks.psi_mat, grads) / n
     return AdaptiveResult(
-        cov=0.5 * (cov + cov.T),
-        m_blocks=np.concatenate(m, axis=1),
+        cov=sandwich_covariance(corrected, blocks.psi_dot),
+        m_blocks=np.linalg.solve(blocks.psi_dot, np.concatenate(gains, axis=1)),
         invariance_norms=np.linalg.norm(v_hat, axis=(1, 2)),
         trajset=trajset,
         est=est,
@@ -250,31 +247,19 @@ def check_equivalence(
 ):
     """Gap between the recursion's covariance and the dense corrected-score form.
 
-    The dense form reads the stacked system, computes
-    M = -Psi_dot^{-1} V_hat Phi_dot^{-1} with dense solves, builds the
-    per-user corrected scores psi_i + Psi_dot sum_t M_t phi_{t,i}, and
-    sandwiches their second moment; algebraically this equals the stacked
-    lower-right block exactly, so the max-abs elementwise gap is pure
-    floating-point noise.  Returns (gap, scale).
+    The dense form reads the stacked system, computes all gains at once,
+    K = -V_hat Phi_dot^{-1}, with one dense solve, and sandwiches the
+    corrected scores psi_i + sum_t K_t phi_{t,i}; algebraically this equals
+    the stacked lower-right block exactly, so the max-abs elementwise gap is
+    pure floating-point noise.  Returns (gap, scale).
     """
     if adaptive is None:
         adaptive = adaptive_sandwich(trajset, est)
     sys = adaptive.system
-    d_theta = sys.sizes[-1]
     beta_dim = sys.offsets[-2]
-    psi_dot = sys.bread[-d_theta:, -d_theta:]
-    phi_dot_full = sys.bread[:beta_dim, :beta_dim]
-    v_hat = sys.v_blocks
-
-    x = np.linalg.solve(psi_dot, v_hat)                   # Psi_dot^{-1} V
-    m = -np.linalg.solve(phi_dot_full.T, x.T).T           # -Psi_dot^{-1} V Phi_dot^{-1}
-    phi_stack = sys.scores[:, :beta_dim]
-    psi_mat = sys.scores[:, beta_dim:]
-    corrected = psi_mat + (phi_stack @ m.T) @ psi_dot.T
-    meat = corrected.T @ corrected / trajset.n_users
-    half = np.linalg.solve(psi_dot, meat)
-    alt = np.linalg.solve(psi_dot, half.T).T
-    alt = 0.5 * (alt + alt.T)
+    gains = -np.linalg.solve(sys.bread[:beta_dim, :beta_dim].T, sys.v_blocks.T).T
+    corrected = sys.scores[:, beta_dim:] + sys.scores[:, :beta_dim] @ gains.T
+    alt = sandwich_covariance(corrected, sys.bread[beta_dim:, beta_dim:])
     gap = float(np.abs(adaptive.cov - alt).max())
     scale = max(float(np.abs(adaptive.cov).max()), np.finfo(float).tiny)
     return gap, scale
@@ -326,35 +311,30 @@ def variance_report(
     """Compute the requested variance estimators and per-coordinate CIs."""
     if which not in ("sandwich", "adaptive", "both"):
         raise ValueError(f"unknown variance selection {which!r}")
-    n = trajset.n_users
     d_theta = trajset.config.theta_dim
     stacked_dim = (trajset.horizon_T - 1) * trajset.config.policy_dim + d_theta
 
-    sand_cov = sandwich(trajset, est)
-    se_s = np.sqrt(np.diag(sand_cov) / n)
-    ci_s = [
-        confidence_interval(est.theta_hat[j], se_s[j], alpha)
-        for j in range(d_theta)
-    ]
-
-    ad_cov = se_a = ci_a = norms = None
-    if which in ("adaptive", "both"):
+    covs = {"sandwich": sandwich(trajset, est)}
+    norms = None
+    if which != "sandwich":
         result = adaptive_sandwich(trajset, est)
-        ad_cov = result.cov
-        se_a = np.sqrt(np.diag(ad_cov) / n)
-        ci_a = [
-            confidence_interval(est.theta_hat[j], se_a[j], alpha)
-            for j in range(d_theta)
-        ]
+        covs["adaptive"] = result.cov
         norms = result.invariance_norms
+    ses, cis = {}, {}
+    for name, cov in covs.items():
+        ses[name] = np.sqrt(np.diag(cov) / trajset.n_users)
+        cis[name] = [
+            confidence_interval(center, se, alpha)
+            for center, se in zip(est.theta_hat, ses[name])
+        ]
 
     return VarianceReport(
-        sandwich_cov=sand_cov,
-        adaptive_cov=ad_cov,
-        se_sandwich=se_s,
-        se_adaptive=se_a,
-        ci_sandwich=ci_s,
-        ci_adaptive=ci_a,
+        sandwich_cov=covs["sandwich"],
+        adaptive_cov=covs.get("adaptive"),
+        se_sandwich=ses["sandwich"],
+        se_adaptive=ses.get("adaptive"),
+        ci_sandwich=cis["sandwich"],
+        ci_adaptive=cis.get("adaptive"),
         policy_invariance_norms=norms,
         stacked_dim=stacked_dim,
         alpha=alpha,

@@ -1,11 +1,12 @@
 """Reference implementations the tests compare the package against.
 
 The package evaluates the policy map of a whole trial in one sweep
-(``policies.policy_path``) and computes the adaptive sandwich with a backward
-recursion over the last block row of the stacked inverse.  The forms here
-work one state and one decision time at a time, fit by explicit design
-matrices, and build and invert the full stacked system: slow (O(D^3) for
-D = (T-1) d_t + d_theta), but independent of the package's sweeps.
+(``policies.policy_path``), the estimating functions of all users at once,
+and the adaptive sandwich with a backward recursion on corrected scores.  The
+forms here work one user, one state and one decision time at a time, fit by
+explicit design matrices, and build and invert the full stacked system: slow
+(O(D^3) for D = (T-1) d_t + d_theta), but independent of the package's
+sweeps.
 
 Policy parameters are stacked vectors [beta0, beta1], each half of length d_S.
 """
@@ -113,6 +114,48 @@ def path_oracle(spec, states, beta_hats, betas=None):
         pre[:, j] = _pre_clip(spec, betas[t - 2], states[:, j], prev, t)
         p1[:, j] = prob_action1(spec, betas[t - 2], states[:, j], prev, t)
     return p1, pre
+
+
+def lipschitz_bound(spec, state, t=None):
+    """Per-state Lipschitz constant of beta |-> pi(a, s; beta).
+
+    0.25 * rho * ||s||_2 for boltzmann, 0.5 * eta_t * ||s||_2 for
+    mirror descent, 0 for constant_uniform.
+    """
+    state = np.asarray(state, dtype=float)
+    norm = np.linalg.norm(state, axis=-1)
+    if spec.kind == "boltzmann":
+        return 0.25 * spec.rho * norm
+    if spec.kind == "mirror_descent":
+        return 0.5 * spec.eta_at(t) * norm
+    return np.zeros_like(norm)
+
+
+def psi(states, actions, rewards, theta, scale: float = 1.0) -> np.ndarray:
+    """Estimating-function value for one user's trajectory.
+
+    ``scale`` multiplies the sum (1.0 reproduces the unscaled criterion; 1/T
+    gives the averaged variant -- either choice leaves theta-hat and both
+    sandwich covariances unchanged).
+    """
+    states = np.asarray(states, dtype=float)
+    actions = np.asarray(actions, dtype=float)
+    rewards = np.asarray(rewards, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    z = np.concatenate([states, actions[:, None]], axis=1)
+    resid = rewards - z @ theta
+    return scale * (resid @ z)
+
+
+def phi(states, actions, rewards, t: int, beta) -> np.ndarray:
+    """Policy estimating-function value for one user, summed over times 1..t."""
+    states = np.asarray(states, dtype=float)[:t]
+    actions = np.asarray(actions, dtype=float)[:t]
+    rewards = np.asarray(rewards, dtype=float)[:t]
+    beta = np.asarray(beta, dtype=float)
+    x = np.concatenate([states, actions[:, None] * states], axis=1)
+    resid = rewards - x @ beta
+    return resid @ x
 
 
 def fit_policy_params(states, actions, rewards):

@@ -279,8 +279,10 @@ class TestCriterion04PolicyInvariance:
                 res.sandwich_cov
             ).max()
             worst_rel = max(worst_rel, rel)
-            cover_s += res.ci_sandwich[0] <= theta_star[-1] <= res.ci_sandwich[1]
-            cover_a += res.ci_adaptive[0] <= theta_star[-1] <= res.ci_adaptive[1]
+            lo_s, hi_s = res.ci_sandwich[-1]
+            lo_a, hi_a = res.ci_adaptive[-1]
+            cover_s += lo_s <= theta_star[-1] <= hi_s
+            cover_a += lo_a <= theta_star[-1] <= hi_a
         cov_s, cov_a = cover_s / REPS, cover_a / REPS
         ok_eq = worst_rel < 1e-10
         ok_band = 0.93 <= cov_s <= 0.97 and 0.93 <= cov_a <= 0.97
@@ -402,9 +404,7 @@ class TestCriterion07GradientOracles:
 class TestCriterion08Lipschitz:
     @staticmethod
     def _scan(kind):
-        from pooltrial.policies import lipschitz_bound
-
-        from oracles import prob_action1
+        from oracles import lipschitz_bound, prob_action1
 
         rng = np.random.default_rng(808)
         if kind == "boltzmann":

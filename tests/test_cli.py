@@ -94,6 +94,16 @@ class TestSimulate:
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_exits_2_with_one_error_line(self, tmp_path, capsys):
+        # the rewards overflow at t = 1, so the first policy fit sees a
+        # non-finite design; numpy must not warn on the way there
+        path = tmp_path / "huge.yaml"
+        path.write_text("trial: {n_users: 20, horizon_T: 5}\nenv: {kappa1: 1.0e+308}\n")
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: non-finite policy design\n"
+
     def test_usage_error_exits_1(self):
         assert main(["simulate"]) == 1
 

@@ -109,6 +109,17 @@ class TestTrajectorySet:
                 config=small_trajset.config,
             )
 
+    @pytest.mark.parametrize("name", ["states", "rewards", "beta_hats"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, small_trajset, name, value):
+        fields = {
+            f: np.array(getattr(small_trajset, f))
+            for f in ("states", "actions", "rewards", "action_probs", "beta_hats")
+        }
+        fields[name].flat[5] = value
+        with pytest.raises(DataIntegrityError, match=name):
+            TrajectorySet(**fields, config=small_trajset.config)
+
     def test_immutable(self, small_trajset):
         with pytest.raises(ValueError):
             small_trajset.rewards[0, 0] = 1.0

@@ -9,13 +9,13 @@ from pooltrial.estimators import (
     inference_design,
     jacobian_phi_beta,
     jacobian_psi_theta,
-    phi,
-    psi,
     psi_matrix,
     score_jacobian,
     solve_normal_equations,
 )
 from pooltrial.variance import sandwich
+
+from oracles import phi, psi
 
 
 def toy_history(rng, T=6):

@@ -5,7 +5,8 @@ The digests pin ``run_trial``'s output bit for bit for every policy kind
 states) at two horizons, so that a refactor of the policy evaluation that
 changes any trajectory fails here.  They were recorded with numpy 2.4.6 and
 OpenBLAS on x86-64; another numpy or BLAS build may legitimately change the
-last bits of the policy fits.
+last bits of the policy fits.  ``CSV_DIGESTS`` pins the bytes that
+``TrajectorySet.save`` writes for two of the same trials.
 """
 
 import hashlib
@@ -99,12 +100,23 @@ DIGESTS = {
 }
 
 
+CSV_DIGESTS = {
+    ("boltzmann", 6): (
+        "ad890cae0e73cefbc5d4709392b43d3b165497fb60feb8bf764bee7b6f6c382c",
+        "ee68a783fddb832eb16e2b3dac1a32d99edce9ec41ba518c5bda10edf16565a1",
+    ),
+    ("mirror_state_dim1", 15): (
+        "ff1ddaf5be64d5f05848f883aaae04b8c3489c7ca7c55845c682966953afd3e9",
+        "2210a66a90dd5edc4caabb51a84ce147bfb5d72f15204862a1c44e7380309782",
+    ),
+}
+
+
 def digest(arr) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
 
 
-@pytest.mark.parametrize("name, horizon", sorted(DIGESTS))
-def test_trajectory_digests(name, horizon):
+def golden_trial(name, horizon):
     config = TrialConfig(
         n_users=30,
         horizon_T=horizon,
@@ -113,6 +125,21 @@ def test_trajectory_digests(name, horizon):
         policy=PolicySpec(pi_min=0.1, **POLICIES[name]),
         env=EnvConfig(kappa1=2.0),
     )
-    ts = run_trial(config, SeedPlan(17, 3))
+    return run_trial(config, SeedPlan(17, 3))
+
+
+@pytest.mark.parametrize("name, horizon", sorted(DIGESTS))
+def test_trajectory_digests(name, horizon):
+    ts = golden_trial(name, horizon)
     got = tuple(digest(getattr(ts, f)) for f in FIELDS)
     assert dict(zip(FIELDS, got)) == dict(zip(FIELDS, DIGESTS[name, horizon]))
+
+
+@pytest.mark.parametrize("name, horizon", sorted(CSV_DIGESTS))
+def test_saved_csv_digests(name, horizon, tmp_path):
+    golden_trial(name, horizon).save(tmp_path)
+    got = tuple(
+        hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+        for f in ("trajectories.csv", "beta_hats.csv")
+    )
+    assert got == CSV_DIGESTS[name, horizon]

@@ -137,7 +137,7 @@ class TestRunCell:
         for r in range(80):
             res = run_replication(config, SeedPlan(85, r))
             outcomes.append(
-                res.ci_adaptive[0] <= theta_star[-1] <= res.ci_adaptive[1]
+                res.ci_adaptive[-1][0] <= theta_star[-1] <= res.ci_adaptive[-1][1]
             )
         halves = np.array(outcomes).reshape(2, 40)
         p1, p2 = halves.mean(axis=1)
@@ -173,11 +173,11 @@ class TestRunCell:
         reps = 30
         results = [run_replication(config, SeedPlan(86, r)) for r in range(reps)]
         theta_star = np.zeros(3)
-        theta_star[-1] = np.median([res.ci_sandwich[1] for res in results])
+        theta_star[-1] = np.median([res.ci_sandwich[-1][1] for res in results])
         pairs = [
             (
-                res.ci_sandwich[0] <= theta_star[-1] <= res.ci_sandwich[1],
-                res.ci_adaptive[0] <= theta_star[-1] <= res.ci_adaptive[1],
+                res.ci_sandwich[-1][0] <= theta_star[-1] <= res.ci_sandwich[-1][1],
+                res.ci_adaptive[-1][0] <= theta_star[-1] <= res.ci_adaptive[-1][1],
             )
             for res in results
         ]

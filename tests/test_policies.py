@@ -7,7 +7,6 @@ from hypothesis.extra.numpy import arrays
 from pooltrial import PolicySpec, SeedPlan, derive_stream
 from pooltrial.errors import ConfigError
 from pooltrial.policies import (
-    lipschitz_bound,
     policy_path,
     prob_slope,
     realized_from_p1,
@@ -15,6 +14,7 @@ from pooltrial.policies import (
 )
 
 from oracles import (
+    lipschitz_bound,
     mirror_prob_chain,
     path_oracle,
     prob_action1,
