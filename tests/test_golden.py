@@ -6,7 +6,9 @@ states) at two horizons, so that a refactor of the policy evaluation that
 changes any trajectory fails here.  They were recorded with numpy 2.4.6 and
 OpenBLAS on x86-64; another numpy or BLAS build may legitimately change the
 last bits of the policy fits.  ``CSV_DIGESTS`` pins the bytes that
-``TrajectorySet.save`` writes for two of the same trials.
+``TrajectorySet.save`` writes for two of the same trials.  ``TRIAL_ABORTS``
+and ``ESTIMATION_ABORTS`` pin the error class, decision time and condition
+number that degenerate trials and estimation inputs raise, to the same bits.
 """
 
 import hashlib
@@ -14,7 +16,22 @@ import hashlib
 import numpy as np
 import pytest
 
-from pooltrial import EnvConfig, PolicySpec, SeedPlan, TrialConfig, run_trial
+from pooltrial import (
+    EnvConfig,
+    PolicySpec,
+    SeedPlan,
+    TrialConfig,
+    adaptive_sandwich,
+    fit_theta,
+    run_trial,
+)
+from pooltrial.core import TrajectorySet
+from pooltrial.errors import (
+    DegenerateDesignError,
+    NumericalError,
+    SingularBreadError,
+    SingularPolicyBreadError,
+)
 
 FIELDS = ("states", "actions", "rewards", "action_probs", "beta_hats")
 ETA_SEQUENCE = [0.3 + 0.06 * k for k in range(14)]
@@ -143,3 +160,117 @@ def test_saved_csv_digests(name, horizon, tmp_path):
         for f in ("trajectories.csv", "beta_hats.csv")
     )
     assert got == CSV_DIGESTS[name, horizon]
+
+
+# Degenerate-trial outcomes.  run_trial with T = 6 over n, policy kind and
+# kappa1: for reps 0..3 the (t, cond) of the DegenerateDesignError it raises,
+# or None where the trial completes.  cond is None for a non-finite policy
+# design.  n = 2 and 3 are rank deficient at t = 1 whatever the rewards;
+# kappa1 = 1e308 overflows, through a non-finite solution before a non-finite
+# design at n = 50.  A row keyed by policy kind is the one row that differs
+# across kinds.
+INF = float("inf")
+_N2 = ((1, 5.692690818254393e19), (1, 7.610957372872673e20), (1, INF),
+       (1, 4.409579515356557e17))
+_N3 = ((1, 3.2919869926673125e19), (1, 2.4598996111460313e20), (1, INF),
+       (1, 9.913886225394703e17))
+_N4 = ((1, 9.81972967593596e18), None, (1, 1.857617866506659e19), None)
+_N4_OVERFLOW = ((1, 9.81972967593596e18), (3, None), (1, 1.857617866506659e19),
+                (3, None))
+_N5 = (None, None, (1, 1.8711197366972168e18), None)
+_N5_OVERFLOW = ((3, None), (3, None), (1, 1.8711197366972168e18), (3, None))
+TRIAL_ABORTS = {
+    **{(2, k): _N2 for k in (1.0, 5.0, 1e308)},
+    **{(3, k): _N3 for k in (1.0, 5.0, 1e308)},
+    (4, 1.0): _N4, (4, 5.0): _N4, (4, 1e308): _N4_OVERFLOW,
+    (5, 1.0): _N5, (5, 5.0): _N5, (5, 1e308): _N5_OVERFLOW,
+    (50, 1.0): (None,) * 4, (50, 5.0): (None,) * 4,
+    (50, 1e308): {
+        "boltzmann": ((2, 8.677413749697116), (3, None), (3, None),
+                      (2, 10.601666735917009)),
+        "mirror_scalar": ((2, 9.496199443551026), (3, None), (3, None),
+                          (2, 10.276949356203378)),
+        "constant_uniform": ((2, 9.168847791120804), (3, None), (3, None),
+                             (2, 11.11144065905978)),
+    },
+}
+
+
+def trial_outcome(config, rep):
+    try:
+        run_trial(config, SeedPlan(29, rep))
+    except DegenerateDesignError as err:
+        return err.t, err.cond
+    return None
+
+
+@pytest.mark.parametrize("kind", ["boltzmann", "mirror_scalar", "constant_uniform"])
+@pytest.mark.parametrize("n, kappa1", sorted(TRIAL_ABORTS))
+def test_degenerate_trial_outcomes(n, kappa1, kind):
+    config = TrialConfig(
+        n_users=n,
+        horizon_T=6,
+        master_seed=29,
+        policy=PolicySpec(**POLICIES[kind]),
+        env=EnvConfig(kappa1=kappa1),
+    )
+    want = TRIAL_ABORTS[n, kappa1]
+    if isinstance(want, dict):
+        want = want[kind]
+    assert tuple(trial_outcome(config, rep) for rep in range(4)) == want
+
+
+def _estimation_aborts():
+    """(name, call) of degenerate fit_theta and adaptive_sandwich inputs."""
+    ts = golden_trial("boltzmann", 6)
+
+    def variant(**arrays):
+        return TrajectorySet(
+            config=ts.config, **{f: arrays.get(f, getattr(ts, f)) for f in FIELDS}
+        )
+
+    def untreated(upto):
+        actions = np.array(ts.actions)
+        actions[:, :upto] = 0
+        return variant(actions=actions)
+
+    def with_block(name, value):
+        est = fit_theta(ts)
+        setattr(est.blocks, name, value)
+        return adaptive_sandwich(ts, est)
+
+    ill_phi_dots = np.array(fit_theta(ts).blocks.phi_dots)
+    ill_phi_dots[3] = np.diag([-1.0, -1.0, -1.0, -1e-13])
+    return {
+        "fit_theta_untreated": lambda: fit_theta(untreated(6)),
+        "fit_theta_overflow": lambda: fit_theta(
+            variant(rewards=np.full(ts.rewards.shape, 1e307))
+        ),
+        "adaptive_untreated_t1": lambda: adaptive_sandwich(
+            untreated(1), fit_theta(untreated(1))
+        ),
+        "adaptive_zero_psi_dot": lambda: with_block("psi_dot", np.zeros((3, 3))),
+        "adaptive_ill_psi_dot": lambda: with_block(
+            "psi_dot", np.diag([-1.0, -1.0, -1e-14])
+        ),
+        "adaptive_ill_phi_dot_4": lambda: with_block("phi_dots", ill_phi_dots),
+    }
+
+
+# (class, t, cond) each degenerate estimation input raises
+ESTIMATION_ABORTS = {
+    "fit_theta_untreated": (DegenerateDesignError, None, INF),
+    "fit_theta_overflow": (DegenerateDesignError, None, 6.487546801429382),
+    "adaptive_untreated_t1": (SingularPolicyBreadError, 1, INF),
+    "adaptive_zero_psi_dot": (SingularBreadError, None, INF),
+    "adaptive_ill_psi_dot": (SingularBreadError, None, 1e14),
+    "adaptive_ill_phi_dot_4": (SingularPolicyBreadError, 4, 1e13),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATION_ABORTS))
+def test_degenerate_estimation_outcomes(name):
+    with pytest.raises(NumericalError) as err:
+        _estimation_aborts()[name]()
+    got = (type(err.value), getattr(err.value, "t", None), err.value.cond)
+    assert got == ESTIMATION_ABORTS[name]
