@@ -92,7 +92,7 @@ def cmd_estimate(args) -> int:
     out = {
         "theta_hat": est.theta_hat.tolist(),
         "psi_residual_norm": est.psi_residual_norm,
-        "beta_hats": np.asarray(est.beta_hats).tolist(),
+        "beta_hats": np.asarray(trajset.beta_hats).tolist(),
         **report.to_dict(),
         "equivalence_gap": gap,
     }

@@ -35,33 +35,27 @@ class DataIntegrityError(PoolTrialError):
 
 
 class NumericalError(PoolTrialError):
+    """An ill-posed solve; ``t`` is its decision time, ``cond`` its condition
+    number (None for a non-finite matrix)."""
+
     exit_code = 2
+
+    def __init__(self, message, t=None, cond=None):
+        super().__init__(message)
+        self.t = t
+        self.cond = cond
 
 
 class DegenerateDesignError(NumericalError):
     """Pooled regression design is rank deficient; the replication aborts."""
 
-    def __init__(self, message, t=None, cond=None):
-        super().__init__(message)
-        self.t = t
-        self.cond = cond
-
 
 class SingularBreadError(NumericalError):
     """The theta-block bread matrix is singular (condition number attached)."""
 
-    def __init__(self, message, cond=None):
-        super().__init__(message)
-        self.cond = cond
-
 
 class SingularPolicyBreadError(NumericalError):
     """A diagonal policy block of the stacked bread is singular at time t."""
-
-    def __init__(self, message, t=None, cond=None):
-        super().__init__(message)
-        self.t = t
-        self.cond = cond
 
 
 class DiagnosticFailure(PoolTrialError):

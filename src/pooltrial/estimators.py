@@ -42,11 +42,11 @@ def policy_design(trajset: TrajectorySet) -> np.ndarray:
     return np.concatenate([trajset.states, a * trajset.states], axis=2)
 
 
-def psi_matrix(trajset: TrajectorySet, theta, scale: float = 1.0) -> np.ndarray:
+def psi_matrix(trajset: TrajectorySet, theta) -> np.ndarray:
     """Per-user psi values, shape (n, d_theta)."""
     z = inference_design(trajset)
     resid = trajset.rewards - z @ np.asarray(theta, dtype=float)
-    return scale * np.einsum("nt,ntk->nk", resid, z)
+    return np.einsum("nt,ntk->nk", resid, z)
 
 
 def phi_matrix(trajset: TrajectorySet, t: int, beta) -> np.ndarray:
@@ -67,9 +67,9 @@ def score_jacobian(design) -> np.ndarray:
     return -gram / z.shape[0]
 
 
-def jacobian_psi_theta(trajset: TrajectorySet, scale: float = 1.0) -> np.ndarray:
-    """(1/n) sum_i d psi_i / d theta; equals -scale/n * sum [S;A][S;A]'."""
-    return scale * score_jacobian(inference_design(trajset))
+def jacobian_psi_theta(trajset: TrajectorySet) -> np.ndarray:
+    """(1/n) sum_i d psi_i / d theta; equals -(1/n) sum [S;A][S;A]'."""
+    return score_jacobian(inference_design(trajset))
 
 
 def jacobian_phi_beta(trajset: TrajectorySet, t: int) -> np.ndarray:
@@ -77,31 +77,47 @@ def jacobian_phi_beta(trajset: TrajectorySet, t: int) -> np.ndarray:
     return score_jacobian(policy_design(trajset)[:, :t])
 
 
-def condition_number(mat: np.ndarray) -> float:
-    """2-norm condition number; inf for singular or all-zero blocks."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.linalg.cond(mat)
-    return float(cond) if np.isfinite(cond) else float("inf")
+def solve_or_nan(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """gram^{-1} rhs, or NaNs where the solve finds gram exactly singular.
 
-
-def solve_normal_equations(gram: np.ndarray, rhs: np.ndarray, what: str, t=None):
-    """Solve gram @ coef = rhs, raising DegenerateDesignError when ill posed.
-
-    Non-finite input (data that overflowed) is ill posed too: a non-finite
-    gram is rejected before its SVD, and a non-finite right-hand side gives
-    a non-finite solution.
+    A NaN solution is left for ``check_conditioned`` to report.
     """
-    if not np.isfinite(gram).all():
-        raise DegenerateDesignError(f"non-finite {what} design", t=t)
-    cond = condition_number(gram)
+    try:
+        return np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError:
+        return np.full(np.shape(rhs), np.nan)
+
+
+def check_conditioned(mats, error, what: str, first_t=None, solutions=None):
+    """Raise ``error`` for the earliest ill-posed matrix of a (k, d, d) stack.
+
+    Matrix i is ill posed when it is non-finite, its 2-norm condition number
+    exceeds COND_LIMIT (a singular matrix has cond inf), or row i of
+    ``solutions`` is non-finite.  The three are or-ed per matrix, so the
+    earliest index wins whichever condition flags it.  The error carries
+    t = first_t + i (None without ``first_t``) and the cond of matrix i
+    (None for a non-finite matrix, whose SVD is never taken).
+    """
+    mats = np.asarray(mats, dtype=float)
+    finite = np.isfinite(mats).all(axis=(1, 2))
+    conds = np.full(len(mats), np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        conds[finite] = np.linalg.cond(mats[finite])
+    conds[np.isnan(conds)] = np.inf
+    bad = ~finite | (conds > COND_LIMIT)
+    if solutions is not None:
+        bad |= ~np.isfinite(solutions).all(axis=1)
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    t = None if first_t is None else first_t + i
+    if not finite[i]:
+        raise error(f"non-finite {what}", t=t)
+    cond = float(conds[i])
+    at = "" if t is None else f" at t={t}"
     if cond > COND_LIMIT:
-        raise DegenerateDesignError(
-            f"rank-deficient {what} design (cond={cond:.3e})", t=t, cond=cond
-        )
-    coef = np.linalg.solve(gram, rhs)
-    if not np.isfinite(coef).all():
-        raise DegenerateDesignError(f"non-finite {what} solution", t=t, cond=cond)
-    return coef
+        raise error(f"singular {what}{at} (cond={cond:.3e})", t=t, cond=cond)
+    raise error(f"non-finite solution for the {what}{at}", t=t, cond=cond)
 
 
 class EstimationBlocks:
@@ -114,18 +130,17 @@ class EstimationBlocks:
     O(n T^2 d).
     """
 
-    def __init__(self, trajset: TrajectorySet, theta, psi_scale: float = 1.0):
+    def __init__(self, trajset: TrajectorySet, theta):
         self.trajset = trajset
         self.theta = np.asarray(theta, dtype=float)
-        self.psi_scale = psi_scale
 
     @cached_property
     def psi_mat(self) -> np.ndarray:
-        return psi_matrix(self.trajset, self.theta, self.psi_scale)
+        return psi_matrix(self.trajset, self.theta)
 
     @cached_property
     def psi_dot(self) -> np.ndarray:
-        return jacobian_psi_theta(self.trajset, self.psi_scale)
+        return jacobian_psi_theta(self.trajset)
 
     @cached_property
     def _phi_pieces(self):
@@ -162,32 +177,24 @@ class EstimationBlocks:
 
 @dataclass(frozen=True)
 class EstimationResult:
-    """theta-hat with its estimating-function diagnostics and cached blocks."""
+    """theta-hat with its estimating-function residual and cached blocks."""
 
     theta_hat: np.ndarray
-    beta_hats: np.ndarray
     psi_residual_norm: float
-    data_scale: float
-    psi_scale: float
     blocks: EstimationBlocks
 
 
-def fit_theta(trajset: TrajectorySet, psi_scale: float = 1.0) -> EstimationResult:
+def fit_theta(trajset: TrajectorySet) -> EstimationResult:
     """Exact normal-equation root of (1/n) sum_i psi(H_T_i; theta) = 0."""
     z = inference_design(trajset)
     gram = np.einsum("ntk,ntl->kl", z, z)
     rhs = np.einsum("ntk,nt->k", z, trajset.rewards)
-    theta = solve_normal_equations(gram, rhs, "inference")
-    n = trajset.n_users
-    resid_norm = float(
-        np.abs(psi_scale * (rhs - gram @ theta) / n).max()
+    theta = solve_or_nan(gram, rhs)
+    check_conditioned(
+        gram[None], DegenerateDesignError, "inference design", solutions=theta[None]
     )
-    data_scale = max(1.0, float(np.abs(psi_scale * rhs / n).max()))
     return EstimationResult(
         theta_hat=theta,
-        beta_hats=trajset.beta_hats,
-        psi_residual_norm=resid_norm,
-        data_scale=data_scale,
-        psi_scale=psi_scale,
-        blocks=EstimationBlocks(trajset, theta, psi_scale),
+        psi_residual_norm=float(np.abs((rhs - gram @ theta) / trajset.n_users).max()),
+        blocks=EstimationBlocks(trajset, theta),
     )

@@ -10,6 +10,7 @@ misspecification has no closed form.
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import os
 from dataclasses import dataclass
@@ -114,22 +115,7 @@ class CoverageCell:
     reps_only_adaptive: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "kappa1": self.kappa1,
-            "rho": self.rho,
-            "n": self.n,
-            "reps_requested": self.reps_requested,
-            "reps_completed": self.reps_completed,
-            "reps_aborted": self.reps_aborted,
-            "coverage_sandwich": self.coverage_sandwich,
-            "coverage_adaptive": self.coverage_adaptive,
-            "mc_se_sandwich": self.mc_se_sandwich,
-            "mc_se_adaptive": self.mc_se_adaptive,
-            "theta_star_1": self.theta_star_1,
-            "unhealthy": self.unhealthy,
-            "reps_only_sandwich": self.reps_only_sandwich,
-            "reps_only_adaptive": self.reps_only_adaptive,
-        }
+        return dataclasses.asdict(self)
 
 
 def run_cell(
@@ -196,8 +182,6 @@ def run_grid(
 ) -> list[CoverageCell]:
     """Run every (kappa1, rho, n) cell of the grid; oracle runs are shared
     across sample sizes within a (kappa1, rho) family."""
-    import dataclasses
-
     cells = []
     for kappa1 in kappa1s:
         for rho in rhos:

@@ -14,8 +14,8 @@ import numpy as np
 
 from .core import SeedPlan, TrajectorySet, TrialConfig, derive_stream
 from .environment import dosage_normalizer, generate_errors, reward
-from .errors import ConfigError
-from .estimators import solve_normal_equations
+from .errors import ConfigError, DegenerateDesignError
+from .estimators import check_conditioned, solve_or_nan
 from .policies import policy_path, realized_from_p1, sample_action
 
 
@@ -56,12 +56,15 @@ def run_trial(
 
     c_gamma = dosage_normalizer(env.gamma)
     dosage = np.zeros(n)
-    # pooled normal-equation accumulators for the policy refits
+    # pooled normal-equation accumulators for the policy refits, and the
+    # Gram of each refit, checked once after the loop
     gram = np.zeros((2 * d_S, 2 * d_S))
     rhs = np.zeros(2 * d_S)
+    grams = np.empty((T - 1, 2 * d_S, 2 * d_S))
 
     # overflowing data raises a typed error (a non-finite policy design, or
-    # TrajectorySet's non-finite check), not numpy warnings
+    # TrajectorySet's non-finite check), not numpy warnings; an ill-posed
+    # refit leaves NaN parameters and the trial runs on to T
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, T + 1):
             states[:, t - 1, 1:] = r_prev[:, None]
@@ -75,7 +78,8 @@ def run_trial(
                     )
                     gram += np.einsum("nk,nl->kl", x_prev, x_prev)
                     rhs += rewards[:, t - 2] @ x_prev
-                    beta_hats[t - 2] = solve_normal_equations(gram, rhs, "policy", t=t - 1)
+                    grams[t - 2] = gram
+                    beta_hats[t - 2] = solve_or_nan(gram, rhs)
                 p1 = policy_path(policy, states[:, t - 1 : t], beta_hats[: t - 1])[0][:, 0]
                 dosage = env.gamma * dosage + actions[:, t - 2]
             a_t = sample_action(act_stream, p1)
@@ -83,6 +87,11 @@ def run_trial(
             action_probs[:, t - 1] = realized_from_p1(p1, a_t, policy.pi_min)
             rewards[:, t - 1] = reward(env, dosage / c_gamma, a_t, eps[:, t])
             r_prev = rewards[:, t - 1]
+    if frozen_betas is None:
+        check_conditioned(
+            grams, DegenerateDesignError, "policy design", first_t=1,
+            solutions=beta_hats,
+        )
 
     return TrajectorySet(
         states=states,

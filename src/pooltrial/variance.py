@@ -34,7 +34,7 @@ so standard errors are sqrt(diag / n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Optional
 
@@ -43,7 +43,7 @@ from scipy.special import ndtri
 
 from .core import TrajectorySet
 from .errors import SingularBreadError, SingularPolicyBreadError
-from .estimators import COND_LIMIT, EstimationResult, condition_number
+from .estimators import EstimationResult, check_conditioned
 from .policies import policy_path, prob_slope, realized_from_p1
 
 
@@ -100,25 +100,6 @@ def confidence_interval(center: float, se: float, alpha: float):
 # Sandwich estimators
 # ---------------------------------------------------------------------------
 
-def _check_bread(psi_dot: np.ndarray) -> None:
-    cond = condition_number(psi_dot)
-    if cond > COND_LIMIT:
-        raise SingularBreadError(f"singular bread (cond={cond:.3e})", cond=cond)
-
-
-def _check_policy_breads(phi_dots: np.ndarray) -> None:
-    """Raise for the earliest ill-conditioned diagonal block Phi_dot_t."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        conds = np.linalg.cond(phi_dots)
-    bad = np.flatnonzero(~(conds <= COND_LIMIT))
-    if bad.size:
-        t = int(bad[0]) + 1
-        cond = condition_number(phi_dots[t - 1])
-        raise SingularPolicyBreadError(
-            f"singular policy bread at t={t} (cond={cond:.3e})", t=t, cond=cond
-        )
-
-
 def sandwich_covariance(psi_mat: np.ndarray, psi_dot: np.ndarray) -> np.ndarray:
     """bread^{-1} meat bread^{-T} with meat = (1/n) sum psi psi'.
 
@@ -127,7 +108,7 @@ def sandwich_covariance(psi_mat: np.ndarray, psi_dot: np.ndarray) -> np.ndarray:
     """
     psi_mat = np.atleast_2d(np.asarray(psi_mat, dtype=float))
     psi_dot = np.atleast_2d(np.asarray(psi_dot, dtype=float))
-    _check_bread(psi_dot)
+    check_conditioned(psi_dot[None], SingularBreadError, "bread")
     n = psi_mat.shape[0]
     meat = psi_mat.T @ psi_mat / n
     half = np.linalg.solve(psi_dot, meat)
@@ -213,13 +194,14 @@ def adaptive_sandwich(trajset: TrajectorySet, est: EstimationResult) -> Adaptive
     Returns the lower-right d_theta block of bread^{-1} meat bread^{-T}, the
     sandwich of the corrected scores, together with the M_t = Psi_dot^{-1} K_t
     blocks (the lower-left blocks of the stacked inverse) and the per-time
-    Frobenius norms of V_hat.  The diagonal blocks are checked before any
-    arithmetic, earliest time first and Psi_dot last.
+    Frobenius norms of V_hat.  The policy blocks are checked before any
+    arithmetic, earliest time first; ``sandwich_covariance`` checks Psi_dot.
     """
     blocks = est.blocks
     n = trajset.n_users
-    _check_policy_breads(blocks.phi_dots)
-    _check_bread(blocks.psi_dot)
+    check_conditioned(
+        blocks.phi_dots, SingularPolicyBreadError, "policy bread", first_t=1
+    )
     grads = weight_products(trajset)                  # (n, T-1, d_t)
     phi_dot_invs = np.linalg.inv(blocks.phi_dots)     # (T-1, d_t, d_t)
 
@@ -285,20 +267,11 @@ class VarianceReport:
     theta_hat: np.ndarray = field(default=None)
 
     def to_dict(self) -> dict:
-        def arr(a):
-            return None if a is None else np.asarray(a).tolist()
-
+        """Every field, arrays as nested lists."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
         return {
-            "alpha": self.alpha,
-            "theta_hat": arr(self.theta_hat),
-            "stacked_dim": self.stacked_dim,
-            "sandwich_cov": arr(self.sandwich_cov),
-            "adaptive_cov": arr(self.adaptive_cov),
-            "se_sandwich": arr(self.se_sandwich),
-            "se_adaptive": arr(self.se_adaptive),
-            "ci_sandwich": arr(self.ci_sandwich),
-            "ci_adaptive": arr(self.ci_adaptive),
-            "policy_invariance_norms": arr(self.policy_invariance_norms),
+            name: None if v is None else np.asarray(v).tolist()
+            for name, v in values.items()
         }
 
 

@@ -16,15 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from pooltrial.errors import ConfigError, SingularPolicyBreadError
+from pooltrial.errors import (
+    ConfigError,
+    DegenerateDesignError,
+    SingularPolicyBreadError,
+)
 from pooltrial.estimators import (
     COND_LIMIT,
-    condition_number,
     jacobian_phi_beta,
     jacobian_psi_theta,
     phi_matrix,
     psi_matrix,
-    solve_normal_equations,
 )
 
 
@@ -158,6 +160,13 @@ def phi(states, actions, rewards, t: int, beta) -> np.ndarray:
     return resid @ x
 
 
+def _cond(mat):
+    """2-norm condition number of a finite matrix; inf when singular."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.linalg.cond(mat)
+    return float(cond) if np.isfinite(cond) else float("inf")
+
+
 def fit_policy_params(states, actions, rewards):
     """Pooled least-squares root of the policy estimating equation.
 
@@ -170,7 +179,12 @@ def fit_policy_params(states, actions, rewards):
     x = np.concatenate([states, actions[..., None] * states], axis=2)
     gram = np.einsum("ntk,ntl->kl", x, x)
     rhs = np.einsum("ntk,nt->k", x, rewards)
-    return solve_normal_equations(gram, rhs, "policy", t=states.shape[1])
+    cond = _cond(gram)
+    if cond > COND_LIMIT:
+        raise DegenerateDesignError(
+            f"rank-deficient policy design (cond={cond:.3e})", cond=cond
+        )
+    return np.linalg.solve(gram, rhs)
 
 
 def dosage_update(d_prev, a_prev, gamma):
@@ -195,7 +209,7 @@ def block_lower_triangular_inverse(mat: np.ndarray, block_sizes) -> np.ndarray:
     inv = np.zeros_like(mat, dtype=float)
     for r, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
         block = mat[lo:hi, lo:hi]
-        cond = condition_number(block)
+        cond = _cond(block)
         if cond > COND_LIMIT:
             raise SingularPolicyBreadError(
                 f"singular diagonal block {r} (cond={cond:.3e})", t=r, cond=cond

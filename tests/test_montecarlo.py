@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,11 @@ from pooltrial import (
     run_cell,
     run_trial,
     variance_report,
+)
+from pooltrial.errors import (
+    DegenerateDesignError,
+    SingularBreadError,
+    SingularPolicyBreadError,
 )
 from pooltrial.montecarlo import (
     ORACLE_REP_BASE,
@@ -209,6 +216,34 @@ class TestRunCell:
         b = run_replication(config, SeedPlan(83, 4))
         assert np.array_equal(a.theta_hat, b.theta_hat)
         assert np.array_equal(a.se_adaptive, b.se_adaptive)
+
+    def test_cond_calls_do_not_grow_with_horizon(self, monkeypatch):
+        # the policy refits are checked in one batch after the step loop
+        calls = []
+        cond = np.linalg.cond
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return cond(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cond", counted)
+        counts = []
+        for horizon in (5, 50):
+            calls.clear()
+            config = _paper_cell_config(5.0, 5.0, 50).replace(horizon_T=horizon)
+            run_replication(config, SeedPlan(config.master_seed, 0))
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize(
+    "cls", [DegenerateDesignError, SingularBreadError, SingularPolicyBreadError]
+)
+def test_numerical_error_pickles_with_t_and_cond(cls):
+    # a process-pool worker sends its errors back pickled
+    err = pickle.loads(pickle.dumps(cls("singular", t=3, cond=1e13)))
+    assert type(err) is cls
+    assert (str(err), err.t, err.cond) == ("singular", 3, 1e13)
 
 
 def _fake_cells():

@@ -135,11 +135,16 @@ class TestSandwich:
             sandwich_covariance(scores, np.zeros((2, 2)))
         assert err.value.cond == float("inf")
 
+    def test_nan_bread_rejected(self):
+        scores = np.array([[1.0, 2.0], [3.0, 5.0]])
+        with pytest.raises(SingularBreadError) as err:
+            sandwich_covariance(scores, np.array([[-1.0, 0.0], [np.nan, -1.0]]))
+        assert err.value.cond is None
+
     def test_scale_invariance(self, small_trajset):
-        base = sandwich(small_trajset, fit_theta(small_trajset))
-        scaled = sandwich(
-            small_trajset, fit_theta(small_trajset, psi_scale=3.7)
-        )
+        blocks = fit_theta(small_trajset).blocks
+        base = sandwich_covariance(blocks.psi_mat, blocks.psi_dot)
+        scaled = sandwich_covariance(3.7 * blocks.psi_mat, 3.7 * blocks.psi_dot)
         assert np.allclose(base, scaled, rtol=1e-12)
 
     def test_symmetric_psd(self, small_trajset):
@@ -214,9 +219,19 @@ class TestAdaptiveSandwich:
         assert err.value.t == 1
         assert err.value.cond == float("inf")
 
+    def test_nan_policy_bread_reports_time(self, small_trajset):
+        est = fit_theta(small_trajset)
+        phi_dots = np.array(est.blocks.phi_dots)
+        phi_dots[2, 0, 1] = np.nan
+        est.blocks.phi_dots = phi_dots
+        with pytest.raises(SingularPolicyBreadError) as err:
+            adaptive_sandwich(small_trajset, est)
+        assert (err.value.t, err.value.cond) == (3, None)
+
     def test_singular_psi_bread_rejected(self, small_trajset):
-        # psi_scale = 0 zeroes Psi_dot while every policy block stays regular
-        est = fit_theta(small_trajset, psi_scale=0.0)
+        # a zero Psi_dot while every policy block stays regular
+        est = fit_theta(small_trajset)
+        est.blocks.psi_dot = np.zeros((3, 3))
         with pytest.raises(SingularBreadError) as err:
             adaptive_sandwich(small_trajset, est)
         assert err.value.cond == float("inf")
@@ -238,9 +253,10 @@ class TestAdaptiveSandwich:
 
     def test_scale_invariance(self, small_trajset):
         a = adaptive_sandwich(small_trajset, fit_theta(small_trajset)).cov
-        b = adaptive_sandwich(
-            small_trajset, fit_theta(small_trajset, psi_scale=0.2)
-        ).cov
+        est = fit_theta(small_trajset)
+        est.blocks.psi_mat = 0.2 * est.blocks.psi_mat
+        est.blocks.psi_dot = 0.2 * est.blocks.psi_dot
+        b = adaptive_sandwich(small_trajset, est).cov
         assert np.allclose(a, b, rtol=1e-9)
 
     def test_psd(self, small_trajset):
