@@ -13,9 +13,11 @@ import dataclasses
 import json
 import logging
 import os
+import platform
 import sys
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .config import config_to_raw, load_config
@@ -34,9 +36,27 @@ class _Parser(argparse.ArgumentParser):
         raise PoolTrialError(message)
 
 
+def _checked(cast, ok, rule):
+    """argparse type: ``cast(text)``, a usage error unless ``ok`` holds."""
+    def parse(text):
+        if not ok(value := cast(text)):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+    parse.__name__ = cast.__name__  # names the type in argparse's messages
+    return parse
+
+
+_REPS = _checked(int, lambda v: v >= 1, ">= 1")
+_JOBS = _checked(int, lambda v: v >= 0, ">= 0 (0 = every CPU)")
+_ALPHA = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
+
+
 def _write_manifest(out_dir: str, payload: dict) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    payload = {"package_version": __version__, **payload}
+    # outputs are bit-identical under the same python, numpy and scipy
+    versions = {f"{m.__name__}_version": m.__version__ for m in (np, scipy)}
+    payload = {"package_version": __version__, **versions,
+               "python_version": platform.python_version(), **payload}
     with open(os.path.join(out_dir, "manifest.json"), "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -301,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--config", default=None)
     p_est.add_argument("--seed", type=int, default=None)
     p_est.add_argument("--out", required=True)
-    p_est.add_argument("--alpha", type=float, default=0.05)
+    p_est.add_argument("--alpha", type=_ALPHA, default=0.05)
     p_est.add_argument(
         "--variance",
         choices=["sandwich", "adaptive", "both"],
@@ -311,12 +331,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mc = sub.add_parser("mc", help="coverage table over a (kappa1, rho, n) grid")
     p_mc.add_argument("--config", required=True)
-    p_mc.add_argument("--reps", type=int, default=500)
+    p_mc.add_argument("--reps", type=_REPS, default=500)
     p_mc.add_argument("--oracle-n", type=int, default=100_000)
     p_mc.add_argument("--seed", type=int, default=None)
     p_mc.add_argument("--out", required=True)
-    p_mc.add_argument("--jobs", type=int, default=1)
-    p_mc.add_argument("--alpha", type=float, default=0.05)
+    p_mc.add_argument("--jobs", type=_JOBS, default=1)
+    p_mc.add_argument("--alpha", type=_ALPHA, default=0.05)
     p_mc.set_defaults(func=cmd_mc)
 
     p_chk = sub.add_parser("check", help="run diagnostic suites")
@@ -325,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["bernstein", "clt", "invariance", "all"],
         default="all",
     )
-    p_chk.add_argument("--reps", type=int, default=2000)
+    p_chk.add_argument("--reps", type=_REPS, default=2000)
     p_chk.add_argument("--oracle-n", type=int, default=100_000)
     p_chk.add_argument("--seed", type=int, default=20240601)
     p_chk.add_argument("--out", default=None)

@@ -20,9 +20,9 @@ import numpy as np
 from scipy.stats import kstest
 
 from .core import SeedPlan, TrialConfig
-from .errors import ConfigError
-from .montecarlo import ORACLE_REP_BASE, replicate
-from .simulator import run_trial
+from .errors import ConfigError, NumericalError
+from .montecarlo import ORACLE_REP_BASE, rep_batches, replicate
+from .simulator import run_trial, run_trials
 
 # KS critical value c(alpha) with D_n <= c / sqrt(reps), alpha = 0.01
 KS_CRIT_1PCT = 1.63
@@ -128,11 +128,14 @@ def bernstein_check(
 
     n = config.n_users
     stats = np.empty(reps)
-    for r in range(reps):
-        ts = run_trial(config, SeedPlan(config.master_seed, r))
-        rho_hat = inverse_prob_products(ts)
-        f_vals = f_spec.evaluate(ts)
-        stats[r] = np.sqrt(n) * (np.mean(rho_hat * f_vals) - centering)
+    for batch in rep_batches(n, reps):
+        plans = [SeedPlan(config.master_seed, r) for r in batch]
+        for r, ts in zip(batch, run_trials(config, plans)):
+            if isinstance(ts, NumericalError):
+                raise ts  # the earliest aborting replication's error
+            rho_hat = inverse_prob_products(ts)
+            f_vals = f_spec.evaluate(ts)
+            stats[r] = np.sqrt(n) * (np.mean(rho_hat * f_vals) - centering)
 
     if x_grid is None:
         base = np.sqrt(max(variance_proxy, 1e-12))
@@ -247,41 +250,3 @@ def invariance_scan(
                 count += 1
         out[label] = total / max(count, 1)
     return out
-
-
-def weighted_wlln_gap(
-    config: TrialConfig,
-    n_check: int = 10_000,
-    oracle_n: int = 100_000,
-    coord: int = 0,
-) -> dict:
-    """Weighted empirical mean of a psi coordinate vs its target-policy value.
-
-    Runs an adaptive trial at ``n_check``, reweights psi by
-    W_{2:T}(beta*, beta_hat), and compares to the plain mean from a frozen
-    target-policy run; returns the gap and its 4-SE band.
-    """
-    from .estimators import psi_matrix
-    from .variance import weight_product_at
-
-    theta_probe = np.zeros(config.theta_dim)
-    beta_star, frozen = _target_policy_oracle(config, oracle_n)
-    target_vals = psi_matrix(frozen, theta_probe)[:, coord]
-    target_mean = float(target_vals.mean())
-    target_se = float(target_vals.std() / np.sqrt(oracle_n))
-
-    check = run_trial(
-        config.replace(n_users=n_check), SeedPlan(config.master_seed, 0)
-    )
-    w = weight_product_at(check, beta_star)
-    vals = w * psi_matrix(check, theta_probe)[:, coord]
-    weighted_mean = float(vals.mean())
-    weighted_se = float(vals.std() / np.sqrt(n_check))
-    band = 4.0 * float(np.hypot(weighted_se, target_se))
-    return {
-        "weighted_mean": weighted_mean,
-        "target_mean": target_mean,
-        "gap": abs(weighted_mean - target_mean),
-        "band": band,
-        "within_band": abs(weighted_mean - target_mean) <= band,
-    }

@@ -17,24 +17,26 @@ from .core import EnvConfig
 def generate_errors(
     stream: np.random.Generator, n: int, T: int, corr_base: float
 ) -> np.ndarray:
-    """Draw an (n, T) error array, rows independent across users.
+    """Draw an (n, T) error array, rows independent across users."""
+    return correlate_errors(stream.standard_normal((n, T)), corr_base)
 
-    Uses the AR(1) recursion eps_1 ~ N(0,1),
+
+def correlate_errors(innov: np.ndarray, corr_base: float) -> np.ndarray:
+    """Turn i.i.d. N(0,1) innovations (..., T) into error rows, in place.
+
+    Uses the AR(1) recursion eps_1 = nu_1,
     eps_t = a * eps_{t-1} + sqrt(1 - a^2) * nu_t with a = sqrt(corr_base),
     which reproduces Corr(eps_t, eps_s) = a^|t-s| = corr_base^{|t-s|/2}
     exactly in O(T) per user (no T x T Cholesky factor).  corr_base = 0 is
     the i.i.d. limit (a = 0).
     """
     a = np.sqrt(corr_base)
-    innov = stream.standard_normal((n, T))
     if a == 0.0:
         return innov
-    out = np.empty((n, T))
-    out[:, 0] = innov[:, 0]
     scale = np.sqrt(1.0 - a * a)
-    for t in range(1, T):
-        out[:, t] = a * out[:, t - 1] + scale * innov[:, t]
-    return out
+    for t in range(1, innov.shape[-1]):
+        innov[..., t] = a * innov[..., t - 1] + scale * innov[..., t]
+    return innov
 
 
 def dosage_normalizer(gamma: float) -> float:

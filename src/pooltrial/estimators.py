@@ -49,13 +49,6 @@ def psi_matrix(trajset: TrajectorySet, theta) -> np.ndarray:
     return np.einsum("nt,ntk->nk", resid, z)
 
 
-def phi_matrix(trajset: TrajectorySet, t: int, beta) -> np.ndarray:
-    """Per-user phi_t values at the given beta, shape (n, 2 * d_S)."""
-    x = policy_design(trajset)[:, :t]
-    resid = trajset.rewards[:, :t] - x @ np.asarray(beta, dtype=float)
-    return np.einsum("nt,ntk->nk", resid, x)
-
-
 def score_jacobian(design) -> np.ndarray:
     """-(1/n) sum_{i,t} z z' for a (n, T, d) regressor array.
 
@@ -72,20 +65,19 @@ def jacobian_psi_theta(trajset: TrajectorySet) -> np.ndarray:
     return score_jacobian(inference_design(trajset))
 
 
-def jacobian_phi_beta(trajset: TrajectorySet, t: int) -> np.ndarray:
-    """(1/n) sum_i d phi_{t,i} / d beta_t = -(1/n) sum_{t'<=t} [S;AS][S;AS]'."""
-    return score_jacobian(policy_design(trajset)[:, :t])
-
-
 def solve_or_nan(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """gram^{-1} rhs, or NaNs where the solve finds gram exactly singular.
 
-    A NaN solution is left for ``check_conditioned`` to report.
+    ``gram`` may be a (..., d, d) stack with (..., d) right-hand sides; a
+    singular matrix in it gives NaNs in its own row only.  A NaN solution is
+    left for ``check_conditioned`` to report.
     """
     try:
-        return np.linalg.solve(gram, rhs)
+        return np.linalg.solve(gram, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        return np.full(np.shape(rhs), np.nan)
+        if gram.ndim == 2:
+            return np.full(rhs.shape, np.nan)
+        return np.stack([solve_or_nan(g, b) for g, b in zip(gram, rhs)])
 
 
 def check_conditioned(mats, error, what: str, first_t=None, solutions=None):

@@ -17,14 +17,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SeedPlan, TrialConfig
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 from .estimators import fit_theta
-from .simulator import run_trial
+from .simulator import run_trial, run_trials
 from .variance import VarianceReport, variance_report
 
 # Oracle runs live in a disjoint rep-index range so their draws never overlap
 # with coverage replications (which use rep_index 0..reps-1).
 ORACLE_REP_BASE = 1_000_000
+
+# Users simulated side by side in one step loop (see rep_batches); results do
+# not depend on it.
+BATCH_USERS = 1_000
 
 _theta_star_cache: dict = {}
 
@@ -33,17 +37,32 @@ def run_replication(
     config: TrialConfig, plan: SeedPlan, alpha: float = 0.05
 ) -> VarianceReport:
     """Simulate -> estimate -> both variances for one replication."""
-    trajset = run_trial(config, plan)
-    est = fit_theta(trajset)
-    return variance_report(trajset, est, alpha=alpha, which="both")
+    return _estimate(run_trial(config, plan), alpha)
+
+
+def _estimate(trial, alpha: float) -> VarianceReport:
+    """Both variances of a simulated trial, or the trial's own error raised."""
+    if isinstance(trial, NumericalError):
+        raise trial
+    return variance_report(trial, fit_theta(trial), alpha=alpha, which="both")
+
+
+def rep_batches(n_users: int, reps: int, jobs: int = 1) -> list[range]:
+    """Replications 0..reps-1 in runs of BATCH_USERS // n_users (at least
+    one), shorter where that leaves each of ``jobs`` workers at least one."""
+    size = max(1, min(BATCH_USERS // n_users, -(-reps // jobs)))
+    return [range(start, min(start + size, reps)) for start in range(0, reps, size)]
 
 
 def _replicate(args):
-    config, rep, alpha = args
-    try:
-        return run_replication(config, SeedPlan(config.master_seed, rep), alpha)
-    except NumericalError:
-        return None
+    config, reps, alpha = args
+    reports = []
+    for trial in run_trials(config, [SeedPlan(config.master_seed, r) for r in reps]):
+        try:
+            reports.append(_estimate(trial, alpha))
+        except NumericalError:
+            reports.append(None)
+    return reports
 
 
 def replicate(
@@ -52,16 +71,21 @@ def replicate(
     """Reports of replications 0..reps-1 in order, None for each that aborted.
 
     An aborted replication is one that raised ``NumericalError`` (degenerate
-    design, singular bread).  ``jobs`` > 1 spreads the replications over a
-    process pool, 0 over every CPU; the results do not depend on it.
+    design, singular bread).  The trials are simulated in batches
+    (``rep_batches``); ``jobs`` > 1 spreads the batches over a process pool,
+    0 over every CPU.  The results depend on neither.
     """
-    tasks = [(config, rep, alpha) for rep in range(reps)]
+    if reps < 1 or jobs < 0:
+        raise ConfigError(f"replicate needs reps >= 1 and jobs >= 0, got {reps}, {jobs}")
     if jobs == 0:
         jobs = os.cpu_count() or 1
+    tasks = [(config, batch, alpha) for batch in rep_batches(config.n_users, reps, jobs)]
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
-            return pool.map(_replicate, tasks, chunksize=8)
-    return [_replicate(t) for t in tasks]
+            batches = pool.map(_replicate, tasks, chunksize=1)
+    else:
+        batches = map(_replicate, tasks)
+    return [report for batch in batches for report in batch]
 
 
 def _theta_star_key(config: TrialConfig, oracle_n: int, plan: SeedPlan):

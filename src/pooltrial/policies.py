@@ -91,45 +91,47 @@ def _linear(states, beta1):
 def policy_path(spec: PolicySpec, states, beta_hats, betas=None):
     """Action-1 probabilities at the trailing decision times of one trial.
 
-    ``states`` is (n, m, d_S) and ``beta_hats`` holds the k stored policy
-    fits, (k, 2 d_S).  Column j of ``states`` is decision time k - m + 2 + j:
-    the last column is time k + 1, and a full trajectory (m = k + 1) starts
-    at time 1, which gets the pre-specified 0.5.  The step at decision time t
-    uses ``betas[t - 2]`` (``beta_hats`` by default); a mirror-descent step
-    starts from the chain pi_{t-1}(1, s) through ``beta_hats`` at the same
-    state s, swept over all columns at once in k vectorised steps.
+    ``states`` is (..., n, m, d_S) and ``beta_hats`` holds the k stored
+    policy fits, (..., k, 2 d_S); the leading axes, if any, index trials
+    evaluated side by side.  Column j of ``states`` is decision time
+    k - m + 2 + j: the last column is time k + 1, and a full trajectory
+    (m = k + 1) starts at time 1, which gets the pre-specified 0.5.  The step
+    at decision time t uses ``betas[..., t - 2, :]`` (``beta_hats`` by
+    default); a mirror-descent step starts from the chain pi_{t-1}(1, s)
+    through ``beta_hats`` at the same state s, swept over all columns at once
+    in k vectorised steps.
 
-    Returns (p1, pre), both (n, m): the clipped probability of action 1 and
-    its value before the clip (0.5 where no parameter enters).
+    Returns (p1, pre), both (..., n, m): the clipped probability of action 1
+    and its value before the clip (0.5 where no parameter enters).
     """
     states = np.asarray(states, dtype=float)
     beta_hats = np.asarray(beta_hats, dtype=float)
     betas = beta_hats if betas is None else np.asarray(betas, dtype=float)
-    n, m, d_S = states.shape
-    k = len(beta_hats)
+    *batch, n, m, d_S = states.shape
+    k = beta_hats.shape[-2]
     first = k - m + 2  # decision time of column 0
-    if first < 1 or betas.shape != beta_hats.shape or beta_hats.shape[1:] != (2 * d_S,):
+    if first < 1 or not betas.shape == beta_hats.shape == (*batch, k, 2 * d_S):
         raise ConfigError(
             f"policy_path: {m} decision times of {d_S}-dim states do not fit "
             f"beta_hats {beta_hats.shape} and betas {betas.shape}"
         )
-    pre = np.full((n, m), 0.5)
+    pre = np.full((*batch, n, m), 0.5)
     if spec.kind == "boltzmann":
         lo = max(2 - first, 0)  # first column with a decision time >= 2
-        beta1 = betas[first + lo - 2 :, d_S:]
-        pre[:, lo:] = expit(spec.rho * _linear(states[:, lo:], beta1))
+        beta1 = betas[..., None, first + lo - 2 :, d_S:]
+        pre[..., lo:] = expit(spec.rho * _linear(states[..., lo:, :], beta1))
     elif spec.kind == "mirror_descent":
-        chain = np.full((n, m), 0.5)  # pi_{t-1}(1, s) for the columns after t
+        chain = np.full((*batch, n, m), 0.5)  # pi_{t-1}(1, s) for the columns after t
         for t in range(2, k + 2):
             half_eta = 0.5 * spec.eta_at(t)
             j = t - first  # the column whose decision time is t
             if j >= 0:
-                lin = _linear(states[:, j], betas[t - 2, d_S:])
-                pre[:, j] = chain[:, j] + half_eta * lin
+                lin = _linear(states[..., j, :], betas[..., None, t - 2, d_S:])
+                pre[..., j] = chain[..., j] + half_eta * lin
             c = max(j + 1, 0)
             if c < m:
-                lin = _linear(states[:, c:], beta_hats[t - 2, d_S:])
-                chain[:, c:] = clip_prob(chain[:, c:] + half_eta * lin, spec.pi_min)
+                lin = _linear(states[..., c:, :], beta_hats[..., None, None, t - 2, d_S:])
+                chain[..., c:] = clip_prob(chain[..., c:] + half_eta * lin, spec.pi_min)
     return clip_prob(pre, spec.pi_min), pre
 
 
@@ -150,13 +152,6 @@ def prob_slope(spec: PolicySpec, pre, times):
         return np.zeros_like(pre)
     live = (pre > spec.pi_min) & (pre < 1.0 - spec.pi_min)
     return np.where(live, slope, 0.0)
-
-
-def sample_action(stream: np.random.Generator, prob1) -> np.ndarray:
-    """Bernoulli(prob1) draw(s) from the given stream, as int8 {0,1}."""
-    prob1 = np.asarray(prob1, dtype=float)
-    u = stream.random(prob1.shape) if prob1.shape else stream.random()
-    return (u < prob1).astype(np.int8)
 
 
 def realized_from_p1(p1, action, pi_min: float):

@@ -23,10 +23,10 @@ from pooltrial.errors import (
 )
 from pooltrial.estimators import (
     COND_LIMIT,
-    jacobian_phi_beta,
     jacobian_psi_theta,
-    phi_matrix,
+    policy_design,
     psi_matrix,
+    score_jacobian,
 )
 
 
@@ -160,6 +160,18 @@ def phi(states, actions, rewards, t: int, beta) -> np.ndarray:
     return resid @ x
 
 
+def phi_matrix(trajset, t: int, beta) -> np.ndarray:
+    """Per-user phi_t values at the given beta, shape (n, 2 * d_S)."""
+    x = policy_design(trajset)[:, :t]
+    resid = trajset.rewards[:, :t] - x @ np.asarray(beta, dtype=float)
+    return np.einsum("nt,ntk->nk", resid, x)
+
+
+def jacobian_phi_beta(trajset, t: int) -> np.ndarray:
+    """(1/n) sum_i d phi_{t,i} / d beta_t = -(1/n) sum_{t'<=t} [S;AS][S;AS]'."""
+    return score_jacobian(policy_design(trajset)[:, :t])
+
+
 def _cond(mat):
     """2-norm condition number of a finite matrix; inf when singular."""
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -185,6 +197,16 @@ def fit_policy_params(states, actions, rewards):
             f"rank-deficient policy design (cond={cond:.3e})", cond=cond
         )
     return np.linalg.solve(gram, rhs)
+
+
+def sample_action(stream, prob1):
+    """One decision time's Bernoulli(prob1) draws from ``stream``, as int8 {0, 1}.
+
+    The per-step sampler: the simulator draws each replication's uniforms for
+    all decision times at once, which must equal calling this once per time.
+    """
+    u = stream.random(np.shape(prob1))
+    return (u < np.asarray(prob1, dtype=float)).astype(np.int8)
 
 
 def dosage_update(d_prev, a_prev, gamma):

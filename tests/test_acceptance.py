@@ -46,11 +46,11 @@ from pooltrial import (
     run_trial,
 )
 from pooltrial.diagnostics import BoundedFunctional, bernstein_check, clt_check
-from pooltrial.estimators import jacobian_phi_beta, jacobian_psi_theta, phi_matrix, psi_matrix
+from pooltrial.estimators import jacobian_psi_theta, psi_matrix
 from pooltrial.montecarlo import ORACLE_REP_BASE, CoverageCell, run_replication
 from pooltrial.variance import weight_product_at, weight_products
 
-from oracles import block_lower_triangular_inverse
+from oracles import block_lower_triangular_inverse, phi_matrix
 
 MASTER_SEED = 0
 REPS = 500
@@ -376,7 +376,7 @@ class TestCriterion07GradientOracles:
 
             t = int(rng.integers(1, 5))
             beta = np.asarray(ts.beta_hats[t - 1])
-            phi_dot = jacobian_phi_beta(ts, t)
+            phi_dot = est.blocks.phi_dots[t - 1]
             j = int(rng.integers(0, 4))
             bp, bm = beta.copy(), beta.copy()
             bp[j] += h

@@ -1,7 +1,9 @@
 import json
+import platform
 
 import numpy as np
 import pytest
+import scipy
 import yaml
 
 from pooltrial.cli import main
@@ -33,6 +35,10 @@ class TestSimulate:
         assert manifest["command"] == "simulate"
         assert manifest["master_seed"] == 7
         assert manifest["config"]["policy"]["kind"] == "boltzmann"
+        # the bit-identity contract holds for these versions
+        assert manifest["python_version"] == platform.python_version()
+        assert manifest["numpy_version"] == np.__version__
+        assert manifest["scipy_version"] == scipy.__version__
 
     def test_deterministic_output_bytes(self, tiny_config_file, tmp_path):
         main(["simulate", "--config", tiny_config_file, "--out", str(tmp_path / "a")])
@@ -200,6 +206,33 @@ class TestMc:
             "rho": [0.5, 1.0, 5.0],
             "n_users": [50, 100, 500],
         }
+
+
+class TestFlagsRejected:
+    """Out-of-range counts and levels are usage errors before any work."""
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("mc", ["--reps", "-5"]),
+            ("mc", ["--reps", "0"]),
+            ("mc", ["--jobs", "-3"]),
+            ("mc", ["--alpha", "2"]),
+            ("mc", ["--alpha", "0"]),
+            ("estimate", ["--alpha", "2"]),
+            ("check", ["--reps", "-3"]),
+        ],
+    )
+    def test_exits_1_without_output(self, command, flags, tiny_config_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        args = {
+            "mc": ["--config", tiny_config_file],
+            "estimate": ["--in", str(tmp_path), "--config", tiny_config_file],
+            "check": ["--suite", "bernstein"],
+        }[command]
+        assert main([command, *args, *flags, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert f"argument {flags[0]}: must be" in capsys.readouterr().err
 
 
 class TestCheck:

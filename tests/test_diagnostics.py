@@ -10,7 +10,8 @@ from pooltrial.diagnostics import (
     clt_check,
     invariance_scan,
 )
-from pooltrial.errors import ConfigError
+from pooltrial import montecarlo
+from pooltrial.errors import ConfigError, DegenerateDesignError
 from pooltrial.montecarlo import ORACLE_REP_BASE
 
 
@@ -87,6 +88,22 @@ class TestBernstein:
             / (report.variance_proxy + 2.0 * 1.0 / np.sqrt(n))
         )
         assert report.bound[0] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("batch_users", [5, 15, montecarlo.BATCH_USERS])
+    def test_raises_earliest_abort(self, batch_users, monkeypatch):
+        # at n = 5 replications 2 and 4 abort at t = 1; batches of 1, 3 and
+        # all 6 replications raise replication 2's error
+        monkeypatch.setattr(montecarlo, "BATCH_USERS", batch_users)
+        config = TrialConfig(
+            n_users=5,
+            horizon_T=6,
+            master_seed=29,
+            policy=PolicySpec(kind="boltzmann", rho=5.0),
+            env=EnvConfig(kappa1=1.0),
+        )
+        with pytest.raises(DegenerateDesignError) as err:
+            bernstein_check(config, BoundedFunctional("one"), reps=6, oracle_n=2_000)
+        assert (err.value.t, err.value.cond) == (1, 1.8711197366972168e18)
 
 
 class TestClt:

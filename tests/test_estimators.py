@@ -8,7 +8,6 @@ from pooltrial.errors import DegenerateDesignError
 from pooltrial.estimators import (
     check_conditioned,
     inference_design,
-    jacobian_phi_beta,
     jacobian_psi_theta,
     psi_matrix,
     score_jacobian,
@@ -16,7 +15,7 @@ from pooltrial.estimators import (
 )
 from pooltrial.variance import sandwich
 
-from oracles import phi, psi
+from oracles import phi, phi_matrix, psi
 
 
 def toy_history(rng, T=6):
@@ -237,11 +236,9 @@ class TestJacobians:
             assert np.allclose(fd, jacobian_psi_theta(small_trajset), atol=1e-5)
 
     def test_phi_jacobian_finite_difference(self, small_trajset):
-        from pooltrial.estimators import phi_matrix
-
         t = 4
         beta = np.asarray(small_trajset.beta_hats[t - 1])
-        jac = jacobian_phi_beta(small_trajset, t)
+        jac = fit_theta(small_trajset).blocks.phi_dots[t - 1]
         h = 1e-6
         for j in range(4):
             bp, bm = beta.copy(), beta.copy()

@@ -14,7 +14,9 @@ from pooltrial import (
     run_trial,
     variance_report,
 )
+from pooltrial import montecarlo
 from pooltrial.errors import (
+    ConfigError,
     DegenerateDesignError,
     SingularBreadError,
     SingularPolicyBreadError,
@@ -23,6 +25,8 @@ from pooltrial.montecarlo import (
     ORACLE_REP_BASE,
     CoverageCell,
     emit_table,
+    rep_batches,
+    replicate,
     run_replication,
 )
 from pooltrial.variance import sandwich
@@ -167,6 +171,43 @@ class TestRunCell:
         assert serial.reps_aborted == pooled.reps_aborted
         assert serial.reps_only_sandwich == pooled.reps_only_sandwich
         assert serial.reps_only_adaptive == pooled.reps_only_adaptive
+
+    def test_reports_do_not_depend_on_batching(self, monkeypatch):
+        # n = 5: replications 2 and 4 abort in the simulation, in the same
+        # batch as replications that complete
+        config = TrialConfig(
+            n_users=5,
+            horizon_T=6,
+            master_seed=29,
+            policy=PolicySpec(kind="boltzmann", rho=5.0),
+            env=EnvConfig(kappa1=1.0),
+        )
+
+        def reports(batch_users, jobs=1):
+            monkeypatch.setattr(montecarlo, "BATCH_USERS", batch_users)
+            return [
+                None if rep is None else rep.to_dict()
+                for rep in replicate(config, 7, jobs=jobs)
+            ]
+
+        default = reports(montecarlo.BATCH_USERS)
+        assert default[2] is None and default[4] is None
+        assert sum(rep is not None for rep in default) >= 3
+        assert reports(5) == default  # one replication per batch
+        assert reports(15) == default  # three
+        assert reports(1_000, jobs=2) == default
+
+    def test_batches_cover_reps_in_order(self):
+        assert rep_batches(50, 45) == [range(0, 20), range(20, 40), range(40, 45)]
+        assert rep_batches(5_000, 3) == [range(0, 1), range(1, 2), range(2, 3)]
+        # enough batches to give each worker one
+        assert rep_batches(50, 10, jobs=2) == [range(0, 5), range(5, 10)]
+
+    @pytest.mark.parametrize("reps, jobs", [(0, 1), (-5, 1), (3, -3)])
+    def test_replicate_rejects_bad_counts(self, reps, jobs):
+        config = _paper_cell_config(1.0, 1.0, 50)
+        with pytest.raises(ConfigError):
+            replicate(config, reps, jobs=jobs)
 
     def test_discordant_counts_match_pairs(self):
         config = TrialConfig(

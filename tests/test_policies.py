@@ -10,7 +10,6 @@ from pooltrial.policies import (
     policy_path,
     prob_slope,
     realized_from_p1,
-    sample_action,
 )
 
 from oracles import (
@@ -20,6 +19,7 @@ from oracles import (
     prob_action1,
     prob_grad,
     prob_realized,
+    sample_action,
 )
 
 BOLTZ = PolicySpec(kind="boltzmann", rho=1.0, pi_min=0.1)
@@ -307,6 +307,24 @@ class TestPolicyPath:
             assert np.all(want[:, :d_S] == 0.0)
             np.testing.assert_allclose(got, want[:, d_S:], **ORACLE_TOL)
 
+    @pytest.mark.parametrize("name", sorted(PATH_SPECS))
+    @given(seed=st.integers(0, 2**32 - 1), d_S=st.sampled_from([1, 2]))
+    @settings(max_examples=40, deadline=None)
+    def test_batch_axes_match_single_trials(self, name, seed, d_S):
+        # the simulator evaluates R trials at once along leading axes
+        spec = PATH_SPECS[name]
+        rng, states, beta_hats, betas = random_path_inputs(seed, d_S)
+        scale = rng.uniform(0.5, 2.0, size=(2, 3, 1, 1, 1))
+        batch = [states * scale, beta_hats * scale[..., 0], betas * scale[..., 0]]
+        p1, pre = policy_path(spec, *batch)
+        m = int(rng.integers(1, len(beta_hats) + 2))
+        tail, _ = policy_path(spec, batch[0][..., -m:, :], *batch[1:])
+        for i, j in np.ndindex(2, 3):
+            want, want_pre = policy_path(spec, *(arr[i, j] for arr in batch))
+            assert np.array_equal(p1[i, j], want)
+            assert np.array_equal(pre[i, j], want_pre)
+            assert np.array_equal(tail[i, j], want[:, -m:])
+
     def test_rejects_inconsistent_shapes(self):
         states = np.ones((2, 4, 2))
         with pytest.raises(ConfigError):
@@ -315,3 +333,5 @@ class TestPolicyPath:
             policy_path(BOLTZ, states, np.zeros((3, 4)), np.zeros((2, 4)))
         with pytest.raises(ConfigError):
             policy_path(BOLTZ, states, np.zeros((3, 2)))
+        with pytest.raises(ConfigError):  # batch axes that differ
+            policy_path(BOLTZ, np.ones((2, 2, 4, 2)), np.zeros((3, 3, 4)))

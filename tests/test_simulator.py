@@ -1,11 +1,30 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from pooltrial import EnvConfig, PolicySpec, SeedPlan, TrialConfig, run_trial
-from pooltrial.errors import ConfigError, DegenerateDesignError
-from pooltrial.simulator import replay_action_probs
+from pooltrial import (
+    EnvConfig,
+    PolicySpec,
+    SeedPlan,
+    TrialConfig,
+    derive_stream,
+    run_trial,
+)
+from pooltrial.errors import ConfigError, DegenerateDesignError, NumericalError
+from pooltrial.estimators import psi_matrix
+from pooltrial.policies import policy_path
+from pooltrial.simulator import replay_action_probs, run_trials
+from pooltrial.variance import weight_product_at
 
-from oracles import fit_policy_params
+from oracles import fit_policy_params, sample_action
+
+FIELDS = ("states", "actions", "rewards", "action_probs", "beta_hats")
+KINDS = {
+    "boltzmann": dict(kind="boltzmann", rho=5.0),
+    "mirror_descent": dict(kind="mirror_descent", eta=0.5),
+    "constant_uniform": dict(kind="constant_uniform"),
+}
 
 
 class TestRunTrial:
@@ -119,6 +138,78 @@ class TestRunTrial:
             assert np.allclose(refit, small_trajset.beta_hats[t - 1], rtol=1e-9)
 
 
+def _outcome(trial):
+    """Digests of a trajectory's fields, or (class, t, cond) of its error."""
+    if isinstance(trial, NumericalError):
+        return type(trial), trial.t, trial.cond
+    return tuple(
+        hashlib.sha256(getattr(trial, f).tobytes()).hexdigest() for f in FIELDS
+    )
+
+
+class TestRunTrials:
+    """A batch of replications equals the same replications run one by one."""
+
+    # n = 2 and 3 abort every replication; n = 5 aborts reps 2 and 4 (an
+    # exactly singular refit) among healthy ones; kappa1 = 1e308 overflows;
+    # n = 50 and 20 at kappa1 = 5 abort none
+    @pytest.mark.parametrize(
+        "n, kappa1, state_dim",
+        [(2, 1.0, 2), (3, 5.0, 2), (5, 1.0, 2), (5, 1e308, 2), (50, 5.0, 2),
+         (50, 1e308, 2), (20, 5.0, 1)],
+    )
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_batch_matches_single_trials(self, kind, n, kappa1, state_dim):
+        config = TrialConfig(
+            n_users=n,
+            horizon_T=6,
+            state_dim=state_dim,
+            master_seed=29,
+            policy=PolicySpec(**KINDS[kind]),
+            env=EnvConfig(kappa1=kappa1),
+        )
+        plans = [SeedPlan(29, rep) for rep in range(6)]
+        single = []
+        for plan in plans:
+            try:
+                single.append(_outcome(run_trial(config, plan)))
+            except DegenerateDesignError as err:
+                single.append(_outcome(err))
+        assert [_outcome(t) for t in run_trials(config, plans)] == single
+
+    def test_frozen_batch_matches_single_trials(self, small_trajset, small_config):
+        frozen = np.asarray(small_trajset.beta_hats)
+        plans = [SeedPlan(99, rep) for rep in range(3)]
+        batch = run_trials(small_config, plans, frozen_betas=frozen)
+        single = [run_trial(small_config, p, frozen_betas=frozen) for p in plans]
+        assert [_outcome(t) for t in batch] == [_outcome(t) for t in single]
+
+    def test_trials_are_read_only_views(self, small_config):
+        trials = run_trials(small_config, [SeedPlan(1, rep) for rep in range(3)])
+        for field in FIELDS:
+            arrays = [getattr(t, field) for t in trials]
+            assert all(not a.flags.writeable for a in arrays)
+            assert arrays[1].base is arrays[0].base is not None
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_actions_follow_per_step_sampler(self, kind):
+        # the batch draws each replication's uniforms for all decision times
+        # at once; that equals one per-step draw of n from the action stream
+        config = TrialConfig(
+            n_users=30,
+            horizon_T=8,
+            master_seed=5,
+            policy=PolicySpec(**KINDS[kind]),
+            env=EnvConfig(kappa1=2.0),
+        )
+        plans = [SeedPlan(5, rep) for rep in range(3)]
+        for plan, ts in zip(plans, run_trials(config, plans)):
+            p1, _ = policy_path(config.policy, ts.states, ts.beta_hats)
+            stream = derive_stream(plan, "actions")
+            steps = [sample_action(stream, p1[:, t]) for t in range(ts.horizon_T)]
+            assert np.array_equal(np.stack(steps, axis=1), ts.actions)
+
+
 class TestFitPolicyParams:
     """The batch fit that the simulator's running refits are checked against."""
 
@@ -173,7 +264,10 @@ class TestFitPolicyParams:
 
 class TestWeightedWlln:
     def test_weighted_mean_matches_target_policy(self):
-        from pooltrial.diagnostics import weighted_wlln_gap
+        # psi (at theta = 0) of an adaptive trial, reweighted by
+        # W_{2:T}(beta*, beta_hat), has the mean of a run under the target
+        # policies beta* (the fits of an n = 100k run), within 4 SE
+        from pooltrial.diagnostics import _target_policy_oracle
 
         config = TrialConfig(
             n_users=10_000,
@@ -182,5 +276,13 @@ class TestWeightedWlln:
             policy=PolicySpec(kind="boltzmann", rho=1.0),
             env=EnvConfig(kappa1=1.0),
         )
-        report = weighted_wlln_gap(config, n_check=10_000, oracle_n=100_000)
-        assert report["within_band"], report
+        theta_probe = np.zeros(config.theta_dim)
+        beta_star, frozen = _target_policy_oracle(config, 100_000)
+        target = psi_matrix(frozen, theta_probe)[:, 0]
+        check = run_trial(config, SeedPlan(config.master_seed, 0))
+        weighted = weight_product_at(check, beta_star) * psi_matrix(check, theta_probe)[:, 0]
+        band = 4.0 * np.hypot(
+            weighted.std() / np.sqrt(check.n_users),
+            target.std() / np.sqrt(frozen.n_users),
+        )
+        assert abs(weighted.mean() - target.mean()) <= band
