@@ -23,7 +23,6 @@ from .simulator import run_trial
 from .variance import (
     VarianceReport,
     adaptive_sandwich,
-    check_equivalence,
     confidence_interval,
     sandwich,
     variance_report,
@@ -46,7 +45,6 @@ __all__ = [
     "run_trial",
     "VarianceReport",
     "adaptive_sandwich",
-    "check_equivalence",
     "confidence_interval",
     "sandwich",
     "variance_report",

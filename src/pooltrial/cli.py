@@ -26,7 +26,7 @@ from .errors import DiagnosticFailure, PoolTrialError
 from .estimators import fit_theta
 from .montecarlo import emit_table, run_grid
 from .simulator import run_trial
-from .variance import check_equivalence, variance_report
+from .variance import variance_report
 
 log = logging.getLogger("pooltrial")
 
@@ -63,15 +63,25 @@ def _write_manifest(out_dir: str, payload: dict) -> None:
     log.info("manifest written to %s", os.path.join(out_dir, "manifest.json"))
 
 
-def _resolved_config(args) -> TrialConfig:
+def _resolved_config(args):
+    """(config, grid) of ``--config`` with ``--seed`` applied.
+
+    Without a grid section the grid is the config's own (kappa1, rho, n).
+    """
     config, grid, _ = load_config(args.config)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         config = config.replace(master_seed=args.seed)
-    return config
+    if grid is None:
+        grid = {
+            "kappa1": [config.env.kappa1],
+            "rho": [config.policy.rho],
+            "n_users": [config.n_users],
+        }
+    return config, grid
 
 
 def cmd_simulate(args) -> int:
-    config = _resolved_config(args)
+    config, _ = _resolved_config(args)
     plan = SeedPlan(config.master_seed, args.rep)
     trajset = run_trial(config, plan)
     trajset.save(args.out)
@@ -91,7 +101,7 @@ def cmd_simulate(args) -> int:
 def cmd_estimate(args) -> int:
     manifest_path = os.path.join(args.input, "manifest.json")
     if args.config is not None:
-        config = _resolved_config(args)
+        config, _, _ = load_config(args.config)
     elif os.path.exists(manifest_path):
         from .config import parse_config
 
@@ -105,16 +115,11 @@ def cmd_estimate(args) -> int:
     trajset = TrajectorySet.load(args.input, config)
     est = fit_theta(trajset)
     report = variance_report(trajset, est, alpha=args.alpha, which=args.variance)
-    gap = None
-    if args.variance != "sandwich":
-        # the dense stacked cross-check, once per run
-        gap, _ = check_equivalence(trajset, est)
     out = {
         "theta_hat": est.theta_hat.tolist(),
         "psi_residual_norm": est.psi_residual_norm,
         "beta_hats": np.asarray(trajset.beta_hats).tolist(),
         **report.to_dict(),
-        "equivalence_gap": gap,
     }
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "estimate.json"), "w") as f:
@@ -136,15 +141,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    config, grid, _ = load_config(args.config)
-    if args.seed is not None:
-        config = config.replace(master_seed=args.seed)
-    if grid is None:
-        grid = {
-            "kappa1": [config.env.kappa1],
-            "rho": [config.policy.rho],
-            "n_users": [config.n_users],
-        }
+    config, grid = _resolved_config(args)
 
     def progress(cell):
         log.info(
@@ -220,7 +217,10 @@ def cmd_check(args) -> int:
     if "bernstein" in suites:
         config = _default_check_config(args.seed)
         report = bernstein_check(
-            config, BoundedFunctional("clipped_reward", -3.0, 3.0), reps=args.reps
+            config,
+            BoundedFunctional("clipped_reward", -3.0, 3.0),
+            reps=args.reps,
+            oracle_n=args.oracle_n,
         )
         results["bernstein"] = {
             "x_grid": report.x_grid.tolist(),
@@ -296,6 +296,7 @@ def cmd_check(args) -> int:
                 "command": "check",
                 "suite": args.suite,
                 "reps": args.reps,
+                "oracle_n": args.oracle_n,
                 "master_seed": args.seed,
             },
         )
@@ -319,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_est = sub.add_parser("estimate", help="fit theta and variance estimators")
     p_est.add_argument("--in", dest="input", required=True)
     p_est.add_argument("--config", default=None)
-    p_est.add_argument("--seed", type=int, default=None)
     p_est.add_argument("--out", required=True)
     p_est.add_argument("--alpha", type=_ALPHA, default=0.05)
     p_est.add_argument(

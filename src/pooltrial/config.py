@@ -30,6 +30,7 @@ Schema (all sections optional, defaults shown):
 from __future__ import annotations
 
 import os
+from dataclasses import fields
 from importlib import resources
 from numbers import Integral
 
@@ -39,12 +40,16 @@ from .core import EnvConfig, TrialConfig
 from .errors import ConfigError, real_number
 from .policies import PolicySpec
 
-_TRIAL_KEYS = {"n_users", "horizon_T", "state_dim", "master_seed"}
-_POLICY_KEYS = {"kind", "rho", "pi_min", "eta"}
-_ENV_KEYS = {"kappa0", "kappa1", "kappa2", "gamma", "error_corr_base"}
+# The integer TrialConfig fields and their YAML defaults; policy and env
+# sections hold the fields of PolicySpec and EnvConfig.
+_TRIAL_DEFAULTS = {"n_users": 100, "horizon_T": 50, "state_dim": 2, "master_seed": 0}
 _GRID_KEYS = {"kappa1", "rho", "n_users"}
 
 PRESETS = ("paper_table1",)
+
+
+def _field_names(cls) -> set:
+    return {f.name for f in fields(cls)}
 
 
 def _mapping(section, allowed: set, name: str) -> dict:
@@ -84,18 +89,15 @@ def resolve_config_path(path_or_preset: str) -> str:
 def parse_config(raw: dict):
     """Build (TrialConfig, grid-or-None) from a parsed YAML mapping."""
     _mapping(raw, {"trial", "policy", "env", "grid"}, "root")
-    trial = _mapping(raw.get("trial") or {}, _TRIAL_KEYS, "trial")
-    policy = _mapping(raw.get("policy") or {}, _POLICY_KEYS, "policy")
-    env = _mapping(raw.get("env") or {}, _ENV_KEYS, "env")
+    trial = _mapping(raw.get("trial") or {}, set(_TRIAL_DEFAULTS), "trial")
+    policy = _mapping(raw.get("policy") or {}, _field_names(PolicySpec), "policy")
+    env = _mapping(raw.get("env") or {}, _field_names(EnvConfig), "env")
 
     try:
         spec = PolicySpec(**policy)
         env_cfg = EnvConfig(**env)
         config = TrialConfig(
-            n_users=_integer(trial.get("n_users", 100), "n_users"),
-            horizon_T=_integer(trial.get("horizon_T", 50), "horizon_T"),
-            state_dim=_integer(trial.get("state_dim", 2), "state_dim"),
-            master_seed=_integer(trial.get("master_seed", 0), "master_seed"),
+            **{k: _integer(v, k) for k, v in {**_TRIAL_DEFAULTS, **trial}.items()},
             policy=spec,
             env=env_cfg,
         )
@@ -129,24 +131,11 @@ def load_config(path_or_preset: str):
 
 def config_to_raw(config: TrialConfig) -> dict:
     """Round-trippable mapping mirroring the file schema."""
+    policy = {f.name: getattr(config.policy, f.name) for f in fields(PolicySpec)}
+    if policy["eta"] is not None:
+        policy["eta"] = list(policy["eta"])
     return {
-        "trial": {
-            "n_users": config.n_users,
-            "horizon_T": config.horizon_T,
-            "state_dim": config.state_dim,
-            "master_seed": config.master_seed,
-        },
-        "policy": {
-            "kind": config.policy.kind,
-            "rho": config.policy.rho,
-            "pi_min": config.policy.pi_min,
-            "eta": list(config.policy.eta) if config.policy.eta else None,
-        },
-        "env": {
-            "kappa0": config.env.kappa0,
-            "kappa1": config.env.kappa1,
-            "kappa2": config.env.kappa2,
-            "gamma": config.env.gamma,
-            "error_corr_base": config.env.error_corr_base,
-        },
+        "trial": {name: getattr(config, name) for name in _TRIAL_DEFAULTS},
+        "policy": policy,
+        "env": {f.name: getattr(config.env, f.name) for f in fields(EnvConfig)},
     }

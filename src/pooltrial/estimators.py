@@ -49,22 +49,6 @@ def psi_matrix(trajset: TrajectorySet, theta) -> np.ndarray:
     return np.einsum("nt,ntk->nk", resid, z)
 
 
-def score_jacobian(design) -> np.ndarray:
-    """-(1/n) sum_{i,t} z z' for a (n, T, d) regressor array.
-
-    The parameter Jacobian of every linear estimating function here; symmetric
-    negative semidefinite, negative definite iff the design has full rank.
-    """
-    z = np.asarray(design, dtype=float)
-    gram = np.einsum("ntk,ntl->kl", z, z)
-    return -gram / z.shape[0]
-
-
-def jacobian_psi_theta(trajset: TrajectorySet) -> np.ndarray:
-    """(1/n) sum_i d psi_i / d theta; equals -(1/n) sum [S;A][S;A]'."""
-    return score_jacobian(inference_design(trajset))
-
-
 def solve_or_nan(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """gram^{-1} rhs, or NaNs where the solve finds gram exactly singular.
 
@@ -115,24 +99,22 @@ def check_conditioned(mats, error, what: str, first_t=None, solutions=None):
 class EstimationBlocks:
     """Cached per-user estimating-function evaluations and derivative blocks.
 
-    Everything is lazy: a theta-only consumer (e.g. the large-n oracle run)
+    ``psi_dot`` is ``fit_theta``'s Gram scaled by -1/n; the per-user
+    evaluations are lazy, so a theta-only consumer (e.g. the large-n oracle run)
     never pays for the per-time phi stacks the variance machinery needs.
     The phi stacks come from per-user cumulants (sum_{t'<=t} of R*x and of
     x x') so the T-1 per-time evaluations cost O(n T d^2) overall instead of
     O(n T^2 d).
     """
 
-    def __init__(self, trajset: TrajectorySet, theta):
+    def __init__(self, trajset: TrajectorySet, theta, psi_dot):
         self.trajset = trajset
         self.theta = np.asarray(theta, dtype=float)
+        self.psi_dot = psi_dot  # (1/n) sum_i d psi_i / d theta
 
     @cached_property
     def psi_mat(self) -> np.ndarray:
         return psi_matrix(self.trajset, self.theta)
-
-    @cached_property
-    def psi_dot(self) -> np.ndarray:
-        return jacobian_psi_theta(self.trajset)
 
     @cached_property
     def _phi_pieces(self):
@@ -188,5 +170,5 @@ def fit_theta(trajset: TrajectorySet) -> EstimationResult:
     return EstimationResult(
         theta_hat=theta,
         psi_residual_norm=float(np.abs((rhs - gram @ theta) / trajset.n_users).max()),
-        blocks=EstimationBlocks(trajset, theta),
+        blocks=EstimationBlocks(trajset, theta, -gram / trajset.n_users),
     )

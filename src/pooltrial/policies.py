@@ -88,7 +88,7 @@ def _linear(states, beta1):
     return lin
 
 
-def policy_path(spec: PolicySpec, states, beta_hats, betas=None):
+def policy_path(spec: PolicySpec, states, beta_hats):
     """Action-1 probabilities at the trailing decision times of one trial.
 
     ``states`` is (..., n, m, d_S) and ``beta_hats`` holds the k stored
@@ -96,42 +96,38 @@ def policy_path(spec: PolicySpec, states, beta_hats, betas=None):
     evaluated side by side.  Column j of ``states`` is decision time
     k - m + 2 + j: the last column is time k + 1, and a full trajectory
     (m = k + 1) starts at time 1, which gets the pre-specified 0.5.  The step
-    at decision time t uses ``betas[..., t - 2, :]`` (``beta_hats`` by
-    default); a mirror-descent step starts from the chain pi_{t-1}(1, s)
-    through ``beta_hats`` at the same state s, swept over all columns at once
-    in k vectorised steps.
+    at decision time t uses ``beta_hats[..., t - 2, :]``; a mirror-descent
+    step starts from the chain pi_{t-1}(1, s) through the earlier fits at the
+    same state s, swept over all columns at once in k vectorised steps.
 
     Returns (p1, pre), both (..., n, m): the clipped probability of action 1
     and its value before the clip (0.5 where no parameter enters).
     """
     states = np.asarray(states, dtype=float)
     beta_hats = np.asarray(beta_hats, dtype=float)
-    betas = beta_hats if betas is None else np.asarray(betas, dtype=float)
     *batch, n, m, d_S = states.shape
     k = beta_hats.shape[-2]
     first = k - m + 2  # decision time of column 0
-    if first < 1 or not betas.shape == beta_hats.shape == (*batch, k, 2 * d_S):
+    if first < 1 or beta_hats.shape != (*batch, k, 2 * d_S):
         raise ConfigError(
             f"policy_path: {m} decision times of {d_S}-dim states do not fit "
-            f"beta_hats {beta_hats.shape} and betas {betas.shape}"
+            f"beta_hats {beta_hats.shape}"
         )
     pre = np.full((*batch, n, m), 0.5)
     if spec.kind == "boltzmann":
         lo = max(2 - first, 0)  # first column with a decision time >= 2
-        beta1 = betas[..., None, first + lo - 2 :, d_S:]
+        beta1 = beta_hats[..., None, first + lo - 2 :, d_S:]
         pre[..., lo:] = expit(spec.rho * _linear(states[..., lo:, :], beta1))
     elif spec.kind == "mirror_descent":
-        chain = np.full((*batch, n, m), 0.5)  # pi_{t-1}(1, s) for the columns after t
+        chain = np.full((*batch, n, m), 0.5)  # pi_{t-1}(1, s), columns of time >= t
         for t in range(2, k + 2):
-            half_eta = 0.5 * spec.eta_at(t)
             j = t - first  # the column whose decision time is t
+            lo = max(j, 0)
+            lin = _linear(states[..., lo:, :], beta_hats[..., None, None, t - 2, d_S:])
+            step = chain[..., lo:] + 0.5 * spec.eta_at(t) * lin
             if j >= 0:
-                lin = _linear(states[..., j, :], betas[..., None, t - 2, d_S:])
-                pre[..., j] = chain[..., j] + half_eta * lin
-            c = max(j + 1, 0)
-            if c < m:
-                lin = _linear(states[..., c:, :], beta_hats[..., None, None, t - 2, d_S:])
-                chain[..., c:] = clip_prob(chain[..., c:] + half_eta * lin, spec.pi_min)
+                pre[..., j] = step[..., 0]
+            chain[..., lo:] = clip_prob(step, spec.pi_min)
     return clip_prob(pre, spec.pi_min), pre
 
 

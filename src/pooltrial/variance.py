@@ -44,7 +44,7 @@ from scipy.special import ndtri
 from .core import TrajectorySet
 from .errors import SingularBreadError, SingularPolicyBreadError
 from .estimators import EstimationResult, check_conditioned
-from .policies import policy_path, prob_slope, realized_from_p1
+from .policies import policy_path, prob_slope
 
 
 # ---------------------------------------------------------------------------
@@ -70,20 +70,6 @@ def weight_products(trajset: TrajectorySet) -> np.ndarray:
         / trajset.action_probs[:, 1:, None]
     )
     return grads
-
-
-def weight_product_at(trajset: TrajectorySet, betas) -> np.ndarray:
-    """Per-user product W_{2:T}(beta_{1:T-1}, beta_hat_{1:T-1}).
-
-    ``betas`` is a (T-1, d_t) array (or sequence) of alternative policy
-    parameters; the denominator is the stored sampling probability of the
-    realised action, and a mirror-descent step stays anchored at the
-    realised previous policy.
-    """
-    policy = trajset.config.policy
-    p1, _ = policy_path(policy, trajset.states, trajset.beta_hats, betas)
-    num = realized_from_p1(p1[:, 1:], trajset.actions[:, 1:], policy.pi_min)
-    return np.prod(num / trajset.action_probs[:, 1:], axis=1)
 
 
 def confidence_interval(center: float, se: float, alpha: float):

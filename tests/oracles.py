@@ -6,7 +6,9 @@ and the adaptive sandwich with a backward recursion on corrected scores.  The
 forms here work one user, one state and one decision time at a time, fit by
 explicit design matrices, and build and invert the full stacked system: slow
 (O(D^3) for D = (T-1) d_t + d_theta), but independent of the package's
-sweeps.
+sweeps.  The exception is the policy map at alternative fits
+(``policy_path_at``, ``weight_product_at``): it calls the package's sweep once
+per decision time, with that time's stored fit replaced.
 
 Policy parameters are stacked vectors [beta0, beta1], each half of length d_S.
 """
@@ -23,11 +25,11 @@ from pooltrial.errors import (
 )
 from pooltrial.estimators import (
     COND_LIMIT,
-    jacobian_psi_theta,
+    inference_design,
     policy_design,
     psi_matrix,
-    score_jacobian,
 )
+from pooltrial.policies import policy_path, realized_from_p1
 
 
 def _beta1(beta, state):
@@ -100,6 +102,42 @@ def mirror_prob_chain(spec, beta_hats, state, upto_t):
     return p
 
 
+def policy_path_at(spec, states, beta_hats, betas):
+    """policy_path with each decision time's step taken at an alternative fit.
+
+    One ``policy_path`` call per column: the column of decision time t sees
+    the stored fits before t with the fit at t - 1 replaced by
+    ``betas[t - 2]``, so a mirror-descent step at ``betas`` starts from the
+    chain through the stored fits.  Returns (p1, pre) like ``policy_path``.
+    """
+    k = len(beta_hats)
+    n, m, _ = states.shape
+    first = k - m + 2
+    p1, pre = np.full((n, m), 0.5), np.full((n, m), 0.5)
+    for j in range(max(2 - first, 0), m):
+        t = first + j
+        fits = np.array(beta_hats[: t - 1], dtype=float)
+        fits[t - 2] = betas[t - 2]
+        p1[:, j : j + 1], pre[:, j : j + 1] = policy_path(
+            spec, states[:, j : j + 1], fits
+        )
+    return p1, pre
+
+
+def weight_product_at(trajset, betas):
+    """Per-user product W_{2:T}(beta_{1:T-1}, beta_hat_{1:T-1}).
+
+    ``betas`` is a (T-1, d_t) array (or sequence) of alternative policy
+    parameters; the denominator is the stored sampling probability of the
+    realised action, and a mirror-descent step stays anchored at the
+    realised previous policy.
+    """
+    spec = trajset.config.policy
+    p1, _ = policy_path_at(spec, trajset.states, trajset.beta_hats, betas)
+    num = realized_from_p1(p1[:, 1:], trajset.actions[:, 1:], spec.pi_min)
+    return np.prod(num / trajset.action_probs[:, 1:], axis=1)
+
+
 def path_oracle(spec, states, beta_hats, betas=None):
     """policy_path's (p1, pre) column by column: chain, then one step."""
     betas = beta_hats if betas is None else betas
@@ -165,6 +203,17 @@ def phi_matrix(trajset, t: int, beta) -> np.ndarray:
     x = policy_design(trajset)[:, :t]
     resid = trajset.rewards[:, :t] - x @ np.asarray(beta, dtype=float)
     return np.einsum("nt,ntk->nk", resid, x)
+
+
+def score_jacobian(design) -> np.ndarray:
+    """-(1/n) sum_{i,t} z z' for a (n, T, d) regressor array.
+
+    The parameter Jacobian of every linear estimating function here; symmetric
+    negative semidefinite, negative definite iff the design has full rank.
+    """
+    z = np.asarray(design, dtype=float)
+    gram = np.einsum("ntk,ntl->kl", z, z)
+    return -gram / z.shape[0]
 
 
 def jacobian_phi_beta(trajset, t: int) -> np.ndarray:
@@ -283,7 +332,7 @@ def dense_stacked_oracle(ts, est) -> DenseStacked:
             for i in range(n):
                 acc += np.outer(U[i, sl_t], G[i, sl_s])
             bread[sl_t, sl_s] = acc / n
-    bread[-d_th:, -d_th:] = jacobian_psi_theta(ts)
+    bread[-d_th:, -d_th:] = score_jacobian(inference_design(ts))
     for s in range(1, T):
         sl_s = slice((s - 1) * d_t, s * d_t)
         acc = np.zeros((d_th, d_t))

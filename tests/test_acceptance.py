@@ -39,18 +39,17 @@ from pooltrial import (
     PolicySpec,
     SeedPlan,
     TrialConfig,
-    check_equivalence,
     estimate_theta_star,
     fit_theta,
     run_grid,
     run_trial,
 )
 from pooltrial.diagnostics import BoundedFunctional, bernstein_check, clt_check
-from pooltrial.estimators import jacobian_psi_theta, psi_matrix
+from pooltrial.estimators import psi_matrix
 from pooltrial.montecarlo import ORACLE_REP_BASE, CoverageCell, run_replication
-from pooltrial.variance import weight_product_at, weight_products
+from pooltrial.variance import check_equivalence, weight_products
 
-from oracles import block_lower_triangular_inverse, phi_matrix
+from oracles import block_lower_triangular_inverse, phi_matrix, weight_product_at
 
 MASTER_SEED = 0
 REPS = 500
@@ -364,7 +363,7 @@ class TestCriterion07GradientOracles:
             est = fit_theta(ts)
             rng = np.random.default_rng(seed)
 
-            psi_dot = jacobian_psi_theta(ts)
+            psi_dot = est.blocks.psi_dot
             j = int(rng.integers(0, 3))
             tp, tm = est.theta_hat.copy(), est.theta_hat.copy()
             tp[j] += h

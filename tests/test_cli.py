@@ -1,12 +1,17 @@
 import json
 import platform
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy
 import yaml
 
+from pooltrial import TrajectorySet, fit_theta
 from pooltrial.cli import main
+from pooltrial.config import load_config
+
+from oracles import dense_stacked_oracle
 
 TINY_CONFIG = {
     "trial": {"n_users": 40, "horizon_T": 6, "state_dim": 2, "master_seed": 7},
@@ -140,17 +145,30 @@ class TestEstimate:
             "ci_adaptive",
             "policy_invariance_norms",
             "stacked_dim",
-            "equivalence_gap",
         ):
             assert key in report
+        assert "equivalence_gap" not in report
         assert len(report["theta_hat"]) == 3
         assert report["stacked_dim"] == 5 * 4 + 3
-        assert 0.0 <= report["equivalence_gap"] < 1e-10
         assert report["psi_residual_norm"] < 1e-8
+        # the adaptive covariance agrees with the brute-force stacked build
+        config, _, _ = load_config(tiny_config_file)
+        ts = TrajectorySet.load(str(sim_dir), config)
+        dense = dense_stacked_oracle(ts, fit_theta(ts)).cov
+        assert np.abs(np.array(report["adaptive_cov"]) - dense).max() < 1e-10
+
+    def test_seed_flag_rejected(self, tiny_config_file, tmp_path):
+        # estimation draws no random numbers, so it takes no seed
+        sim_dir, est_dir = tmp_path / "sim", tmp_path / "est"
+        main(["simulate", "--config", tiny_config_file, "--out", str(sim_dir)])
+        code = main(
+            ["estimate", "--in", str(sim_dir), "--out", str(est_dir), "--seed", "3"]
+        )
+        assert code == 1
+        assert not (est_dir / "estimate.json").exists()
 
     def test_estimate_matches_in_process(self, tiny_config_file, tmp_path):
-        from pooltrial import SeedPlan, fit_theta, run_trial
-        from pooltrial.config import load_config
+        from pooltrial import SeedPlan, run_trial
 
         sim_dir, est_dir = tmp_path / "sim", tmp_path / "est"
         main(["simulate", "--config", tiny_config_file, "--out", str(sim_dir)])
@@ -170,7 +188,7 @@ class TestEstimate:
         assert code == 0
         report = json.loads((est_dir / "estimate.json").read_text())
         assert report["adaptive_cov"] is None
-        assert report["equivalence_gap"] is None
+        assert "equivalence_gap" not in report
         assert report["alpha"] == 0.1
 
     def test_missing_manifest_exits_1(self, tmp_path):
@@ -197,8 +215,6 @@ class TestMc:
         assert manifest["grid"]["n_users"] == [40]
 
     def test_preset_resolves(self):
-        from pooltrial.config import load_config
-
         config, grid, _ = load_config("paper_table1")
         assert config.horizon_T == 50
         assert grid == {
@@ -249,6 +265,28 @@ class TestCheck:
     def test_bernstein_suite_small(self, tmp_path):
         code = main(["check", "--suite", "bernstein", "--reps", "50"])
         assert code == 0
+
+    def test_oracle_n_reaches_bernstein(self, monkeypatch, tmp_path):
+        import pooltrial.diagnostics as diag
+
+        seen = []
+
+        def fake_check(config, f_spec, reps, oracle_n=100_000):
+            seen.append(oracle_n)
+            zeros = np.zeros(1)
+            return SimpleNamespace(
+                x_grid=zeros, empirical_tail=zeros, bound=zeros, n_violations=0
+            )
+
+        monkeypatch.setattr(diag, "bernstein_check", fake_check)
+        out = tmp_path / "chk"
+        code = main(
+            ["check", "--suite", "bernstein", "--oracle-n", "20000", "--out", str(out)]
+        )
+        assert code == 0
+        assert seen == [20000]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["oracle_n"] == 20000
 
     def test_failure_exits_3(self, monkeypatch, tmp_path):
         import pooltrial.diagnostics as diag

@@ -4,13 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pooltrial import EnvConfig, PolicySpec, SeedPlan, TrialConfig, fit_theta, run_trial
+from pooltrial.core import TrajectorySet
 from pooltrial.errors import DegenerateDesignError
 from pooltrial.estimators import (
     check_conditioned,
     inference_design,
-    jacobian_psi_theta,
     psi_matrix,
-    score_jacobian,
     solve_or_nan,
 )
 from pooltrial.variance import sandwich
@@ -195,14 +194,24 @@ class TestFitTheta:
 
 class TestJacobians:
     def test_hand_outer_product(self):
-        # single observation with regressor [1, 0, 1]
-        got = score_jacobian(np.array([[[1.0, 0.0, 1.0]]]))
-        expected = -np.array([[1, 0, 1], [0, 0, 0], [1, 0, 1]], dtype=float)
+        # two users, two times, regressors [1, A]: [1, 1], [1, 0] and [1, 0], [1, 1]
+        ts = TrajectorySet(
+            states=np.ones((2, 2, 1)),
+            actions=np.array([[1, 0], [0, 1]], dtype=np.int8),
+            rewards=np.array([[0.8, -0.2], [1.5, 0.4]]),
+            action_probs=np.full((2, 2), 0.5),
+            beta_hats=np.zeros((1, 2)),
+            config=TrialConfig(
+                n_users=2, horizon_T=2, state_dim=1, policy=PolicySpec()
+            ),
+        )
+        got = fit_theta(ts).blocks.psi_dot
+        expected = -np.array([[4, 2], [2, 2]], dtype=float) / 2
         assert np.array_equal(got, expected)
 
     def test_psi_jacobian_finite_difference(self, small_trajset):
         est = fit_theta(small_trajset)
-        jac = jacobian_psi_theta(small_trajset)
+        jac = est.blocks.psi_dot
         h = 1e-6
         theta = est.theta_hat
         for j in range(3):
@@ -216,13 +225,14 @@ class TestJacobians:
             assert np.allclose(col, jac[:, j], atol=1e-6)
 
     def test_negative_definite_full_rank(self, small_trajset):
-        jac = jacobian_psi_theta(small_trajset)
+        jac = fit_theta(small_trajset).blocks.psi_dot
         assert np.allclose(jac, jac.T)
         assert np.linalg.eigvalsh(jac).max() < 0
 
     def test_parameter_free(self, small_trajset, rng):
         # the Jacobian of the linear score cannot depend on theta
         h = 1e-4
+        jac = fit_theta(small_trajset).blocks.psi_dot
         for theta in [rng.normal(size=3), 10 * rng.normal(size=3)]:
             fd = np.empty((3, 3))
             for j in range(3):
@@ -233,7 +243,7 @@ class TestJacobians:
                     psi_matrix(small_trajset, tp).mean(axis=0)
                     - psi_matrix(small_trajset, tm).mean(axis=0)
                 ) / (2 * h)
-            assert np.allclose(fd, jacobian_psi_theta(small_trajset), atol=1e-5)
+            assert np.allclose(fd, jac, atol=1e-5)
 
     def test_phi_jacobian_finite_difference(self, small_trajset):
         t = 4

@@ -16,6 +16,7 @@ from oracles import (
     lipschitz_bound,
     mirror_prob_chain,
     path_oracle,
+    policy_path_at,
     prob_action1,
     prob_grad,
     prob_realized,
@@ -260,30 +261,37 @@ class TestPolicyPath:
     def test_full_path_matches_oracle(self, name, seed, d_S):
         spec = PATH_SPECS[name]
         _, states, beta_hats, betas = random_path_inputs(seed, d_S)
-        for alt in (None, betas):
-            p1, pre = policy_path(spec, states, beta_hats, alt)
+        # the alternative-fit case: one policy_path call per decision time
+        for got, alt in (
+            (policy_path(spec, states, beta_hats), None),
+            (policy_path_at(spec, states, beta_hats, betas), betas),
+        ):
             want_p1, want_pre = path_oracle(spec, states, beta_hats, alt)
-            np.testing.assert_allclose(p1, want_p1, **ORACLE_TOL)
-            np.testing.assert_allclose(pre, want_pre, **ORACLE_TOL)
+            np.testing.assert_allclose(got[0], want_p1, **ORACLE_TOL)
+            np.testing.assert_allclose(got[1], want_pre, **ORACLE_TOL)
 
     @pytest.mark.parametrize("name", sorted(PATH_SPECS))
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_trailing_columns_match_full_path(self, name, seed):
         spec = PATH_SPECS[name]
-        rng, states, beta_hats, betas = random_path_inputs(seed)
-        full, full_pre = policy_path(spec, states, beta_hats, betas)
+        rng, states, beta_hats, _ = random_path_inputs(seed)
+        full, full_pre = policy_path(spec, states, beta_hats)
         k = len(beta_hats)
         # the single new column the simulator evaluates at decision time k + 1
-        p1, pre = policy_path(spec, states[:, -1:], beta_hats, betas)
+        p1, pre = policy_path(spec, states[:, -1:], beta_hats)
         assert np.array_equal(p1, full[:, -1:])
         assert np.array_equal(pre, full_pre[:, -1:])
         # any trailing block of m columns, and an earlier time by truncating
         m = int(rng.integers(1, k + 2))
-        p1, _ = policy_path(spec, states[:, k + 1 - m :], beta_hats, betas)
+        p1, _ = policy_path(spec, states[:, k + 1 - m :], beta_hats)
         assert np.array_equal(p1, full[:, k + 1 - m :])
-        p1, _ = policy_path(spec, states[:, -2:-1], beta_hats[:-1], betas[:-1])
+        p1, _ = policy_path(spec, states[:, -2:-1], beta_hats[:-1])
         assert np.array_equal(p1, full[:, -2:-1])
+        # one call per decision time, each with its own fit, is the full path
+        p1, pre = policy_path_at(spec, states, beta_hats, beta_hats)
+        assert np.array_equal(p1, full)
+        assert np.array_equal(pre, full_pre)
 
     @pytest.mark.parametrize("name", sorted(PATH_SPECS))
     @given(seed=st.integers(0, 2**32 - 1))
@@ -313,9 +321,9 @@ class TestPolicyPath:
     def test_batch_axes_match_single_trials(self, name, seed, d_S):
         # the simulator evaluates R trials at once along leading axes
         spec = PATH_SPECS[name]
-        rng, states, beta_hats, betas = random_path_inputs(seed, d_S)
+        rng, states, beta_hats, _ = random_path_inputs(seed, d_S)
         scale = rng.uniform(0.5, 2.0, size=(2, 3, 1, 1, 1))
-        batch = [states * scale, beta_hats * scale[..., 0], betas * scale[..., 0]]
+        batch = [states * scale, beta_hats * scale[..., 0]]
         p1, pre = policy_path(spec, *batch)
         m = int(rng.integers(1, len(beta_hats) + 2))
         tail, _ = policy_path(spec, batch[0][..., -m:, :], *batch[1:])
@@ -329,8 +337,8 @@ class TestPolicyPath:
         states = np.ones((2, 4, 2))
         with pytest.raises(ConfigError):
             policy_path(BOLTZ, states, np.zeros((2, 4)))  # 4 columns need 3 fits
-        with pytest.raises(ConfigError):
-            policy_path(BOLTZ, states, np.zeros((3, 4)), np.zeros((2, 4)))
+        with pytest.raises(ConfigError):  # a batch axis the states lack
+            policy_path(BOLTZ, states, np.zeros((2, 3, 4)))
         with pytest.raises(ConfigError):
             policy_path(BOLTZ, states, np.zeros((3, 2)))
         with pytest.raises(ConfigError):  # batch axes that differ

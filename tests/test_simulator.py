@@ -15,9 +15,8 @@ from pooltrial.errors import ConfigError, DegenerateDesignError, NumericalError
 from pooltrial.estimators import psi_matrix
 from pooltrial.policies import policy_path
 from pooltrial.simulator import replay_action_probs, run_trials
-from pooltrial.variance import weight_product_at
 
-from oracles import fit_policy_params, sample_action
+from oracles import fit_policy_params, sample_action, weight_product_at
 
 FIELDS = ("states", "actions", "rewards", "action_probs", "beta_hats")
 KINDS = {

@@ -7,7 +7,6 @@ from pooltrial import (
     SeedPlan,
     TrialConfig,
     adaptive_sandwich,
-    check_equivalence,
     confidence_interval,
     fit_theta,
     run_trial,
@@ -17,10 +16,16 @@ from pooltrial import (
 )
 from pooltrial.core import TrajectorySet
 from pooltrial.errors import SingularBreadError, SingularPolicyBreadError
-from pooltrial.policies import policy_path, realized_from_p1
-from pooltrial.variance import sandwich_covariance, weight_product_at
+from pooltrial.policies import realized_from_p1
+from pooltrial.variance import check_equivalence, sandwich_covariance
 
-from oracles import block_lower_triangular_inverse, dense_stacked_oracle, prob_realized
+from oracles import (
+    block_lower_triangular_inverse,
+    dense_stacked_oracle,
+    policy_path_at,
+    prob_realized,
+    weight_product_at,
+)
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +89,7 @@ class TestWeights:
         pmin = small_trajset.config.policy.pi_min
         lo, hi = pmin / (1 - pmin), (1 - pmin) / pmin
         betas = small_trajset.beta_hats + rng.normal(size=small_trajset.beta_hats.shape)
-        p1, _ = policy_path(
+        p1, _ = policy_path_at(
             small_trajset.config.policy,
             small_trajset.states,
             small_trajset.beta_hats,
