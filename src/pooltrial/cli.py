@@ -9,7 +9,6 @@ configuration and master seed, sufficient to re-run the job byte-identically.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import os
@@ -20,8 +19,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .config import config_to_raw, load_config
-from .core import SeedPlan, TrajectorySet, TrialConfig
+from .config import config_to_raw, load_config, manifest_config
+from .core import SeedPlan, TrajectorySet
 from .errors import DiagnosticFailure, PoolTrialError
 from .estimators import fit_theta
 from .montecarlo import emit_table, run_grid
@@ -64,19 +63,10 @@ def _write_manifest(out_dir: str, payload: dict) -> None:
 
 
 def _resolved_config(args):
-    """(config, grid) of ``--config`` with ``--seed`` applied.
-
-    Without a grid section the grid is the config's own (kappa1, rho, n).
-    """
+    """(config, grid) of ``--config`` with ``--seed`` applied."""
     config, grid, _ = load_config(args.config)
     if args.seed is not None:
         config = config.replace(master_seed=args.seed)
-    if grid is None:
-        grid = {
-            "kappa1": [config.env.kappa1],
-            "rho": [config.policy.rho],
-            "n_users": [config.n_users],
-        }
     return config, grid
 
 
@@ -99,19 +89,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    manifest_path = os.path.join(args.input, "manifest.json")
     if args.config is not None:
         config, _, _ = load_config(args.config)
-    elif os.path.exists(manifest_path):
-        from .config import parse_config
-
-        with open(manifest_path) as f:
-            manifest = json.load(f)
-        config, _ = parse_config(manifest["config"])
     else:
-        raise PoolTrialError(
-            f"no --config given and no manifest.json in {args.input}"
-        )
+        config = manifest_config(args.input)
     trajset = TrajectorySet.load(args.input, config)
     est = fit_theta(trajset)
     report = variance_report(trajset, est, alpha=args.alpha, which=args.variance)
@@ -159,9 +140,7 @@ def cmd_mc(args) -> int:
 
     cells = run_grid(
         config,
-        grid["kappa1"],
-        grid["rho"],
-        grid["n_users"],
+        grid,
         reps=args.reps,
         oracle_n=args.oracle_n,
         alpha=args.alpha,
@@ -187,103 +166,19 @@ def cmd_mc(args) -> int:
     return 0
 
 
-def _default_check_config(seed: int) -> TrialConfig:
-    from .core import EnvConfig
-    from .policies import PolicySpec
-
-    return TrialConfig(
-        n_users=100,
-        horizon_T=5,
-        policy=PolicySpec(kind="boltzmann", rho=1.0, pi_min=0.1),
-        env=EnvConfig(kappa1=1.0),
-        master_seed=seed,
-    )
-
-
 def cmd_check(args) -> int:
-    from .diagnostics import (
-        BoundedFunctional,
-        bernstein_check,
-        clt_check,
-        invariance_scan,
-    )
+    # imported here: diagnostics loads scipy.stats, which the other
+    # subcommands do not need
+    from .diagnostics import SUITES, run_suite
 
     failures = []
     results = {}
-    suites = (
-        ["bernstein", "clt", "invariance"] if args.suite == "all" else [args.suite]
-    )
-
-    if "bernstein" in suites:
-        config = _default_check_config(args.seed)
-        report = bernstein_check(
-            config,
-            BoundedFunctional("clipped_reward", -3.0, 3.0),
-            reps=args.reps,
-            oracle_n=args.oracle_n,
-        )
-        results["bernstein"] = {
-            "x_grid": report.x_grid.tolist(),
-            "empirical_tail": report.empirical_tail.tolist(),
-            "bound": report.bound.tolist(),
-            "violations": int(report.n_violations),
-        }
-        log.info("bernstein: %d violations", report.n_violations)
-        if report.n_violations > 0:
-            failures.append("bernstein")
-
-    if "clt" in suites:
-        from .diagnostics import averaged_theta_star
-
-        config = _default_check_config(args.seed).replace(
-            n_users=500, horizon_T=50
-        )
-        theta_star = averaged_theta_star(config, args.oracle_n, 4)
-        report = clt_check(config, reps=args.reps, theta_star=theta_star)
-        results["clt"] = {
-            "reps": report.reps,
-            "z_mean": report.z_mean,
-            "z_variance": report.z_variance,
-            "ks_stat": report.ks_stat,
-            "ks_threshold": report.ks_threshold,
-            "passed": report.passed,
-        }
-        log.info(
-            "clt: KS %.4f vs threshold %.4f (%s)",
-            report.ks_stat,
-            report.ks_threshold,
-            "pass" if report.passed else "FAIL",
-        )
-        if not report.passed:
-            failures.append("clt")
-
-    if "invariance" in suites:
-        base = _default_check_config(args.seed).replace(n_users=100, horizon_T=10)
-        steep = base.replace(
-            policy=dataclasses.replace(base.policy, rho=5.0)
-        )
-        shallow = base.replace(
-            policy=dataclasses.replace(base.policy, rho=0.5)
-        )
-        flat = base.replace(
-            policy=dataclasses.replace(base.policy, kind="constant_uniform")
-        )
-        profiles = invariance_scan(
-            [("rho=5", steep), ("rho=0.5", shallow), ("constant_uniform", flat)],
-            reps=min(args.reps, 200),
-        )
-        dominated = bool(np.all(profiles["rho=5"] > profiles["rho=0.5"]))
-        flat_zero = bool(np.all(profiles["constant_uniform"] == 0.0))
-        results["invariance"] = {
-            label: prof.tolist() for label, prof in profiles.items()
-        }
-        results["invariance"]["rho5_dominates"] = dominated
-        results["invariance"]["constant_uniform_zero"] = flat_zero
-        log.info(
-            "invariance: dominance=%s constant-zero=%s", dominated, flat_zero
-        )
-        if not (dominated and flat_zero):
-            failures.append("invariance")
+    for name in SUITES if args.suite == "all" else [args.suite]:
+        results[name], passed = run_suite(name, args.seed, args.reps, args.oracle_n)
+        scalars = {k: v for k, v in results[name].items() if not isinstance(v, list)}
+        log.info("%s: %s %s", name, "pass" if passed else "FAIL", scalars)
+        if not passed:
+            failures.append(name)
 
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -324,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--alpha", type=_ALPHA, default=0.05)
     p_est.add_argument(
         "--variance",
-        choices=["sandwich", "adaptive", "both"],
+        choices=["sandwich", "both"],
         default="both",
     )
     p_est.set_defaults(func=cmd_estimate)

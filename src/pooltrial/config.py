@@ -18,9 +18,9 @@ Schema (all sections optional, defaults shown):
       kappa2: 0.0
       gamma: 0.95
       error_corr_base: 0.5
-    grid:                      # only consumed by the mc subcommand
-      kappa1: [1.0, 5.0]
-      rho: [0.5, 1.0, 5.0]
+    grid:                      # only consumed by the mc subcommand; an
+      kappa1: [1.0, 5.0]       # axis left out (or the whole section) is
+      rho: [0.5, 1.0, 5.0]     # the config's own value
       n_users: [50, 100, 500]
 
 ``load_config`` also resolves bundled preset names (currently
@@ -29,6 +29,7 @@ Schema (all sections optional, defaults shown):
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import fields
 from importlib import resources
@@ -71,7 +72,9 @@ def _integer(value, name: str) -> int:
 
 
 def _grid_axis(grid: dict, key: str, default, convert) -> list:
-    values = grid.get(key, [default])
+    if key not in grid:
+        return [default]  # checked by the config it came from
+    values = grid[key]
     if not isinstance(values, list):
         raise ConfigError(f"grid {key} must be a list, got {values!r}")
     return [convert(v, f"grid {key}") for v in values]
@@ -87,7 +90,7 @@ def resolve_config_path(path_or_preset: str) -> str:
 
 
 def parse_config(raw: dict):
-    """Build (TrialConfig, grid-or-None) from a parsed YAML mapping."""
+    """Build (TrialConfig, grid) from a parsed YAML mapping."""
     _mapping(raw, {"trial", "policy", "env", "grid"}, "root")
     trial = _mapping(raw.get("trial") or {}, set(_TRIAL_DEFAULTS), "trial")
     policy = _mapping(raw.get("policy") or {}, _field_names(PolicySpec), "policy")
@@ -104,14 +107,13 @@ def parse_config(raw: dict):
     except TypeError as err:
         raise ConfigError(str(err)) from err
 
-    grid = None
-    if raw.get("grid") is not None:
-        grid = _mapping(raw["grid"], _GRID_KEYS, "grid")
-        grid = {
-            "kappa1": _grid_axis(grid, "kappa1", config.env.kappa1, real_number),
-            "rho": _grid_axis(grid, "rho", config.policy.rho, real_number),
-            "n_users": _grid_axis(grid, "n_users", config.n_users, _integer),
-        }
+    grid = raw.get("grid")
+    grid = _mapping({} if grid is None else grid, _GRID_KEYS, "grid")
+    grid = {
+        "kappa1": _grid_axis(grid, "kappa1", config.env.kappa1, real_number),
+        "rho": _grid_axis(grid, "rho", config.policy.rho, real_number),
+        "n_users": _grid_axis(grid, "n_users", config.n_users, _integer),
+    }
     return config, grid
 
 
@@ -127,6 +129,20 @@ def load_config(path_or_preset: str):
         raise ConfigError(f"malformed config {path}: {err}") from err
     config, grid = parse_config(raw)
     return config, grid, raw
+
+
+def manifest_config(directory: str) -> TrialConfig:
+    """The config recorded in ``directory``'s manifest.json."""
+    path = os.path.join(directory, "manifest.json")
+    try:
+        with open(path) as f:
+            manifest = json.load(f)
+    except (OSError, ValueError) as err:  # ValueError: not JSON, or not UTF-8
+        raise ConfigError(f"cannot read manifest {path}: {err}") from err
+    if not isinstance(manifest, dict) or "config" not in manifest:
+        raise ConfigError(f"manifest {path} records no config")
+    config, _ = parse_config(manifest["config"])
+    return config
 
 
 def config_to_raw(config: TrialConfig) -> dict:

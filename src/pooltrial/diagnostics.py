@@ -9,20 +9,26 @@ Three suites:
   treatment-effect estimates.
 * ``invariance`` -- per-time Frobenius norms of the V_hat sensitivity blocks
   across policy steepness settings (zero for parameter-free policies).
+
+``run_suite`` runs one of them on its fixed design and gives its verdict.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.stats import kstest
 
-from .core import SeedPlan, TrialConfig
+from .core import EnvConfig, SeedPlan, TrialConfig
 from .errors import ConfigError, NumericalError
-from .montecarlo import ORACLE_REP_BASE, rep_batches, replicate
+from .montecarlo import ORACLE_REP_BASE, estimate_theta_star, rep_batches, replicate
+from .policies import PolicySpec
 from .simulator import run_trial, run_trials
+
+SUITES = ("bernstein", "clt", "invariance")
 
 # KS critical value c(alpha) with D_n <= c / sqrt(reps), alpha = 0.01
 KS_CRIT_1PCT = 1.63
@@ -72,18 +78,17 @@ def inverse_prob_products(trajset) -> np.ndarray:
 
 
 def _target_policy_oracle(config: TrialConfig, oracle_n: int):
-    """(beta_star, frozen): the policy fits of an adaptive n = oracle_n run,
-    and a second run with its policies frozen at them (the target policies)."""
+    """An n = oracle_n run under the target policies: its policies are frozen
+    at the fits of an adaptive n = oracle_n run (its ``beta_hats``)."""
     oracle_config = config.replace(n_users=oracle_n)
     beta_star = run_trial(
         oracle_config, SeedPlan(config.master_seed, ORACLE_REP_BASE)
     ).beta_hats
-    frozen = run_trial(
+    return run_trial(
         oracle_config,
         SeedPlan(config.master_seed, ORACLE_REP_BASE + 1),
         frozen_betas=beta_star,
     )
-    return beta_star, frozen
 
 
 @dataclass
@@ -107,20 +112,20 @@ def bernstein_check(
     config: TrialConfig,
     f_spec: BoundedFunctional,
     reps: int,
-    x_grid: Optional[Sequence[float]] = None,
     oracle_n: int = 100_000,
 ) -> BernsteinReport:
     """Compare weighted-process tail frequencies to the exponential bound.
 
     The centering constant E[rho_hat f] and the variance proxy
     E*[rho* f^2] are estimated from a large-n run under the target policies
-    (the adaptive oracle run supplies the frozen policy parameters).
+    (the adaptive oracle run supplies the frozen policy parameters).  The
+    tail is read at sqrt(variance proxy) times 0.25, 0.5, 1, 2, 4, 8, 16, 64.
     """
     pi_min = config.policy.pi_min
     T = config.horizon_T
     sup = f_spec.sup_norm
 
-    _, frozen = _target_policy_oracle(config, oracle_n)
+    frozen = _target_policy_oracle(config, oracle_n)
     rho_star = inverse_prob_products(frozen)
     f_star = f_spec.evaluate(frozen)
     centering = float(np.mean(rho_star * f_star))
@@ -137,10 +142,8 @@ def bernstein_check(
             f_vals = f_spec.evaluate(ts)
             stats[r] = np.sqrt(n) * (np.mean(rho_hat * f_vals) - centering)
 
-    if x_grid is None:
-        base = np.sqrt(max(variance_proxy, 1e-12))
-        x_grid = base * np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 64.0])
-    x_grid = np.asarray(x_grid, dtype=float)
+    base = np.sqrt(max(variance_proxy, 1e-12))
+    x_grid = base * np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 64.0])
 
     emp = np.array([np.mean(np.abs(stats) >= x) for x in x_grid])
     rate = pi_min ** (T - 1) / 4.0
@@ -176,8 +179,6 @@ def averaged_theta_star(
     standardised replication coherently; averaging independent runs shrinks
     that common shift by 1/sqrt(n_oracles).
     """
-    from .montecarlo import estimate_theta_star
-
     estimates = [
         estimate_theta_star(
             config, oracle_n, SeedPlan(config.master_seed, ORACLE_REP_BASE + k)
@@ -189,35 +190,35 @@ def averaged_theta_star(
 
 @dataclass
 class CltReport:
+    """The statistics are None when fewer than two replications completed."""
+
     reps: int
-    z_mean: float
-    z_variance: float
-    ks_stat: float
-    ks_threshold: float
+    z_mean: Optional[float]
+    z_variance: Optional[float]
+    ks_stat: Optional[float]
+    ks_threshold: Optional[float]
     passed: bool
     insufficient_sample: bool
     z_values: np.ndarray
 
 
-def clt_check(
-    config: TrialConfig, reps: int, theta_star, alpha: float = 0.05
-) -> CltReport:
+def clt_check(config: TrialConfig, reps: int, theta_star) -> CltReport:
     """Standardise theta_hat_1 by its adaptive SE across replications and
     test the empirical distribution against standard normal (KS, 1% level)."""
     theta_star_1 = float(np.asarray(theta_star)[-1])
     coord = config.theta_dim - 1
     zs = np.asarray([
         (rep.theta_hat[coord] - theta_star_1) / rep.se_adaptive[coord]
-        for rep in replicate(config, reps, alpha)
+        for rep in replicate(config, reps)
         if rep is not None
     ])
     if zs.size < 2:
         return CltReport(
             reps=int(zs.size),
-            z_mean=float("nan"),
-            z_variance=float("nan"),
-            ks_stat=float("nan"),
-            ks_threshold=float("nan"),
+            z_mean=None,
+            z_variance=None,
+            ks_stat=None,
+            ks_threshold=None,
             passed=False,
             insufficient_sample=True,
             z_values=zs,
@@ -250,3 +251,51 @@ def invariance_scan(
                 count += 1
         out[label] = total / max(count, 1)
     return out
+
+
+def run_suite(name: str, seed: int, reps: int, oracle_n: int) -> tuple[dict, bool]:
+    """Run one of ``SUITES`` on its fixed design: (its ``check.json`` entry,
+    whether it passed).  ``oracle_n`` sizes every large-n oracle run."""
+    base = TrialConfig(
+        n_users=100,
+        horizon_T=5,
+        policy=PolicySpec(kind="boltzmann", rho=1.0, pi_min=0.1),
+        env=EnvConfig(kappa1=1.0),
+        master_seed=seed,
+    )
+    if name == "bernstein":
+        report = bernstein_check(
+            base, BoundedFunctional("clipped_reward", -3.0, 3.0), reps, oracle_n=oracle_n
+        )
+        entry = {
+            "x_grid": report.x_grid.tolist(),
+            "empirical_tail": report.empirical_tail.tolist(),
+            "bound": report.bound.tolist(),
+            "violations": int(report.n_violations),
+        }
+        return entry, report.n_violations == 0
+    if name == "clt":
+        config = base.replace(n_users=500, horizon_T=50)
+        report = clt_check(config, reps, averaged_theta_star(config, oracle_n, 4))
+        keys = ("reps", "z_mean", "z_variance", "ks_stat", "ks_threshold", "passed")
+        return {key: getattr(report, key) for key in keys}, report.passed
+    if name == "invariance":
+        # the sensitivity norms grow with the softmax steepness and vanish
+        # for a policy with no parameters
+        design = base.replace(horizon_T=10)
+        variants = {
+            "rho=5": {"rho": 5.0},
+            "rho=0.5": {"rho": 0.5},
+            "constant_uniform": {"kind": "constant_uniform"},
+        }
+        labeled = [
+            (label, design.replace(policy=dataclasses.replace(design.policy, **change)))
+            for label, change in variants.items()
+        ]
+        profiles = invariance_scan(labeled, reps=min(reps, 200))
+        dominated = bool(np.all(profiles["rho=5"] > profiles["rho=0.5"]))
+        flat_zero = bool(np.all(profiles["constant_uniform"] == 0.0))
+        entry = {label: profile.tolist() for label, profile in profiles.items()}
+        entry.update(rho5_dominates=dominated, constant_uniform_zero=flat_zero)
+        return entry, dominated and flat_zero
+    raise ConfigError(f"unknown suite {name!r}; expected one of {SUITES}")

@@ -88,18 +88,6 @@ def replicate(
     return [report for batch in batches for report in batch]
 
 
-def _theta_star_key(config: TrialConfig, oracle_n: int, plan: SeedPlan):
-    return (
-        config.env,
-        config.policy,
-        config.horizon_T,
-        config.state_dim,
-        oracle_n,
-        plan.master_seed,
-        plan.rep_index,
-    )
-
-
 def estimate_theta_star(
     config: TrialConfig, oracle_n: int, plan: SeedPlan
 ) -> np.ndarray:
@@ -109,11 +97,10 @@ def estimate_theta_star(
     for theta*; two oracle runs with different plans agreeing within combined
     standard errors is the guard against oracle noise.
     """
-    key = _theta_star_key(config, oracle_n, plan)
+    oracle_config = config.replace(n_users=oracle_n)
+    key = (oracle_config, plan)
     if key not in _theta_star_cache:
-        oracle_config = config.replace(n_users=oracle_n)
-        trajset = run_trial(oracle_config, plan)
-        _theta_star_cache[key] = fit_theta(trajset).theta_hat
+        _theta_star_cache[key] = fit_theta(run_trial(oracle_config, plan)).theta_hat
     return _theta_star_cache[key]
 
 
@@ -195,27 +182,26 @@ def run_cell(
 
 def run_grid(
     base_config: TrialConfig,
-    kappa1s,
-    rhos,
-    ns,
+    grid: dict,
     reps: int,
     oracle_n: int,
     alpha: float = 0.05,
     jobs: int = 1,
     progress=None,
 ) -> list[CoverageCell]:
-    """Run every (kappa1, rho, n) cell of the grid; oracle runs are shared
-    across sample sizes within a (kappa1, rho) family."""
+    """Run every (kappa1, rho, n) cell of ``grid`` (lists under "kappa1",
+    "rho" and "n_users"); oracle runs are shared across sample sizes within
+    a (kappa1, rho) family."""
     cells = []
-    for kappa1 in kappa1s:
-        for rho in rhos:
+    for kappa1 in grid["kappa1"]:
+        for rho in grid["rho"]:
             family = base_config.replace(
                 env=dataclasses.replace(base_config.env, kappa1=float(kappa1)),
                 policy=dataclasses.replace(base_config.policy, rho=float(rho)),
             )
             oracle_plan = SeedPlan(base_config.master_seed, ORACLE_REP_BASE)
             theta_star = estimate_theta_star(family, oracle_n, oracle_plan)
-            for n in ns:
+            for n in grid["n_users"]:
                 cell_config = family.replace(n_users=int(n))
                 cell = run_cell(cell_config, reps, theta_star, alpha, jobs)
                 cells.append(cell)

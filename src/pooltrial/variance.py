@@ -267,15 +267,16 @@ def variance_report(
     alpha: float = 0.05,
     which: str = "both",
 ) -> VarianceReport:
-    """Compute the requested variance estimators and per-coordinate CIs."""
-    if which not in ("sandwich", "adaptive", "both"):
+    """The sandwich, and under ``which="both"`` the adaptive sandwich, with
+    per-coordinate CIs."""
+    if which not in ("sandwich", "both"):
         raise ValueError(f"unknown variance selection {which!r}")
     d_theta = trajset.config.theta_dim
     stacked_dim = (trajset.horizon_T - 1) * trajset.config.policy_dim + d_theta
 
     covs = {"sandwich": sandwich(trajset, est)}
     norms = None
-    if which != "sandwich":
+    if which == "both":
         result = adaptive_sandwich(trajset, est)
         covs["adaptive"] = result.cov
         norms = result.invariance_norms

@@ -116,9 +116,7 @@ def base_config(n=500, policy_kind="boltzmann", rho=5.0, kappa1=5.0):
 def grid_cells():
     cells = run_grid(
         base_config(),
-        KAPPA1S,
-        RHOS,
-        NS,
+        {"kappa1": KAPPA1S, "rho": RHOS, "n_users": NS},
         reps=REPS,
         oracle_n=ORACLE_N,
         alpha=ALPHA,

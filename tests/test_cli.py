@@ -1,5 +1,9 @@
 import json
+import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +13,7 @@ import yaml
 
 from pooltrial import TrajectorySet, fit_theta
 from pooltrial.cli import main
-from pooltrial.config import load_config
+from pooltrial.config import load_config, parse_config
 
 from oracles import dense_stacked_oracle
 
@@ -195,6 +199,18 @@ class TestEstimate:
         code = main(["estimate", "--in", str(tmp_path), "--out", str(tmp_path / "e")])
         assert code == 1
 
+    def test_adaptive_only_rejected(self, tiny_config_file, tmp_path, capsys):
+        # the sandwich is always computed, so "both" is the adaptive choice
+        sim_dir, est_dir = tmp_path / "sim", tmp_path / "est"
+        main(["simulate", "--config", tiny_config_file, "--out", str(sim_dir)])
+        code = main(
+            ["estimate", "--in", str(sim_dir), "--out", str(est_dir),
+             "--variance", "adaptive"]
+        )
+        assert code == 1
+        assert "argument --variance: invalid choice" in capsys.readouterr().err
+        assert not est_dir.exists()
+
 
 class TestMc:
     def test_tiny_grid(self, tmp_path):
@@ -213,6 +229,13 @@ class TestMc:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["reps"] == 8
         assert manifest["grid"]["n_users"] == [40]
+
+    def test_grid_defaults_to_the_config_point(self):
+        raw = {"trial": {"n_users": 60}, "policy": {"rho": 2.0}, "env": {"kappa1": 3.0}}
+        _, grid = parse_config(raw)
+        assert grid == {"kappa1": [3.0], "rho": [2.0], "n_users": [60]}
+        _, grid = parse_config({**raw, "grid": {"n_users": [50, 100]}})
+        assert grid == {"kappa1": [3.0], "rho": [2.0], "n_users": [50, 100]}
 
     def test_preset_resolves(self):
         config, grid, _ = load_config("paper_table1")
@@ -303,6 +326,55 @@ class TestCheck:
         code = main(["check", "--suite", "invariance", "--reps", "5"])
         assert code == 3
 
+    def test_every_suite_is_a_choice(self, monkeypatch):
+        import pooltrial.diagnostics as diag
+
+        ran = []
+
+        def fake_suite(name, seed, reps, oracle_n):
+            ran.append(name)
+            return {}, True
+
+        monkeypatch.setattr(diag, "run_suite", fake_suite)
+        assert main(["check"]) == 0
+        for name in diag.SUITES:
+            assert main(["check", "--suite", name]) == 0
+        assert ran == [*diag.SUITES, *diag.SUITES]
+
+    def test_insufficient_clt_sample_is_strict_json(self, tmp_path):
+        # one replication leaves the normality statistics undefined
+        out = tmp_path / "chk"
+        code = main(
+            ["check", "--suite", "clt", "--reps", "1", "--oracle-n", "2000",
+             "--out", str(out)]
+        )
+        assert code == 3
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        report = json.loads((out / "check.json").read_text(), parse_constant=reject)
+        assert report["clt"]["passed"] is False
+        assert report["clt"]["ks_stat"] is None
+
+
+def test_cli_import_leaves_out_diagnostics():
+    # every CLI start pays for this import; scipy.stats alone would about
+    # double its time and memory, so only `check` loads the suites
+    code = (
+        "import sys, pooltrial.cli; "
+        "print([m for m in ('scipy.stats', 'pooltrial.diagnostics') if m in sys.modules])"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"
+
 
 class TestEstimateRejectsBadInput:
     @pytest.fixture()
@@ -317,6 +389,19 @@ class TestEstimateRejectsBadInput:
         path.write_text("".join(lines[:-3]))
         code = main(["estimate", "--in", str(sim_dir), "--out", str(tmp_path / "e")])
         assert code == 1
+        assert not (tmp_path / "e" / "estimate.json").exists()
+
+    @pytest.mark.parametrize(
+        "manifest",
+        ['{"config": ', json.dumps({"command": "check", "suite": "all", "reps": 40})],
+        ids=["malformed", "no_config"],
+    )
+    def test_bad_manifest_exits_1(self, manifest, sim_dir, tmp_path, capsys):
+        (sim_dir / "manifest.json").write_text(manifest)
+        code = main(["estimate", "--in", str(sim_dir), "--out", str(tmp_path / "e")])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
         assert not (tmp_path / "e" / "estimate.json").exists()
 
     def test_tampered_action_prob_exits_1(self, sim_dir, tmp_path):

@@ -1,14 +1,18 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from pooltrial import EnvConfig, PolicySpec, SeedPlan, TrialConfig, estimate_theta_star
+from pooltrial import diagnostics
 from pooltrial.diagnostics import (
     BoundedFunctional,
+    CltReport,
     bernstein_check,
     clt_check,
     invariance_scan,
+    run_suite,
 )
 from pooltrial import montecarlo
 from pooltrial.errors import ConfigError, DegenerateDesignError
@@ -44,13 +48,12 @@ class TestBoundedFunctional:
 class TestBernstein:
     def test_zero_functional(self, tiny_config):
         report = bernstein_check(
-            tiny_config,
-            BoundedFunctional("zero"),
-            reps=60,
-            x_grid=[0.5, 1.0, 4.0],
-            oracle_n=5_000,
+            tiny_config, BoundedFunctional("zero"), reps=60, oracle_n=5_000
         )
+        assert report.variance_proxy == 0.0
+        assert np.all(report.x_grid > 0.0)
         assert np.all(report.empirical_tail == 0.0)
+        assert np.all(report.bound == 0.0)
         assert report.n_violations == 0
 
     def test_constant_functional_reduces_to_weight_average(self, tiny_config):
@@ -75,19 +78,19 @@ class TestBernstein:
 
     def test_bound_formula(self, tiny_config):
         report = bernstein_check(
-            tiny_config,
-            BoundedFunctional("one"),
-            reps=30,
-            x_grid=[2.0],
-            oracle_n=5_000,
+            tiny_config, BoundedFunctional("one"), reps=30, oracle_n=5_000
         )
+        x = np.sqrt(report.variance_proxy) * np.array(
+            [0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 64.0]
+        )
+        assert np.array_equal(report.x_grid, x)
         pi_min, T, n = 0.1, tiny_config.horizon_T, tiny_config.n_users
         expected = 2 * np.exp(
             -(pi_min ** (T - 1) / 4)
-            * 4.0
-            / (report.variance_proxy + 2.0 * 1.0 / np.sqrt(n))
+            * x**2
+            / (report.variance_proxy + x * 1.0 / np.sqrt(n))
         )
-        assert report.bound[0] == pytest.approx(expected, rel=1e-12)
+        assert report.bound == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("batch_users", [5, 15, montecarlo.BATCH_USERS])
     def test_raises_earliest_abort(self, batch_users, monkeypatch):
@@ -151,3 +154,94 @@ class TestInvarianceScan:
         )
         profiles = invariance_scan([("rho5", base), ("rho05", shallow)], reps=60)
         assert np.all(profiles["rho5"] > profiles["rho05"])
+
+
+class TestRunSuite:
+    """Each suite's check.json entry and verdict, its statistics faked."""
+
+    @pytest.mark.parametrize("violations", [0, 2])
+    def test_bernstein(self, violations, monkeypatch):
+        seen = []
+
+        def fake_check(config, f_spec, reps, oracle_n):
+            seen.append(
+                (config.n_users, config.horizon_T, config.master_seed, f_spec, reps, oracle_n)
+            )
+            v = np.array([0.5, 1.0])
+            return SimpleNamespace(
+                x_grid=v, empirical_tail=v / 4, bound=v / 2, n_violations=violations
+            )
+
+        monkeypatch.setattr(diagnostics, "bernstein_check", fake_check)
+        entry, passed = run_suite("bernstein", 11, 40, 3_000)
+        assert entry == {
+            "x_grid": [0.5, 1.0],
+            "empirical_tail": [0.125, 0.25],
+            "bound": [0.25, 0.5],
+            "violations": violations,
+        }
+        assert passed is (violations == 0)
+        clipped = BoundedFunctional("clipped_reward", -3.0, 3.0)
+        assert seen == [(100, 5, 11, clipped, 40, 3_000)]
+
+    @pytest.mark.parametrize("ok", [True, False])
+    def test_clt(self, ok, monkeypatch):
+        seen = []
+
+        def fake_oracle(config, oracle_n, n_oracles):
+            seen.append((config.n_users, config.horizon_T, oracle_n, n_oracles))
+            return np.full(3, 0.25)
+
+        def fake_check(config, reps, theta_star):
+            seen.append((config.n_users, config.horizon_T, reps, theta_star.tolist()))
+            return CltReport(
+                reps=reps - 1, z_mean=0.1, z_variance=1.2, ks_stat=0.02,
+                ks_threshold=0.03, passed=ok, insufficient_sample=False,
+                z_values=np.zeros(reps - 1),
+            )
+
+        monkeypatch.setattr(diagnostics, "averaged_theta_star", fake_oracle)
+        monkeypatch.setattr(diagnostics, "clt_check", fake_check)
+        entry, passed = run_suite("clt", 11, 40, 3_000)
+        assert entry == {
+            "reps": 39, "z_mean": 0.1, "z_variance": 1.2, "ks_stat": 0.02,
+            "ks_threshold": 0.03, "passed": ok,
+        }
+        assert passed is ok
+        assert seen == [(500, 50, 3_000, 4), (500, 50, 40, [0.25] * 3)]
+
+    @pytest.mark.parametrize(
+        "steep, flat, dominates, zero",
+        [(2.0, 0.0, True, True), (1.0, 0.0, False, True), (2.0, 0.5, True, False)],
+    )
+    def test_invariance(self, steep, flat, dominates, zero, monkeypatch):
+        seen = []
+
+        def fake_scan(labeled, reps):
+            seen.append(([(label, c.horizon_T, c.policy) for label, c in labeled], reps))
+            return {
+                "rho=5": np.full(9, steep),
+                "rho=0.5": np.ones(9),
+                "constant_uniform": np.full(9, flat),
+            }
+
+        monkeypatch.setattr(diagnostics, "invariance_scan", fake_scan)
+        entry, passed = run_suite("invariance", 11, 500, 3_000)
+        assert entry == {
+            "rho=5": [steep] * 9,
+            "rho=0.5": [1.0] * 9,
+            "constant_uniform": [flat] * 9,
+            "rho5_dominates": dominates,
+            "constant_uniform_zero": zero,
+        }
+        assert passed is (dominates and zero)
+        designs = [
+            ("rho=5", 10, PolicySpec(kind="boltzmann", rho=5.0, pi_min=0.1)),
+            ("rho=0.5", 10, PolicySpec(kind="boltzmann", rho=0.5, pi_min=0.1)),
+            ("constant_uniform", 10, PolicySpec(kind="constant_uniform", pi_min=0.1)),
+        ]
+        assert seen == [(designs, 200)]
+
+    def test_unknown_suite(self):
+        with pytest.raises(ConfigError):
+            run_suite("lipschitz", 11, 40, 3_000)

@@ -56,7 +56,7 @@ class TestThetaStar:
         theta_star = estimate_theta_star(config, oracle_n, plan)
         ts = run_trial(config.replace(n_users=oracle_n), plan)
         est = fit_theta(ts)
-        rep = variance_report(ts, est, which="adaptive")
+        rep = variance_report(ts, est, which="both")
         assert abs(theta_star[-1]) < 4 * rep.se_adaptive[-1]
 
     def test_correct_specification_recovers_effect(self):

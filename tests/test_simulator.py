@@ -276,7 +276,8 @@ class TestWeightedWlln:
             env=EnvConfig(kappa1=1.0),
         )
         theta_probe = np.zeros(config.theta_dim)
-        beta_star, frozen = _target_policy_oracle(config, 100_000)
+        frozen = _target_policy_oracle(config, 100_000)
+        beta_star = frozen.beta_hats
         target = psi_matrix(frozen, theta_probe)[:, 0]
         check = run_trial(config, SeedPlan(config.master_seed, 0))
         weighted = weight_product_at(check, beta_star) * psi_matrix(check, theta_probe)[:, 0]
