@@ -1,6 +1,7 @@
 """YAML configuration parsing with paper-matched defaults.
 
-Schema (all sections optional, defaults shown):
+Schema (every section optional, defaults shown; a section is a mapping, or
+absent or null for all its defaults):
 
     trial:
       n_users: 100
@@ -18,9 +19,9 @@ Schema (all sections optional, defaults shown):
       kappa2: 0.0
       gamma: 0.95
       error_corr_base: 0.5
-    grid:                      # only consumed by the mc subcommand; an
-      kappa1: [1.0, 5.0]       # axis left out (or the whole section) is
-      rho: [0.5, 1.0, 5.0]     # the config's own value
+    grid:                      # only consumed by the mc subcommand; each
+      kappa1: [1.0, 5.0]       # axis a non-empty list, one left out (or
+      rho: [0.5, 1.0, 5.0]     # the whole section) is the config's value
       n_users: [50, 100, 500]
 
 ``load_config`` also resolves bundled preset names (currently
@@ -54,6 +55,9 @@ def _field_names(cls) -> set:
 
 
 def _mapping(section, allowed: set, name: str) -> dict:
+    """``section`` as a mapping of ``allowed`` keys; None (absent, null) is {}."""
+    if section is None:
+        return {}
     if not isinstance(section, dict):
         raise ConfigError(f"config {name} must be a mapping")
     unknown = set(section) - allowed
@@ -72,11 +76,9 @@ def _integer(value, name: str) -> int:
 
 
 def _grid_axis(grid: dict, key: str, default, convert) -> list:
-    if key not in grid:
-        return [default]  # checked by the config it came from
-    values = grid[key]
-    if not isinstance(values, list):
-        raise ConfigError(f"grid {key} must be a list, got {values!r}")
+    values = grid.get(key, [default])
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"grid {key} must be a non-empty list, got {values!r}")
     return [convert(v, f"grid {key}") for v in values]
 
 
@@ -92,9 +94,9 @@ def resolve_config_path(path_or_preset: str) -> str:
 def parse_config(raw: dict):
     """Build (TrialConfig, grid) from a parsed YAML mapping."""
     _mapping(raw, {"trial", "policy", "env", "grid"}, "root")
-    trial = _mapping(raw.get("trial") or {}, set(_TRIAL_DEFAULTS), "trial")
-    policy = _mapping(raw.get("policy") or {}, _field_names(PolicySpec), "policy")
-    env = _mapping(raw.get("env") or {}, _field_names(EnvConfig), "env")
+    trial = _mapping(raw.get("trial"), set(_TRIAL_DEFAULTS), "trial")
+    policy = _mapping(raw.get("policy"), _field_names(PolicySpec), "policy")
+    env = _mapping(raw.get("env"), _field_names(EnvConfig), "env")
 
     try:
         spec = PolicySpec(**policy)
@@ -107,8 +109,7 @@ def parse_config(raw: dict):
     except TypeError as err:
         raise ConfigError(str(err)) from err
 
-    grid = raw.get("grid")
-    grid = _mapping({} if grid is None else grid, _GRID_KEYS, "grid")
+    grid = _mapping(raw.get("grid"), _GRID_KEYS, "grid")
     grid = {
         "kappa1": _grid_axis(grid, "kappa1", config.env.kappa1, real_number),
         "rho": _grid_axis(grid, "rho", config.policy.rho, real_number),
@@ -122,11 +123,13 @@ def load_config(path_or_preset: str):
     path = resolve_config_path(path_or_preset)
     try:
         with open(path) as f:
-            raw = yaml.safe_load(f) or {}
+            raw = yaml.safe_load(f)
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     except yaml.YAMLError as err:
         raise ConfigError(f"malformed config {path}: {err}") from err
+    if raw is None:  # an empty file
+        raw = {}
     config, grid = parse_config(raw)
     return config, grid, raw
 

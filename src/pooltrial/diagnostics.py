@@ -16,8 +16,7 @@ Three suites:
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.stats import kstest
@@ -33,43 +32,9 @@ SUITES = ("bernstein", "clt", "invariance")
 # KS critical value c(alpha) with D_n <= c / sqrt(reps), alpha = 0.01
 KS_CRIT_1PCT = 1.63
 
-
-@dataclass(frozen=True)
-class BoundedFunctional:
-    """Descriptor for a bounded function of one user trajectory.
-
-    Kinds: ``zero``, ``one``, and ``clipped_reward`` (the final reward
-    clipped into [lo, hi]).  ``raw_reward`` is recognised but rejected --
-    it has no finite sup norm certificate.
-    """
-
-    kind: str = "clipped_reward"
-    lo: float = -3.0
-    hi: float = 3.0
-
-    def __post_init__(self):
-        if self.kind == "raw_reward":
-            raise ConfigError("raw_reward is unbounded; clip it first")
-        if self.kind not in ("zero", "one", "clipped_reward"):
-            raise ConfigError(f"unknown functional kind {self.kind!r}")
-        if self.kind == "clipped_reward" and not self.lo < self.hi:
-            raise ConfigError("clip bounds must satisfy lo < hi")
-
-    @property
-    def sup_norm(self) -> float:
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "one":
-            return 1.0
-        return max(abs(self.lo), abs(self.hi))
-
-    def evaluate(self, trajset) -> np.ndarray:
-        n = trajset.n_users
-        if self.kind == "zero":
-            return np.zeros(n)
-        if self.kind == "one":
-            return np.ones(n)
-        return np.clip(trajset.rewards[:, -1], self.lo, self.hi)
+# The Bernstein functional is the final reward clipped into [-REWARD_CLIP,
+# REWARD_CLIP]; REWARD_CLIP is its sup norm in the bound
+REWARD_CLIP = 3.0
 
 
 def inverse_prob_products(trajset) -> np.ndarray:
@@ -91,43 +56,20 @@ def _target_policy_oracle(config: TrialConfig, oracle_n: int):
     )
 
 
-@dataclass
-class BernsteinReport:
-    x_grid: np.ndarray
-    empirical_tail: np.ndarray
-    bound: np.ndarray
-    mc_se: np.ndarray
-    violations: np.ndarray
-    reps: int
-    centering: float
-    variance_proxy: float
-    sup_norm: float
-
-    @property
-    def n_violations(self) -> int:
-        return int(self.violations.sum())
-
-
-def bernstein_check(
-    config: TrialConfig,
-    f_spec: BoundedFunctional,
-    reps: int,
-    oracle_n: int = 100_000,
-) -> BernsteinReport:
-    """Compare weighted-process tail frequencies to the exponential bound.
+def bernstein_check(config: TrialConfig, reps: int, oracle_n: int = 100_000) -> dict:
+    """Compare weighted-process tail frequencies of the clipped final reward
+    to the exponential bound; returns the suite's ``check.json`` entry.
 
     The centering constant E[rho_hat f] and the variance proxy
     E*[rho* f^2] are estimated from a large-n run under the target policies
     (the adaptive oracle run supplies the frozen policy parameters).  The
-    tail is read at sqrt(variance proxy) times 0.25, 0.5, 1, 2, 4, 8, 16, 64.
+    tail is read at sqrt(variance proxy) times 0.25, 0.5, 1, 2, 4, 8, 16, 64,
+    and a grid point violates the bound when its tail frequency exceeds it
+    by more than 4 Monte Carlo standard errors.
     """
-    pi_min = config.policy.pi_min
-    T = config.horizon_T
-    sup = f_spec.sup_norm
-
     frozen = _target_policy_oracle(config, oracle_n)
     rho_star = inverse_prob_products(frozen)
-    f_star = f_spec.evaluate(frozen)
+    f_star = np.clip(frozen.rewards[:, -1], -REWARD_CLIP, REWARD_CLIP)
     centering = float(np.mean(rho_star * f_star))
     variance_proxy = float(np.mean(rho_star * f_star**2))
 
@@ -139,34 +81,24 @@ def bernstein_check(
             if isinstance(ts, NumericalError):
                 raise ts  # the earliest aborting replication's error
             rho_hat = inverse_prob_products(ts)
-            f_vals = f_spec.evaluate(ts)
+            f_vals = np.clip(ts.rewards[:, -1], -REWARD_CLIP, REWARD_CLIP)
             stats[r] = np.sqrt(n) * (np.mean(rho_hat * f_vals) - centering)
 
     base = np.sqrt(max(variance_proxy, 1e-12))
     x_grid = base * np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 64.0])
 
     emp = np.array([np.mean(np.abs(stats) >= x) for x in x_grid])
-    rate = pi_min ** (T - 1) / 4.0
-    denom = variance_proxy + x_grid * sup / np.sqrt(n)
-    with np.errstate(divide="ignore"):
-        # zero denominator only for the identically-zero functional, whose
-        # tail is exactly zero; the bound degenerates to 0 there
-        bound = np.where(
-            denom > 0, 2.0 * np.exp(-rate * x_grid**2 / np.where(denom > 0, denom, 1.0)), 0.0
-        )
+    rate = config.policy.pi_min ** (config.horizon_T - 1) / 4.0
+    denom = variance_proxy + x_grid * REWARD_CLIP / np.sqrt(n)
+    bound = 2.0 * np.exp(-rate * x_grid**2 / denom)
     mc_se = np.sqrt(emp * (1 - emp) / reps)
     violations = emp > bound + 4.0 * mc_se
-    return BernsteinReport(
-        x_grid=x_grid,
-        empirical_tail=emp,
-        bound=bound,
-        mc_se=mc_se,
-        violations=violations,
-        reps=reps,
-        centering=centering,
-        variance_proxy=variance_proxy,
-        sup_norm=sup,
-    )
+    return {
+        "x_grid": x_grid.tolist(),
+        "empirical_tail": emp.tolist(),
+        "bound": bound.tolist(),
+        "violations": int(violations.sum()),
+    }
 
 
 def averaged_theta_star(
@@ -188,23 +120,13 @@ def averaged_theta_star(
     return np.mean(estimates, axis=0)
 
 
-@dataclass
-class CltReport:
-    """The statistics are None when fewer than two replications completed."""
-
-    reps: int
-    z_mean: Optional[float]
-    z_variance: Optional[float]
-    ks_stat: Optional[float]
-    ks_threshold: Optional[float]
-    passed: bool
-    insufficient_sample: bool
-    z_values: np.ndarray
-
-
-def clt_check(config: TrialConfig, reps: int, theta_star) -> CltReport:
+def clt_check(config: TrialConfig, reps: int, theta_star) -> dict:
     """Standardise theta_hat_1 by its adaptive SE across replications and
-    test the empirical distribution against standard normal (KS, 1% level)."""
+    test the empirical distribution against standard normal (KS, 1% level).
+
+    Returns the suite's ``check.json`` entry; its statistics are None when
+    fewer than two replications completed, and it then does not pass.
+    """
     theta_star_1 = float(np.asarray(theta_star)[-1])
     coord = config.theta_dim - 1
     zs = np.asarray([
@@ -213,28 +135,18 @@ def clt_check(config: TrialConfig, reps: int, theta_star) -> CltReport:
         if rep is not None
     ])
     if zs.size < 2:
-        return CltReport(
-            reps=int(zs.size),
-            z_mean=None,
-            z_variance=None,
-            ks_stat=None,
-            ks_threshold=None,
-            passed=False,
-            insufficient_sample=True,
-            z_values=zs,
-        )
+        stats = ("z_mean", "z_variance", "ks_stat", "ks_threshold")
+        return {"reps": int(zs.size), **dict.fromkeys(stats), "passed": False}
     ks = kstest(zs, "norm").statistic
     threshold = KS_CRIT_1PCT / np.sqrt(zs.size)
-    return CltReport(
-        reps=int(zs.size),
-        z_mean=float(zs.mean()),
-        z_variance=float(zs.var()),
-        ks_stat=float(ks),
-        ks_threshold=float(threshold),
-        passed=bool(ks <= threshold),
-        insufficient_sample=False,
-        z_values=zs,
-    )
+    return {
+        "reps": int(zs.size),
+        "z_mean": float(zs.mean()),
+        "z_variance": float(zs.var()),
+        "ks_stat": float(ks),
+        "ks_threshold": float(threshold),
+        "passed": bool(ks <= threshold),
+    }
 
 
 def invariance_scan(
@@ -264,21 +176,12 @@ def run_suite(name: str, seed: int, reps: int, oracle_n: int) -> tuple[dict, boo
         master_seed=seed,
     )
     if name == "bernstein":
-        report = bernstein_check(
-            base, BoundedFunctional("clipped_reward", -3.0, 3.0), reps, oracle_n=oracle_n
-        )
-        entry = {
-            "x_grid": report.x_grid.tolist(),
-            "empirical_tail": report.empirical_tail.tolist(),
-            "bound": report.bound.tolist(),
-            "violations": int(report.n_violations),
-        }
-        return entry, report.n_violations == 0
+        entry = bernstein_check(base, reps, oracle_n=oracle_n)
+        return entry, entry["violations"] == 0
     if name == "clt":
         config = base.replace(n_users=500, horizon_T=50)
-        report = clt_check(config, reps, averaged_theta_star(config, oracle_n, 4))
-        keys = ("reps", "z_mean", "z_variance", "ks_stat", "ks_threshold", "passed")
-        return {key: getattr(report, key) for key in keys}, report.passed
+        entry = clt_check(config, reps, averaged_theta_star(config, oracle_n, 4))
+        return entry, entry["passed"]
     if name == "invariance":
         # the sensitivity norms grow with the softmax steepness and vanish
         # for a policy with no parameters

@@ -11,6 +11,7 @@ misspecification has no closed form.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import multiprocessing
 import os
 from dataclasses import dataclass
@@ -125,9 +126,6 @@ class CoverageCell:
     reps_only_sandwich: int = 0
     reps_only_adaptive: int = 0
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 def run_cell(
     config: TrialConfig,
@@ -190,23 +188,24 @@ def run_grid(
     progress=None,
 ) -> list[CoverageCell]:
     """Run every (kappa1, rho, n) cell of ``grid`` (lists under "kappa1",
-    "rho" and "n_users"); oracle runs are shared across sample sizes within
-    a (kappa1, rho) family."""
+    "rho" and "n_users"), n varying fastest, after validating all of them;
+    a (kappa1, rho) family shares one cached oracle run across its sizes."""
+    axes = (grid["kappa1"], grid["rho"], grid["n_users"])
+    configs = [
+        base_config.replace(
+            n_users=n,
+            env=dataclasses.replace(base_config.env, kappa1=kappa1),
+            policy=dataclasses.replace(base_config.policy, rho=rho),
+        )
+        for kappa1, rho, n in itertools.product(*axes)
+    ]
+    oracle_plan = SeedPlan(base_config.master_seed, ORACLE_REP_BASE)
     cells = []
-    for kappa1 in grid["kappa1"]:
-        for rho in grid["rho"]:
-            family = base_config.replace(
-                env=dataclasses.replace(base_config.env, kappa1=float(kappa1)),
-                policy=dataclasses.replace(base_config.policy, rho=float(rho)),
-            )
-            oracle_plan = SeedPlan(base_config.master_seed, ORACLE_REP_BASE)
-            theta_star = estimate_theta_star(family, oracle_n, oracle_plan)
-            for n in grid["n_users"]:
-                cell_config = family.replace(n_users=int(n))
-                cell = run_cell(cell_config, reps, theta_star, alpha, jobs)
-                cells.append(cell)
-                if progress is not None:
-                    progress(cell)
+    for config in configs:
+        theta_star = estimate_theta_star(config, oracle_n, oracle_plan)
+        cells.append(run_cell(config, reps, theta_star, alpha, jobs))
+        if progress is not None:
+            progress(cells[-1])
     return cells
 
 
@@ -229,5 +228,5 @@ def emit_table(cells, out_dir) -> None:
                 f"{c.reps_completed},{c.reps_aborted}\n"
             )
     with open(os.path.join(out_dir, "table.json"), "w") as f:
-        json.dump([c.to_dict() for c in ordered], f, indent=2, sort_keys=True)
+        json.dump([dataclasses.asdict(c) for c in ordered], f, indent=2, sort_keys=True)
         f.write("\n")

@@ -4,7 +4,6 @@ import platform
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -97,6 +96,12 @@ class TestSimulate:
             "trial: {horizon_T: 6}\npolicy: {kind: mirror_descent, eta: [0.5, 0.5]}",
             "trial: 5",
             "grid: {n_users: [50, abc]}",
+            "[]",
+            "0",
+            "trial: []",
+            "policy: 0",
+            'env: ""',
+            "grid: {n_users: []}",
         ],
     )
     def test_bad_config_value_exits_1(self, text, tmp_path, capsys):
@@ -294,12 +299,12 @@ class TestCheck:
 
         seen = []
 
-        def fake_check(config, f_spec, reps, oracle_n=100_000):
+        def fake_check(config, reps, oracle_n=100_000):
             seen.append(oracle_n)
-            zeros = np.zeros(1)
-            return SimpleNamespace(
-                x_grid=zeros, empirical_tail=zeros, bound=zeros, n_violations=0
-            )
+            zeros = [0.0]
+            return {
+                "x_grid": zeros, "empirical_tail": zeros, "bound": zeros, "violations": 0
+            }
 
         monkeypatch.setattr(diag, "bernstein_check", fake_check)
         out = tmp_path / "chk"

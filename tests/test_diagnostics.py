@@ -1,5 +1,4 @@
 import dataclasses
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,10 +6,10 @@ import pytest
 from pooltrial import EnvConfig, PolicySpec, SeedPlan, TrialConfig, estimate_theta_star
 from pooltrial import diagnostics
 from pooltrial.diagnostics import (
-    BoundedFunctional,
-    CltReport,
+    _target_policy_oracle,
     bernstein_check,
     clt_check,
+    inverse_prob_products,
     invariance_scan,
     run_suite,
 )
@@ -30,67 +29,30 @@ def tiny_config():
     )
 
 
-class TestBoundedFunctional:
-    def test_unbounded_rejected(self):
-        with pytest.raises(ConfigError):
-            BoundedFunctional("raw_reward")
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ConfigError):
-            BoundedFunctional("step_count")
-
-    def test_sup_norms(self):
-        assert BoundedFunctional("zero").sup_norm == 0.0
-        assert BoundedFunctional("one").sup_norm == 1.0
-        assert BoundedFunctional("clipped_reward", -3, 3).sup_norm == 3.0
-
-
 class TestBernstein:
-    def test_zero_functional(self, tiny_config):
-        report = bernstein_check(
-            tiny_config, BoundedFunctional("zero"), reps=60, oracle_n=5_000
-        )
-        assert report.variance_proxy == 0.0
-        assert np.all(report.x_grid > 0.0)
-        assert np.all(report.empirical_tail == 0.0)
-        assert np.all(report.bound == 0.0)
-        assert report.n_violations == 0
-
     def test_constant_functional_reduces_to_weight_average(self, tiny_config):
-        report = bernstein_check(
-            tiny_config, BoundedFunctional("one"), reps=150, oracle_n=20_000
-        )
-        # E[rho_hat * 1] telescopes to 2^{T-1} in the binary-action setting
-        assert report.centering == pytest.approx(
+        # E[rho*] telescopes to 2^{T-1} in the binary-action setting
+        frozen = _target_policy_oracle(tiny_config, 20_000)
+        assert np.mean(inverse_prob_products(frozen)) == pytest.approx(
             2 ** (tiny_config.horizon_T - 1), rel=0.02
         )
-        assert report.n_violations == 0
 
     def test_clipped_reward_zero_violations(self, tiny_config):
-        report = bernstein_check(
-            tiny_config,
-            BoundedFunctional("clipped_reward", -3.0, 3.0),
-            reps=200,
-            oracle_n=20_000,
-        )
-        assert report.sup_norm == 3.0
-        assert report.n_violations == 0
+        entry = bernstein_check(tiny_config, reps=200, oracle_n=20_000)
+        assert entry["violations"] == 0
 
     def test_bound_formula(self, tiny_config):
-        report = bernstein_check(
-            tiny_config, BoundedFunctional("one"), reps=30, oracle_n=5_000
-        )
-        x = np.sqrt(report.variance_proxy) * np.array(
-            [0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 64.0]
-        )
-        assert np.array_equal(report.x_grid, x)
+        entry = bernstein_check(tiny_config, reps=30, oracle_n=5_000)
+        x = np.array(entry["x_grid"])
+        # the grid is sqrt(variance proxy) times powers of two, and the sup
+        # norm of the clipped reward is 3
+        powers = np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 64.0])
+        assert np.array_equal(x, x[2] * powers)
         pi_min, T, n = 0.1, tiny_config.horizon_T, tiny_config.n_users
         expected = 2 * np.exp(
-            -(pi_min ** (T - 1) / 4)
-            * x**2
-            / (report.variance_proxy + x * 1.0 / np.sqrt(n))
+            -(pi_min ** (T - 1) / 4) * x**2 / (x[2] ** 2 + x * 3.0 / np.sqrt(n))
         )
-        assert report.bound == pytest.approx(expected, rel=1e-12)
+        assert entry["bound"] == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("batch_users", [5, 15, montecarlo.BATCH_USERS])
     def test_raises_earliest_abort(self, batch_users, monkeypatch):
@@ -105,15 +67,17 @@ class TestBernstein:
             env=EnvConfig(kappa1=1.0),
         )
         with pytest.raises(DegenerateDesignError) as err:
-            bernstein_check(config, BoundedFunctional("one"), reps=6, oracle_n=2_000)
+            bernstein_check(config, reps=6, oracle_n=2_000)
         assert (err.value.t, err.value.cond) == (1, 1.8711197366972168e18)
 
 
 class TestClt:
     def test_insufficient_sample_flag(self, tiny_config):
-        report = clt_check(tiny_config, reps=1, theta_star=np.zeros(3))
-        assert report.insufficient_sample
-        assert not report.passed
+        entry = clt_check(tiny_config, reps=1, theta_star=np.zeros(3))
+        assert entry == {
+            "reps": 1, "z_mean": None, "z_variance": None, "ks_stat": None,
+            "ks_threshold": None, "passed": False,
+        }
 
     def test_smoke_normality_small(self):
         config = TrialConfig(
@@ -126,11 +90,11 @@ class TestClt:
         theta_star = estimate_theta_star(
             config, 50_000, SeedPlan(93, ORACLE_REP_BASE)
         )
-        report = clt_check(config, reps=60, theta_star=theta_star)
-        assert not report.insufficient_sample
-        assert report.ks_threshold == pytest.approx(1.63 / np.sqrt(report.reps))
-        assert report.passed
-        assert abs(report.z_variance - 1.0) < 0.6
+        entry = clt_check(config, reps=60, theta_star=theta_star)
+        assert entry["ks_stat"] is not None
+        assert entry["ks_threshold"] == pytest.approx(1.63 / np.sqrt(entry["reps"]))
+        assert entry["passed"]
+        assert abs(entry["z_variance"] - 1.0) < 0.6
 
 
 class TestInvarianceScan:
@@ -163,26 +127,24 @@ class TestRunSuite:
     def test_bernstein(self, violations, monkeypatch):
         seen = []
 
-        def fake_check(config, f_spec, reps, oracle_n):
-            seen.append(
-                (config.n_users, config.horizon_T, config.master_seed, f_spec, reps, oracle_n)
-            )
-            v = np.array([0.5, 1.0])
-            return SimpleNamespace(
-                x_grid=v, empirical_tail=v / 4, bound=v / 2, n_violations=violations
-            )
-
-        monkeypatch.setattr(diagnostics, "bernstein_check", fake_check)
-        entry, passed = run_suite("bernstein", 11, 40, 3_000)
-        assert entry == {
+        faked = {
             "x_grid": [0.5, 1.0],
             "empirical_tail": [0.125, 0.25],
             "bound": [0.25, 0.5],
             "violations": violations,
         }
+
+        def fake_check(config, reps, oracle_n):
+            seen.append(
+                (config.n_users, config.horizon_T, config.master_seed, reps, oracle_n)
+            )
+            return dict(faked)
+
+        monkeypatch.setattr(diagnostics, "bernstein_check", fake_check)
+        entry, passed = run_suite("bernstein", 11, 40, 3_000)
+        assert entry == faked
         assert passed is (violations == 0)
-        clipped = BoundedFunctional("clipped_reward", -3.0, 3.0)
-        assert seen == [(100, 5, 11, clipped, 40, 3_000)]
+        assert seen == [(100, 5, 11, 40, 3_000)]
 
     @pytest.mark.parametrize("ok", [True, False])
     def test_clt(self, ok, monkeypatch):
@@ -194,11 +156,10 @@ class TestRunSuite:
 
         def fake_check(config, reps, theta_star):
             seen.append((config.n_users, config.horizon_T, reps, theta_star.tolist()))
-            return CltReport(
-                reps=reps - 1, z_mean=0.1, z_variance=1.2, ks_stat=0.02,
-                ks_threshold=0.03, passed=ok, insufficient_sample=False,
-                z_values=np.zeros(reps - 1),
-            )
+            return {
+                "reps": reps - 1, "z_mean": 0.1, "z_variance": 1.2, "ks_stat": 0.02,
+                "ks_threshold": 0.03, "passed": ok,
+            }
 
         monkeypatch.setattr(diagnostics, "averaged_theta_star", fake_oracle)
         monkeypatch.setattr(diagnostics, "clt_check", fake_check)

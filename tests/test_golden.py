@@ -9,12 +9,16 @@ last bits of the policy fits.  ``CSV_DIGESTS`` pins the bytes that
 ``TrajectorySet.save`` writes for two of the same trials.  ``TRIAL_ABORTS``
 and ``ESTIMATION_ABORTS`` pin the error class, decision time and condition
 number that degenerate trials and estimation inputs raise, to the same bits.
+``COMMAND_DIGESTS`` pins the bytes of ``check.json`` from every ``check``
+suite and of the coverage tables ``mc`` writes for a grid of two (kappa1,
+rho) families at two sample sizes.
 """
 
 import hashlib
 
 import numpy as np
 import pytest
+import yaml
 
 from pooltrial import (
     EnvConfig,
@@ -25,6 +29,7 @@ from pooltrial import (
     fit_theta,
     run_trial,
 )
+from pooltrial.cli import main
 from pooltrial.core import TrajectorySet
 from pooltrial.errors import (
     DegenerateDesignError,
@@ -274,3 +279,41 @@ def test_degenerate_estimation_outcomes(name):
         _estimation_aborts()[name]()
     got = (type(err.value), getattr(err.value, "t", None), err.value.cond)
     assert got == ESTIMATION_ABORTS[name]
+
+
+# SHA-256 of each command's output files, recorded before the layer above
+# montecarlo.replicate was cut down; outputs are byte-identical across it
+COMMAND_DIGESTS = {
+    "check": {
+        "check.json": "3125263b4b39fa4db41dfcb665b7a06bddd551f3213ded5ba0dabd24fec5116c",
+    },
+    "mc": {
+        "table.csv": "9139073bd64ddcc9bb9e97b6847ecf8cb5793ed03f532980330d922fca215ec7",
+        "table.json": "396278d0037a03437e17b7c80156444485ed25222c51bcde3d882b7c31bebca2",
+    },
+}
+MC_CONFIG = {
+    "trial": {"n_users": 40, "horizon_T": 6, "master_seed": 7},
+    "policy": {"kind": "boltzmann", "rho": 2.0, "pi_min": 0.1},
+    # kappa1 written as an integer; the grid leaves it out, so its one value
+    # is the config's own
+    "env": {"kappa1": 2},
+    "grid": {"rho": [0.5, 5.0], "n_users": [40, 60]},
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_DIGESTS))
+def test_command_output_digests(command, tmp_path):
+    config = tmp_path / "grid.yaml"
+    config.write_text(yaml.safe_dump(MC_CONFIG))
+    args = {
+        "check": ["--suite", "all", "--reps", "40", "--oracle-n", "3000"],
+        "mc": ["--config", str(config), "--reps", "30", "--oracle-n", "3000"],
+    }[command]
+    out = tmp_path / command
+    assert main([command, *args, "--out", str(out)]) == 0
+    got = {
+        f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+        for f in COMMAND_DIGESTS[command]
+    }
+    assert got == COMMAND_DIGESTS[command]

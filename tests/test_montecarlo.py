@@ -27,6 +27,7 @@ from pooltrial.montecarlo import (
     emit_table,
     rep_batches,
     replicate,
+    run_grid,
     run_replication,
 )
 from pooltrial.variance import sandwich
@@ -275,6 +276,47 @@ class TestRunCell:
             run_replication(config, SeedPlan(config.master_seed, 0))
             counts.append(len(calls))
         assert counts[0] == counts[1]
+
+
+class TestRunGrid:
+    BASE = _paper_cell_config(1.0, 1.0, 40).replace(horizon_T=5)
+    GRID = {"kappa1": [1.0, 5.0], "rho": [2.0], "n_users": [20, 30]}
+
+    @pytest.fixture()
+    def ran(self, monkeypatch):
+        """The oracle trials and cells run_grid runs, in order, from an empty
+        theta* cache."""
+        monkeypatch.setattr(montecarlo, "_theta_star_cache", {})
+        ran = []
+        real_trial, real_cell = montecarlo.run_trial, montecarlo.run_cell
+
+        def trial(config, plan):
+            ran.append(("oracle", config.env.kappa1, config.policy.rho, config.n_users))
+            return real_trial(config, plan)
+
+        def cell(config, *args):
+            ran.append(("cell", config.env.kappa1, config.policy.rho, config.n_users))
+            return real_cell(config, *args)
+
+        monkeypatch.setattr(montecarlo, "run_trial", trial)
+        monkeypatch.setattr(montecarlo, "run_cell", cell)
+        return ran
+
+    def test_cells_in_order_one_oracle_per_family(self, ran):
+        cells = run_grid(self.BASE, self.GRID, reps=4, oracle_n=2_000)
+        assert [(c.kappa1, c.rho, c.n) for c in cells] == [
+            (1.0, 2.0, 20), (1.0, 2.0, 30), (5.0, 2.0, 20), (5.0, 2.0, 30)
+        ]
+        assert ran == [
+            ("oracle", 1.0, 2.0, 2_000), ("cell", 1.0, 2.0, 20), ("cell", 1.0, 2.0, 30),
+            ("oracle", 5.0, 2.0, 2_000), ("cell", 5.0, 2.0, 20), ("cell", 5.0, 2.0, 30),
+        ]
+
+    def test_bad_cell_fails_before_any_run(self, ran):
+        grid = {**self.GRID, "n_users": [20, 1]}
+        with pytest.raises(ConfigError, match="n_users must be >= 2"):
+            run_grid(self.BASE, grid, reps=4, oracle_n=2_000)
+        assert ran == []
 
 
 @pytest.mark.parametrize(
