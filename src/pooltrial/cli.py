@@ -46,6 +46,7 @@ def _checked(cast, ok, rule):
 
 
 _REPS = _checked(int, lambda v: v >= 1, ">= 1")
+_ORACLE_N = _checked(int, lambda v: v >= 2, ">= 2")
 _JOBS = _checked(int, lambda v: v >= 0, ">= 0 (0 = every CPU)")
 _ALPHA = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 
@@ -227,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc = sub.add_parser("mc", help="coverage table over a (kappa1, rho, n) grid")
     p_mc.add_argument("--config", required=True)
     p_mc.add_argument("--reps", type=_REPS, default=500)
-    p_mc.add_argument("--oracle-n", type=int, default=100_000)
+    p_mc.add_argument("--oracle-n", type=_ORACLE_N, default=100_000)
     p_mc.add_argument("--seed", type=int, default=None)
     p_mc.add_argument("--out", required=True)
     p_mc.add_argument("--jobs", type=_JOBS, default=1)
@@ -241,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
     )
     p_chk.add_argument("--reps", type=_REPS, default=2000)
-    p_chk.add_argument("--oracle-n", type=int, default=100_000)
+    p_chk.add_argument("--oracle-n", type=_ORACLE_N, default=100_000)
     p_chk.add_argument("--seed", type=int, default=20240601)
     p_chk.add_argument("--out", default=None)
     p_chk.set_defaults(func=cmd_check)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from numbers import Integral
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -285,6 +286,19 @@ class TrajectorySet:
                 f"its replay through the policy"
             )
         return trajset
+
+
+def stack_trajectories(trajsets) -> SimpleNamespace:
+    """Trajectories of one config as a batch the estimators take in place of a
+    ``TrajectorySet``: each array stacked along a new leading axis (a view for
+    a single trajectory), with the config, ``n_users`` and ``horizon_T``."""
+    ts = trajsets[0]
+    names = [f.name for f in dataclasses.fields(TrajectorySet) if f.name != "config"]
+    arrays = {name: [getattr(t, name) for t in trajsets] for name in names}
+    return SimpleNamespace(
+        config=ts.config, n_users=ts.n_users, horizon_T=ts.horizon_T,
+        **{k: a[0][None] if len(a) == 1 else np.stack(a) for k, a in arrays.items()},
+    )
 
 
 def _read_rows(path, n_cols: int) -> np.ndarray:

@@ -26,6 +26,7 @@ from .errors import ConfigError, NumericalError
 from .montecarlo import ORACLE_REP_BASE, estimate_theta_star, rep_batches, replicate
 from .policies import PolicySpec
 from .simulator import run_trial, run_trials
+from .variance import VarianceReport
 
 SUITES = ("bernstein", "clt", "invariance")
 
@@ -132,7 +133,7 @@ def clt_check(config: TrialConfig, reps: int, theta_star) -> dict:
     zs = np.asarray([
         (rep.theta_hat[coord] - theta_star_1) / rep.se_adaptive[coord]
         for rep in replicate(config, reps)
-        if rep is not None
+        if isinstance(rep, VarianceReport)
     ])
     if zs.size < 2:
         stats = ("z_mean", "z_variance", "ks_stat", "ks_threshold")
@@ -158,7 +159,7 @@ def invariance_scan(
         total = np.zeros(config.horizon_T - 1)
         count = 0
         for rep in replicate(config, reps):
-            if rep is not None:
+            if isinstance(rep, VarianceReport):
                 total += rep.policy_invariance_norms
                 count += 1
         out[label] = total / max(count, 1)

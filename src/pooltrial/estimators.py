@@ -12,6 +12,9 @@ and the per-time policy estimating function is
 Both are linear in their parameters, so all Jacobians have closed forms
 (negative Gram matrices of the respective regressors) and the fits are exact
 normal-equation roots.
+
+Each function here that takes a ``trajset`` also takes a batch from
+``core.stack_trajectories`` and works along its leading replication axis.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import TrajectorySet
 from .errors import DegenerateDesignError
 
 # Condition-number ceiling shared by all normal-equation solves; beyond this
@@ -29,24 +31,26 @@ from .errors import DegenerateDesignError
 COND_LIMIT = 1e12
 
 
-def inference_design(trajset: TrajectorySet) -> np.ndarray:
-    """Regressor [S_t; A_t] for psi, shape (n, T, d_S + 1)."""
+def inference_design(trajset) -> np.ndarray:
+    """Regressor [S_t; A_t] for psi, shape (..., n, T, d_S + 1)."""
     return np.concatenate(
-        [trajset.states, trajset.actions[..., None].astype(float)], axis=2
+        [trajset.states, trajset.actions[..., None].astype(float)], axis=-1
     )
 
 
-def policy_design(trajset: TrajectorySet) -> np.ndarray:
-    """Regressor [S_t; A_t * S_t] for phi, shape (n, T, 2 * d_S)."""
+def policy_design(trajset) -> np.ndarray:
+    """Regressor [S_t; A_t * S_t] for phi, shape (..., n, T, 2 * d_S)."""
     a = trajset.actions[..., None].astype(float)
-    return np.concatenate([trajset.states, a * trajset.states], axis=2)
+    return np.concatenate([trajset.states, a * trajset.states], axis=-1)
 
 
-def psi_matrix(trajset: TrajectorySet, theta) -> np.ndarray:
-    """Per-user psi values, shape (n, d_theta)."""
+def psi_matrix(trajset, theta) -> np.ndarray:
+    """Per-user psi values, shape (..., n, d_theta)."""
     z = inference_design(trajset)
-    resid = trajset.rewards - z @ np.asarray(theta, dtype=float)
-    return np.einsum("nt,ntk->nk", resid, z)
+    # a batched matmul: einsum("...ntk,...k->...nt") sums in another order
+    theta = np.asarray(theta, dtype=float)[..., None, :, None]
+    resid = trajset.rewards - (z @ theta)[..., 0]
+    return np.einsum("...nt,...ntk->...nk", resid, z)
 
 
 def solve_or_nan(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -65,31 +69,31 @@ def solve_or_nan(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def check_conditioned(mats, error, what: str, first_t=None, solutions=None):
-    """Raise ``error`` for the earliest ill-posed matrix of a (k, d, d) stack.
+    """Raise ``error`` for the earliest ill-posed matrix of a (..., k, d, d) stack.
 
     Matrix i is ill posed when it is non-finite, its 2-norm condition number
     exceeds COND_LIMIT (a singular matrix has cond inf), or row i of
     ``solutions`` is non-finite.  The three are or-ed per matrix, so the
-    earliest index wins whichever condition flags it.  The error carries
-    t = first_t + i (None without ``first_t``) and the cond of matrix i
-    (None for a non-finite matrix, whose SVD is never taken).
+    earliest index of the first failing stack wins whichever flags it.  The
+    error carries t = first_t + i (None without ``first_t``) and the cond of
+    matrix i (None for a non-finite matrix, whose SVD is never taken).
     """
     mats = np.asarray(mats, dtype=float)
-    finite = np.isfinite(mats).all(axis=(1, 2))
-    conds = np.full(len(mats), np.inf)
+    finite = np.isfinite(mats).all(axis=(-2, -1))
+    conds = np.full(finite.shape, np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
         conds[finite] = np.linalg.cond(mats[finite])
     conds[np.isnan(conds)] = np.inf
     bad = ~finite | (conds > COND_LIMIT)
     if solutions is not None:
-        bad |= ~np.isfinite(solutions).all(axis=1)
+        bad |= ~np.isfinite(solutions).all(axis=-1)
     if not bad.any():
         return
-    i = int(np.argmax(bad))
-    t = None if first_t is None else first_t + i
-    if not finite[i]:
+    j = np.unravel_index(np.argmax(bad), bad.shape)
+    t = None if first_t is None else first_t + int(j[-1])
+    if not finite[j]:
         raise error(f"non-finite {what}", t=t)
-    cond = float(conds[i])
+    cond = float(conds[j])
     at = "" if t is None else f" at t={t}"
     if cond > COND_LIMIT:
         raise error(f"singular {what}{at} (cond={cond:.3e})", t=t, cond=cond)
@@ -104,10 +108,10 @@ class EstimationBlocks:
     never pays for the per-time phi stacks the variance machinery needs.
     The phi stacks come from per-user cumulants (sum_{t'<=t} of R*x and of
     x x') so the T-1 per-time evaluations cost O(n T d^2) overall instead of
-    O(n T^2 d).
+    O(n T^2 d).  For a batch every array has its leading axis.
     """
 
-    def __init__(self, trajset: TrajectorySet, theta, psi_dot):
+    def __init__(self, trajset, theta, psi_dot):
         self.trajset = trajset
         self.theta = np.asarray(theta, dtype=float)
         self.psi_dot = psi_dot  # (1/n) sum_i d psi_i / d theta
@@ -125,17 +129,17 @@ class EstimationBlocks:
         """
         ts = self.trajset
         x = policy_design(ts)
-        n, T, d = x.shape
-        betas = np.asarray(ts.beta_hats)
-        rx_run = np.zeros((n, d))
-        gram_run = np.zeros((n, d, d))
-        mats, dots = [], np.empty((T - 1, d, d))
+        *batch, n, T, d = x.shape
+        rx_run = np.zeros((*batch, n, d))
+        gram_run = np.zeros((*batch, n, d, d))
+        mats, dots = [], np.empty((*batch, T - 1, d, d))
         for t in range(1, T):
-            xt = x[:, t - 1]
-            rx_run = rx_run + ts.rewards[:, t - 1, None] * xt
-            gram_run = gram_run + xt[:, :, None] * xt[:, None, :]
-            mats.append(rx_run - gram_run @ betas[t - 1])
-            dots[t - 1] = -gram_run.sum(axis=0) / n
+            xt = x[..., t - 1, :]
+            rx_run = rx_run + ts.rewards[..., t - 1, None] * xt
+            gram_run = gram_run + xt[..., :, None] * xt[..., None, :]
+            beta = ts.beta_hats[..., t - 1, None, :, None]
+            mats.append(rx_run - (gram_run @ beta)[..., 0])
+            dots[..., t - 1, :, :] = -gram_run.sum(axis=-3) / n
         return mats, dots
 
     @cached_property
@@ -145,7 +149,7 @@ class EstimationBlocks:
 
     @cached_property
     def phi_dots(self) -> np.ndarray:
-        """Diagonal policy Jacobians, shape (T-1, d_t, d_t); cumulative Grams."""
+        """Diagonal policy Jacobians, shape (..., T-1, d_t, d_t); cumulative Grams."""
         return self._phi_pieces[1]
 
 
@@ -158,17 +162,19 @@ class EstimationResult:
     blocks: EstimationBlocks
 
 
-def fit_theta(trajset: TrajectorySet) -> EstimationResult:
+def fit_theta(trajset) -> EstimationResult:
     """Exact normal-equation root of (1/n) sum_i psi(H_T_i; theta) = 0."""
     z = inference_design(trajset)
-    gram = np.einsum("ntk,ntl->kl", z, z)
-    rhs = np.einsum("ntk,nt->k", z, trajset.rewards)
+    gram = np.einsum("...ntk,...ntl->...kl", z, z)
+    rhs = np.einsum("...ntk,...nt->...k", z, trajset.rewards)
     theta = solve_or_nan(gram, rhs)
     check_conditioned(
-        gram[None], DegenerateDesignError, "inference design", solutions=theta[None]
+        gram[..., None, :, :], DegenerateDesignError, "inference design",
+        solutions=theta[..., None, :],
     )
+    residual = (rhs - (gram @ theta[..., None])[..., 0]) / trajset.n_users
     return EstimationResult(
         theta_hat=theta,
-        psi_residual_norm=float(np.abs((rhs - gram @ theta) / trajset.n_users).max()),
+        psi_residual_norm=float(np.abs(residual).max()),
         blocks=EstimationBlocks(trajset, theta, -gram / trajset.n_users),
     )

@@ -1,11 +1,11 @@
 """Replication engine for the confidence-interval coverage experiments.
 
-A cell is one (kappa1, rho, n) configuration.  Per replication the engine
-simulates a trial, fits theta-hat, computes both variance estimators, and
-records whether each method's interval for the treatment-effect coordinate
-covers the ground-truth projection theta*_1.  theta* itself comes from a
-large-n oracle run (cached per cell family), since the projection under
-misspecification has no closed form.
+A cell is one (kappa1, rho, n) configuration.  The engine simulates its
+replications in batches, fits theta-hat and both variance estimators of a
+batch along the same replication axis, and records whether each method's
+interval for the treatment effect covers the ground-truth projection
+theta*_1.  theta* comes from a large-n oracle run (cached per cell family),
+since the projection under misspecification has no closed form.
 """
 
 from __future__ import annotations
@@ -17,11 +17,11 @@ import os
 from dataclasses import dataclass
 import numpy as np
 
-from .core import SeedPlan, TrialConfig
+from .core import SeedPlan, TrajectorySet, TrialConfig, stack_trajectories
 from .errors import ConfigError, NumericalError
 from .estimators import fit_theta
 from .simulator import run_trial, run_trials
-from .variance import VarianceReport, variance_report
+from .variance import VarianceReport, variance_report, variance_reports
 
 # Oracle runs live in a disjoint rep-index range so their draws never overlap
 # with coverage replications (which use rep_index 0..reps-1).
@@ -56,25 +56,35 @@ def rep_batches(n_users: int, reps: int, jobs: int = 1) -> list[range]:
 
 
 def _replicate(args):
+    """One batch of replications, simulated and estimated side by side; if a
+    check (made before any solve) fails, each is estimated on its own."""
     config, reps, alpha = args
-    reports = []
-    for trial in run_trials(config, [SeedPlan(config.master_seed, r) for r in reps]):
+    trials = run_trials(config, [SeedPlan(config.master_seed, r) for r in reps])
+    trajsets = [ts for ts in trials if isinstance(ts, TrajectorySet)]
+    if trajsets:
+        batch = stack_trajectories(trajsets)
         try:
-            reports.append(_estimate(trial, alpha))
+            done = iter(variance_reports(batch, fit_theta(batch), alpha))
+            return [next(done) if isinstance(t, TrajectorySet) else t for t in trials]
         except NumericalError:
-            reports.append(None)
-    return reports
+            pass  # no batched solve has run; each gets its own error below
+    results = []
+    for trial in trials:
+        try:
+            results.append(_estimate(trial, alpha))
+        except NumericalError as err:
+            results.append(err.with_traceback(None))
+    return results
 
 
 def replicate(
     config: TrialConfig, reps: int, alpha: float = 0.05, jobs: int = 1
 ) -> list:
-    """Reports of replications 0..reps-1 in order, None for each that aborted.
-
-    An aborted replication is one that raised ``NumericalError`` (degenerate
-    design, singular bread).  The trials are simulated in batches
-    (``rep_batches``); ``jobs`` > 1 spreads the batches over a process pool,
-    0 over every CPU.  The results depend on neither.
+    """Reports of replications 0..reps-1 in order, and for each that aborted
+    its ``NumericalError`` (degenerate design, singular bread; with ``t`` and
+    ``cond``, without the traceback).  The trials are simulated and estimated
+    in batches (``rep_batches``); ``jobs`` > 1 spreads the batches over a
+    process pool, 0 over every CPU.  The results depend on neither.
     """
     if reps < 1 or jobs < 0:
         raise ConfigError(f"replicate needs reps >= 1 and jobs >= 0, got {reps}, {jobs}")
@@ -92,12 +102,9 @@ def replicate(
 def estimate_theta_star(
     config: TrialConfig, oracle_n: int, plan: SeedPlan
 ) -> np.ndarray:
-    """Ground-truth projection via one large-n trial; cached per cell family.
-
-    Consistency of theta-hat makes the n = oracle_n fit a Monte Carlo stand-in
-    for theta*; two oracle runs with different plans agreeing within combined
-    standard errors is the guard against oracle noise.
-    """
+    """theta-hat of one n = oracle_n trial on ``plan``: a Monte Carlo stand-in
+    for the ground-truth projection theta*, by consistency.  Cached on the
+    config at n = oracle_n and the plan, so a family's cell sizes share it."""
     oracle_config = config.replace(n_users=oracle_n)
     key = (oracle_config, plan)
     if key not in _theta_star_cache:
@@ -151,7 +158,7 @@ def run_cell(
     completed = [
         (covers(rep.ci_sandwich), covers(rep.ci_adaptive))
         for rep in replicate(config, reps, alpha, jobs)
-        if rep is not None
+        if isinstance(rep, VarianceReport)
     ]
     aborted = reps - len(completed)
     m = max(len(completed), 1)

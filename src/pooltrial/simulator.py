@@ -108,10 +108,18 @@ def run_trials(config: TrialConfig, plans, frozen_betas=None) -> list:
             rewards[:, :, t - 1] = reward(env, dosage / c_gamma, a_t, eps[:, :, t])
             r_prev = rewards[:, :, t - 1]
 
+    one_by_one = False
+    try:  # one call for the refit Grams of the whole batch
+        if frozen_betas is None:
+            check_conditioned(
+                grams, DegenerateDesignError, "policy design", solutions=beta_hats
+            )
+    except DegenerateDesignError:
+        one_by_one = True  # check each replication on its own, for its own error
     trials = []
     for r in range(R):
         try:
-            if frozen_betas is None:
+            if one_by_one:
                 check_conditioned(
                     grams[r], DegenerateDesignError, "policy design", first_t=1,
                     solutions=beta_hats[r],

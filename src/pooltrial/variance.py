@@ -51,8 +51,8 @@ from .policies import policy_path, prob_slope
 # Radon-Nikodym weight machinery
 # ---------------------------------------------------------------------------
 
-def weight_products(trajset: TrajectorySet) -> np.ndarray:
-    """Parameter gradients of the weight product at beta_hat, (n, T-1, d_t).
+def weight_products(trajset) -> np.ndarray:
+    """Parameter gradients of the weight product at beta_hat, (..., n, T-1, d_t).
 
     Entry [i, s] is the gradient of W_{2:T}(beta, beta_hat) w.r.t. the beta_s
     block at beta = beta_hat: the gradient of the realised action's
@@ -60,14 +60,14 @@ def weight_products(trajset: TrajectorySet) -> np.ndarray:
     beta0 half of each block is zero.
     """
     policy = trajset.config.policy
-    n, T, d_S = trajset.states.shape
+    *batch, n, T, d_S = trajset.states.shape
     _, pre = policy_path(policy, trajset.states, trajset.beta_hats)
-    slope = prob_slope(policy, pre[:, 1:], range(2, T + 1))
-    sign = np.where(trajset.actions[:, 1:] == 1, 1.0, -1.0)
-    grads = np.zeros((n, T - 1, 2 * d_S))
+    slope = prob_slope(policy, pre[..., 1:], range(2, T + 1))
+    sign = np.where(trajset.actions[..., 1:] == 1, 1.0, -1.0)
+    grads = np.zeros((*batch, n, T - 1, 2 * d_S))
     grads[..., d_S:] = (
-        (sign * slope)[..., None] * trajset.states[:, 1:]
-        / trajset.action_probs[:, 1:, None]
+        (sign * slope)[..., None] * trajset.states[..., 1:, :]
+        / trajset.action_probs[..., 1:, None]
     )
     return grads
 
@@ -89,21 +89,20 @@ def confidence_interval(center: float, se: float, alpha: float):
 def sandwich_covariance(psi_mat: np.ndarray, psi_dot: np.ndarray) -> np.ndarray:
     """bread^{-1} meat bread^{-T} with meat = (1/n) sum psi psi'.
 
-    Generic kernel: works for any per-user score matrix (n, d) and d x d
-    bread, including the scalar-mean case d = 1.
+    Generic kernel: works for any per-user score matrix (..., n, d) and
+    (..., d, d) bread, including the scalar-mean case d = 1, along any leading
+    axes.  The callers check the bread first.
     """
-    psi_mat = np.atleast_2d(np.asarray(psi_mat, dtype=float))
-    psi_dot = np.atleast_2d(np.asarray(psi_dot, dtype=float))
-    check_conditioned(psi_dot[None], SingularBreadError, "bread")
-    n = psi_mat.shape[0]
-    meat = psi_mat.T @ psi_mat / n
+    n = psi_mat.shape[-2]
+    meat = psi_mat.swapaxes(-1, -2) @ psi_mat / n
     half = np.linalg.solve(psi_dot, meat)
-    cov = np.linalg.solve(psi_dot, half.T).T
-    return 0.5 * (cov + cov.T)
+    cov = np.linalg.solve(psi_dot, half.swapaxes(-1, -2)).swapaxes(-1, -2)
+    return 0.5 * (cov + cov.swapaxes(-1, -2))
 
 
 def sandwich(trajset: TrajectorySet, est: EstimationResult) -> np.ndarray:
     """Standard sandwich covariance of sqrt(n)(theta_hat - theta*)."""
+    check_conditioned(est.blocks.psi_dot[..., None, :, :], SingularBreadError, "bread")
     return sandwich_covariance(est.blocks.psi_mat, est.blocks.psi_dot)
 
 
@@ -174,34 +173,34 @@ class AdaptiveResult:
         return build_stacked_system(self.trajset, self.est, self.grads)
 
 
-def adaptive_sandwich(trajset: TrajectorySet, est: EstimationResult) -> AdaptiveResult:
+def adaptive_sandwich(trajset, est: EstimationResult) -> AdaptiveResult:
     """Adaptive sandwich covariance via the backward corrected-score recursion.
 
     Returns the lower-right d_theta block of bread^{-1} meat bread^{-T}, the
     sandwich of the corrected scores, together with the M_t = Psi_dot^{-1} K_t
     blocks (the lower-left blocks of the stacked inverse) and the per-time
-    Frobenius norms of V_hat.  The policy blocks are checked before any
-    arithmetic, earliest time first; ``sandwich_covariance`` checks Psi_dot.
+    Frobenius norms of V_hat.  Psi_dot, then the policy blocks (earliest time
+    first), are checked before any arithmetic; a batch keeps its leading axis.
     """
     blocks = est.blocks
-    n = trajset.n_users
+    check_conditioned(blocks.psi_dot[..., None, :, :], SingularBreadError, "bread")
     check_conditioned(
         blocks.phi_dots, SingularPolicyBreadError, "policy bread", first_t=1
     )
-    grads = weight_products(trajset)                  # (n, T-1, d_t)
-    phi_dot_invs = np.linalg.inv(blocks.phi_dots)     # (T-1, d_t, d_t)
-
-    n_blocks, d_t = grads.shape[1:]
-    gains = np.empty((n_blocks, trajset.config.theta_dim, d_t))   # K_1..K_{T-1}
+    grads = weight_products(trajset)                  # (..., n, T-1, d_t)
+    phi_dot_invs = np.linalg.inv(blocks.phi_dots)     # (..., T-1, d_t, d_t)
+    *batch, n, n_blocks, d_t = grads.shape
+    gains = np.empty((n_blocks, *batch, trajset.config.theta_dim, d_t))  # K_1..K_{T-1}
     corrected = blocks.psi_mat
     for c in range(n_blocks - 1, -1, -1):
-        gains[c] = -(corrected.T @ grads[:, c] / n) @ phi_dot_invs[c]
-        corrected = corrected + blocks.phi_mats[c] @ gains[c].T
-    v_hat = np.einsum("nk,ntl->tkl", blocks.psi_mat, grads) / n
+        cross = -(corrected.swapaxes(-1, -2) @ grads[..., c, :] / n)
+        gains[c] = cross @ phi_dot_invs[..., c, :, :]
+        corrected = corrected + blocks.phi_mats[c] @ gains[c].swapaxes(-1, -2)
+    v_hat = np.einsum("...nk,...ntl->...tkl", blocks.psi_mat, grads) / n
     return AdaptiveResult(
         cov=sandwich_covariance(corrected, blocks.psi_dot),
-        m_blocks=np.linalg.solve(blocks.psi_dot, np.concatenate(gains, axis=1)),
-        invariance_norms=np.linalg.norm(v_hat, axis=(1, 2)),
+        m_blocks=np.linalg.solve(blocks.psi_dot, np.concatenate(gains, axis=-1)),
+        invariance_norms=np.linalg.norm(v_hat, axis=(-2, -1)),
         trajset=trajset,
         est=est,
         grads=grads,
@@ -261,42 +260,47 @@ class VarianceReport:
         }
 
 
+def variance_reports(
+    trajset, est: EstimationResult, alpha: float = 0.05, which: str = "both"
+) -> list:
+    """The report of each replication, one for a ``TrajectorySet`` and R for a
+    batch: the sandwich, and under ``which="both"`` the adaptive sandwich, with
+    per-coordinate CIs.  Psi_dot, then under ``which="both"`` the policy
+    blocks, are checked before any solve."""
+    if which not in ("sandwich", "both"):
+        raise ValueError(f"unknown variance selection {which!r}")
+    blocks, d, n = est.blocks, trajset.config.theta_dim, trajset.n_users
+    centers = np.reshape(est.theta_hat, (-1, d))
+    adaptive_covs = norms = [None] * len(centers)
+    if which == "both":
+        result = adaptive_sandwich(trajset, est)
+        adaptive_covs = np.reshape(result.cov, (-1, d, d))
+        norms = np.reshape(result.invariance_norms, (len(centers), -1))
+    else:
+        check_conditioned(blocks.psi_dot[..., None, :, :], SingularBreadError, "bread")
+    sandwiches = sandwich_covariance(blocks.psi_mat, blocks.psi_dot).reshape(-1, d, d)
+    stacked_dim = (trajset.horizon_T - 1) * trajset.config.policy_dim + d
+    reports = []
+    for r, center in enumerate(centers):
+        covs = (sandwiches[r], adaptive_covs[r])
+        ses = [None if c is None else np.sqrt(np.diag(c) / n) for c in covs]
+        cis = [
+            None if se is None
+            else [confidence_interval(*c, alpha) for c in zip(center, se)]
+            for se in ses
+        ]
+        reports.append(
+            VarianceReport(*covs, *ses, *cis, norms[r], stacked_dim, alpha, center)
+        )
+    return reports
+
+
 def variance_report(
     trajset: TrajectorySet,
     est: EstimationResult,
     alpha: float = 0.05,
     which: str = "both",
 ) -> VarianceReport:
-    """The sandwich, and under ``which="both"`` the adaptive sandwich, with
-    per-coordinate CIs."""
-    if which not in ("sandwich", "both"):
-        raise ValueError(f"unknown variance selection {which!r}")
-    d_theta = trajset.config.theta_dim
-    stacked_dim = (trajset.horizon_T - 1) * trajset.config.policy_dim + d_theta
-
-    covs = {"sandwich": sandwich(trajset, est)}
-    norms = None
-    if which == "both":
-        result = adaptive_sandwich(trajset, est)
-        covs["adaptive"] = result.cov
-        norms = result.invariance_norms
-    ses, cis = {}, {}
-    for name, cov in covs.items():
-        ses[name] = np.sqrt(np.diag(cov) / trajset.n_users)
-        cis[name] = [
-            confidence_interval(center, se, alpha)
-            for center, se in zip(est.theta_hat, ses[name])
-        ]
-
-    return VarianceReport(
-        sandwich_cov=covs["sandwich"],
-        adaptive_cov=covs.get("adaptive"),
-        se_sandwich=ses["sandwich"],
-        se_adaptive=ses.get("adaptive"),
-        ci_sandwich=cis["sandwich"],
-        ci_adaptive=cis.get("adaptive"),
-        policy_invariance_norms=norms,
-        stacked_dim=stacked_dim,
-        alpha=alpha,
-        theta_hat=est.theta_hat,
-    )
+    """The report of one trajectory; see ``variance_reports``."""
+    (report,) = variance_reports(trajset, est, alpha, which)
+    return report

@@ -265,6 +265,8 @@ class TestFlagsRejected:
             ("mc", ["--alpha", "0"]),
             ("estimate", ["--alpha", "2"]),
             ("check", ["--reps", "-3"]),
+            ("mc", ["--oracle-n", "1"]),
+            ("check", ["--oracle-n", "-5"]),
         ],
     )
     def test_exits_1_without_output(self, command, flags, tiny_config_file, tmp_path, capsys):

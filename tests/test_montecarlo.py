@@ -18,6 +18,7 @@ from pooltrial import montecarlo
 from pooltrial.errors import (
     ConfigError,
     DegenerateDesignError,
+    NumericalError,
     SingularBreadError,
     SingularPolicyBreadError,
 )
@@ -30,6 +31,7 @@ from pooltrial.montecarlo import (
     run_grid,
     run_replication,
 )
+from pooltrial.core import TrajectorySet
 from pooltrial.variance import sandwich
 
 
@@ -187,13 +189,14 @@ class TestRunCell:
         def reports(batch_users, jobs=1):
             monkeypatch.setattr(montecarlo, "BATCH_USERS", batch_users)
             return [
-                None if rep is None else rep.to_dict()
+                (type(rep), rep.t, rep.cond) if isinstance(rep, NumericalError)
+                else rep.to_dict()
                 for rep in replicate(config, 7, jobs=jobs)
             ]
 
         default = reports(montecarlo.BATCH_USERS)
-        assert default[2] is None and default[4] is None
-        assert sum(rep is not None for rep in default) >= 3
+        assert default[2][:2] == default[4][:2] == (DegenerateDesignError, 1)
+        assert sum(isinstance(rep, dict) for rep in default) >= 3
         assert reports(5) == default  # one replication per batch
         assert reports(15) == default  # three
         assert reports(1_000, jobs=2) == default
@@ -276,6 +279,81 @@ class TestRunCell:
             run_replication(config, SeedPlan(config.master_seed, 0))
             counts.append(len(calls))
         assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("untreated_upto, error", [
+        (6, DegenerateDesignError),       # fit_theta: the treatment column is zero
+        (1, SingularPolicyBreadError),    # adaptive: the time-1 policy bread
+    ])
+    def test_estimation_abort_leaves_neighbours_unchanged(
+        self, monkeypatch, untreated_upto, error
+    ):
+        config = TrialConfig(
+            n_users=30,
+            horizon_T=6,
+            master_seed=44,
+            policy=PolicySpec(kind="boltzmann", rho=5.0),
+            env=EnvConfig(kappa1=2.0),
+        )
+        clean = replicate(config, 5)
+        simulate = montecarlo.run_trials
+        bad = {}
+
+        def with_untreated_trial(config, plans):
+            trials = simulate(config, plans)
+            ts = trials[2]
+            actions = np.array(ts.actions)
+            actions[:, :untreated_upto] = 0
+            bad["ts"] = trials[2] = TrajectorySet(
+                ts.states, actions, ts.rewards, ts.action_probs, ts.beta_hats, config
+            )
+            return trials
+
+        monkeypatch.setattr(montecarlo, "run_trials", with_untreated_trial)
+        got = replicate(config, 5)
+        with pytest.raises(error) as alone:
+            variance_report(bad["ts"], fit_theta(bad["ts"]))
+        assert type(got[2]) is error
+        assert (got[2].t, got[2].cond) == (alone.value.t, alone.value.cond)
+        assert got[2].__traceback__ is None
+        for r in (0, 1, 3, 4):
+            assert got[r].to_dict() == clean[r].to_dict()
+            assert got[r].sandwich_cov.tobytes() == clean[r].sandwich_cov.tobytes()
+            assert got[r].adaptive_cov.tobytes() == clean[r].adaptive_cov.tobytes()
+
+    def test_replicate_matches_run_replication(self):
+        config = _paper_cell_config(5.0, 5.0, 50).replace(horizon_T=8)
+        reports = replicate(config, 6)
+        for r, rep in enumerate(reports):
+            alone = run_replication(config, SeedPlan(config.master_seed, r))
+            for name in rep.to_dict():
+                got, want = getattr(rep, name), getattr(alone, name)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+
+    @pytest.mark.parametrize("horizon", [5, 20])
+    def test_checks_per_batch_do_not_grow_with_reps(self, monkeypatch, horizon):
+        # one call per kind of matrix: the policy Grams, the inference Gram,
+        # Psi_dot and the policy breads, whatever the batch size
+        from pooltrial import estimators, simulator, variance
+
+        calls = []
+        check = estimators.check_conditioned
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return check(*args, **kwargs)
+
+        for module in (estimators, simulator, variance):
+            monkeypatch.setattr(module, "check_conditioned", counted)
+        config = _paper_cell_config(5.0, 5.0, 50).replace(horizon_T=horizon)
+        counts = []
+        for size in (1, 3, 8):
+            calls.clear()
+            assert len(montecarlo._replicate((config, range(size), 0.05))) == size
+            counts.append(sorted(calls))
+        assert counts[0] == counts[1] == counts[2]
+        assert counts[0] == sorted(
+            ["policy design", "inference design", "bread", "policy bread"]
+        )
 
 
 class TestRunGrid:

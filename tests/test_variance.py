@@ -14,10 +14,10 @@ from pooltrial import (
     variance_report,
     weight_products,
 )
-from pooltrial.core import TrajectorySet
+from pooltrial.core import TrajectorySet, stack_trajectories
 from pooltrial.errors import SingularBreadError, SingularPolicyBreadError
 from pooltrial.policies import realized_from_p1
-from pooltrial.variance import check_equivalence, sandwich_covariance
+from pooltrial.variance import check_equivalence, sandwich_covariance, variance_reports
 
 from oracles import (
     block_lower_triangular_inverse,
@@ -134,16 +134,19 @@ class TestSandwich:
             sandwich_covariance(scores, bread), expected, rtol=1e-12
         )
 
-    def test_singular_bread_rejected(self):
-        scores = np.array([[1.0, 2.0], [3.0, 5.0]])
+    def test_singular_bread_rejected(self, small_trajset):
+        est = fit_theta(small_trajset)
+        est.blocks.psi_dot = np.zeros((3, 3))
         with pytest.raises(SingularBreadError) as err:
-            sandwich_covariance(scores, np.zeros((2, 2)))
+            sandwich(small_trajset, est)
         assert err.value.cond == float("inf")
 
-    def test_nan_bread_rejected(self):
-        scores = np.array([[1.0, 2.0], [3.0, 5.0]])
+    def test_nan_bread_rejected(self, small_trajset):
+        est = fit_theta(small_trajset)
+        est.blocks.psi_dot = np.diag([-1.0, -1.0, -1.0])
+        est.blocks.psi_dot[1, 0] = np.nan
         with pytest.raises(SingularBreadError) as err:
-            sandwich_covariance(scores, np.array([[-1.0, 0.0], [np.nan, -1.0]]))
+            sandwich(small_trajset, est)
         assert err.value.cond is None
 
     def test_scale_invariance(self, small_trajset):
@@ -416,3 +419,70 @@ class TestVarianceReport:
         for j in range(3):
             lo, hi = rep.ci_adaptive[j]
             assert hi - lo == pytest.approx(2 * z * rep.se_adaptive[j], rel=1e-12)
+
+
+# Each policy kind, with the state dimension it runs at (mirror descent with a
+# scalar and with a per-time eta).
+ETA_SEQUENCE = [0.3 + 0.05 * k for k in range(9)]
+BATCH_POLICIES = {
+    "boltzmann": (dict(kind="boltzmann", rho=5.0), 2),
+    "mirror_scalar": (dict(kind="mirror_descent", eta=0.5), 2),
+    "mirror_sequence": (dict(kind="mirror_descent", eta=ETA_SEQUENCE), 2),
+    "constant_uniform": (dict(kind="constant_uniform"), 2),
+    "boltzmann_state_dim1": (dict(kind="boltzmann", rho=5.0), 1),
+}
+
+
+def same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def same_report(got, want) -> bool:
+    return all(same_bits(getattr(got, f), getattr(want, f)) for f in got.to_dict())
+
+
+class TestBatchedEstimation:
+    """A batch of R trajectories is estimated bit for bit as R separate calls."""
+
+    @pytest.mark.parametrize("name", sorted(BATCH_POLICIES))
+    def test_batch_matches_single_trajectories(self, name):
+        policy, state_dim = BATCH_POLICIES[name]
+        config = TrialConfig(
+            n_users=30,
+            horizon_T=10,
+            state_dim=state_dim,
+            master_seed=41,
+            policy=PolicySpec(**policy),
+            env=EnvConfig(kappa1=2.0),
+        )
+        trials = [run_trial(config, SeedPlan(41, r)) for r in range(4)]
+        batch = stack_trajectories(trials)
+        est = fit_theta(batch)
+        adaptive = adaptive_sandwich(batch, est)
+        reports = variance_reports(batch, est)
+        sandwich_only = variance_reports(batch, est, which="sandwich")
+        for r, ts in enumerate(trials):
+            one = fit_theta(ts)
+            one_adaptive = adaptive_sandwich(ts, one)
+            pairs = [
+                (est.theta_hat[r], one.theta_hat),
+                (est.blocks.psi_dot[r], one.blocks.psi_dot),
+                (est.blocks.psi_mat[r], one.blocks.psi_mat),
+                (est.blocks.phi_dots[r], one.blocks.phi_dots),
+                (np.stack(est.blocks.phi_mats)[:, r], np.stack(one.blocks.phi_mats)),
+                (weight_products(batch)[r], weight_products(ts)),
+                (adaptive.cov[r], one_adaptive.cov),
+                (adaptive.m_blocks[r], one_adaptive.m_blocks),
+                (adaptive.invariance_norms[r], one_adaptive.invariance_norms),
+            ]
+            assert all(same_bits(got, want) for got, want in pairs)
+            assert same_report(reports[r], variance_report(ts, one))
+            assert same_report(
+                sandwich_only[r], variance_report(ts, one, which="sandwich")
+            )
+
+    def test_single_trajectory_batch_is_a_view(self, small_trajset):
+        batch = stack_trajectories([small_trajset])
+        assert np.shares_memory(batch.states, small_trajset.states)
+        assert batch.states.shape == (1, *small_trajset.states.shape)
