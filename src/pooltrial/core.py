@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from numbers import Integral
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -145,6 +144,9 @@ class TrialConfig:
         return dataclasses.replace(self, **kwargs)
 
 
+_ARRAYS = ("states", "actions", "rewards", "action_probs", "beta_hats")
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(arr)
     out.setflags(write=False)
@@ -153,54 +155,61 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TrajectorySet:
-    """One replication's collected data plus the policy-parameter snapshots.
+    """One replication's collected data plus the policy-parameter snapshots,
+    or a batch of replications of one config along leading axes.
 
     ``action_probs[i, t]`` is the probability the sampling policy assigned to
     the *realised* action of user i at decision time t+1 (0-based storage for
     1-based decision times).  ``beta_hats[t-1]`` is the pooled least-squares
     fit on data through decision time t; the policy at decision time t+1 was
-    evaluated with it.
+    evaluated with it.  Shapes are checked on the trailing axes; ``ts[r]`` is
+    replication r of a batch, as read-only views.
     """
 
-    states: np.ndarray        # (n, T, d_S)
-    actions: np.ndarray       # (n, T) in {0, 1}
-    rewards: np.ndarray       # (n, T)
-    action_probs: np.ndarray  # (n, T)
-    beta_hats: np.ndarray     # (T-1, 2 * d_S)
+    states: np.ndarray        # (..., n, T, d_S)
+    actions: np.ndarray       # (..., n, T) in {0, 1}
+    rewards: np.ndarray       # (..., n, T)
+    action_probs: np.ndarray  # (..., n, T)
+    beta_hats: np.ndarray     # (..., T-1, 2 * d_S)
     config: TrialConfig
 
     def __post_init__(self):
-        n, T = self.actions.shape
-        if self.states.shape != (n, T, self.config.state_dim):
-            raise DataIntegrityError(f"states shape {self.states.shape} invalid")
-        if self.rewards.shape != (n, T) or self.action_probs.shape != (n, T):
-            raise DataIntegrityError("rewards/action_probs shape mismatch")
-        if self.beta_hats.shape != (T - 1, self.config.policy_dim):
-            raise DataIntegrityError(
-                f"beta_hats shape {self.beta_hats.shape} invalid"
-            )
-        for name in ("states", "rewards", "beta_hats"):
-            arr = getattr(self, name)
-            # min and max carry a NaN or an inf out, with no temporary array
-            if not -np.inf < arr.min() <= arr.max() < np.inf:
-                raise DataIntegrityError(f"{name} holds a non-finite value")
-        pmin = self.config.policy.pi_min
-        lo, hi = self.action_probs.min(), self.action_probs.max()
-        # a positive test, so that a NaN (which compares False) fails it
-        if not pmin - PROB_TOL <= lo <= hi <= 1.0 - pmin + PROB_TOL:
-            raise DataIntegrityError(
-                f"action_probs outside [{pmin}, {1 - pmin}]: range ({lo}, {hi})"
-            )
-        for name in ("states", "actions", "rewards", "action_probs", "beta_hats"):
+        *batch, n, T = self.actions.shape
+        shapes = {
+            "states": (*batch, n, T, self.config.state_dim),
+            "rewards": (*batch, n, T),
+            "action_probs": (*batch, n, T),
+            "beta_hats": (*batch, T - 1, self.config.policy_dim),
+        }
+        for name, shape in shapes.items():
+            if getattr(self, name).shape != shape:
+                raise DataIntegrityError(f"{name} shape is not {shape}")
+        if self.actions.size:  # an empty batch holds no value to check
+            for name in ("states", "rewards", "beta_hats"):
+                arr = getattr(self, name)
+                # min and max carry a NaN or an inf out, with no temporary array
+                if not -np.inf < arr.min() <= arr.max() < np.inf:
+                    raise DataIntegrityError(f"{name} holds a non-finite value")
+            pmin = self.config.policy.pi_min
+            lo, hi = self.action_probs.min(), self.action_probs.max()
+            # a positive test, so that a NaN (which compares False) fails it
+            if not pmin - PROB_TOL <= lo <= hi <= 1.0 - pmin + PROB_TOL:
+                raise DataIntegrityError(
+                    f"action_probs outside [{pmin}, {1 - pmin}]: range ({lo}, {hi})"
+                )
+        for name in _ARRAYS:
             object.__setattr__(self, name, _freeze(getattr(self, name)))
+
+    def __getitem__(self, r) -> "TrajectorySet":
+        return TrajectorySet(*(getattr(self, name)[r] for name in _ARRAYS), self.config)
 
     @property
     def n_users(self) -> int:
-        return self.actions.shape[0]
+        return self.actions.shape[-2]
 
     @property
     def horizon_T(self) -> int:
-        return self.actions.shape[1]
+        return self.actions.shape[-1]
 
     def save(self, out_dir) -> None:
         """Write the columnar trajectory file plus the beta_hats sidecar.
@@ -286,19 +295,6 @@ class TrajectorySet:
                 f"its replay through the policy"
             )
         return trajset
-
-
-def stack_trajectories(trajsets) -> SimpleNamespace:
-    """Trajectories of one config as a batch the estimators take in place of a
-    ``TrajectorySet``: each array stacked along a new leading axis (a view for
-    a single trajectory), with the config, ``n_users`` and ``horizon_T``."""
-    ts = trajsets[0]
-    names = [f.name for f in dataclasses.fields(TrajectorySet) if f.name != "config"]
-    arrays = {name: [getattr(t, name) for t in trajsets] for name in names}
-    return SimpleNamespace(
-        config=ts.config, n_users=ts.n_users, horizon_T=ts.horizon_T,
-        **{k: a[0][None] if len(a) == 1 else np.stack(a) for k, a in arrays.items()},
-    )
 
 
 def _read_rows(path, n_cols: int) -> np.ndarray:

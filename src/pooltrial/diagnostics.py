@@ -22,7 +22,7 @@ import numpy as np
 from scipy.stats import kstest
 
 from .core import EnvConfig, SeedPlan, TrialConfig
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError
 from .montecarlo import ORACLE_REP_BASE, estimate_theta_star, rep_batches, replicate
 from .policies import PolicySpec
 from .simulator import run_trial, run_trials
@@ -39,8 +39,8 @@ REWARD_CLIP = 3.0
 
 
 def inverse_prob_products(trajset) -> np.ndarray:
-    """Per-user rho_{2:T} = 1 / prod_{t>=2} P(realised action at t)."""
-    return 1.0 / np.prod(trajset.action_probs[:, 1:], axis=1)
+    """Per-user rho_{2:T} = 1 / prod_{t>=2} P(realised action at t), (..., n)."""
+    return 1.0 / np.prod(trajset.action_probs[..., 1:], axis=-1)
 
 
 def _target_policy_oracle(config: TrialConfig, oracle_n: int):
@@ -76,14 +76,14 @@ def bernstein_check(config: TrialConfig, reps: int, oracle_n: int = 100_000) -> 
 
     n = config.n_users
     stats = np.empty(reps)
-    for batch in rep_batches(n, reps):
-        plans = [SeedPlan(config.master_seed, r) for r in batch]
-        for r, ts in zip(batch, run_trials(config, plans)):
-            if isinstance(ts, NumericalError):
-                raise ts  # the earliest aborting replication's error
-            rho_hat = inverse_prob_products(ts)
-            f_vals = np.clip(ts.rewards[:, -1], -REWARD_CLIP, REWARD_CLIP)
-            stats[r] = np.sqrt(n) * (np.mean(rho_hat * f_vals) - centering)
+    for reps_batch in rep_batches(n, reps):
+        plans = [SeedPlan(config.master_seed, r) for r in reps_batch]
+        batch, errors = run_trials(config, plans)
+        if any(errors):  # the earliest aborting replication's error
+            raise next(filter(None, errors))
+        rho_hat = inverse_prob_products(batch)
+        f_vals = np.clip(batch.rewards[..., -1], -REWARD_CLIP, REWARD_CLIP)
+        stats[reps_batch] = np.sqrt(n) * (np.mean(rho_hat * f_vals, axis=-1) - centering)
 
     base = np.sqrt(max(variance_proxy, 1e-12))
     x_grid = base * np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 64.0])

@@ -13,8 +13,8 @@ Both are linear in their parameters, so all Jacobians have closed forms
 (negative Gram matrices of the respective regressors) and the fits are exact
 normal-equation roots.
 
-Each function here that takes a ``trajset`` also takes a batch from
-``core.stack_trajectories`` and works along its leading replication axis.
+Each function here that takes a ``trajset`` also takes a batched
+``TrajectorySet`` and works along its leading replication axis.
 """
 
 from __future__ import annotations
@@ -68,15 +68,16 @@ def solve_or_nan(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.stack([solve_or_nan(g, b) for g, b in zip(gram, rhs)])
 
 
-def check_conditioned(mats, error, what: str, first_t=None, solutions=None):
-    """Raise ``error`` for the earliest ill-posed matrix of a (..., k, d, d) stack.
+def conditioning_errors(mats, error, what: str, first_t=None, solutions=None) -> list:
+    """For each (k, d, d) stack of a (..., k, d, d) array, flattened over the
+    leading axes: ``error`` for its earliest ill-posed matrix, or None.
 
     Matrix i is ill posed when it is non-finite, its 2-norm condition number
     exceeds COND_LIMIT (a singular matrix has cond inf), or row i of
     ``solutions`` is non-finite.  The three are or-ed per matrix, so the
-    earliest index of the first failing stack wins whichever flags it.  The
-    error carries t = first_t + i (None without ``first_t``) and the cond of
-    matrix i (None for a non-finite matrix, whose SVD is never taken).
+    earliest index wins whichever flags it.  The error carries t = first_t + i
+    (None without ``first_t``) and the cond of matrix i (None for a non-finite
+    matrix, whose SVD is never taken).
     """
     mats = np.asarray(mats, dtype=float)
     finite = np.isfinite(mats).all(axis=(-2, -1))
@@ -87,17 +88,28 @@ def check_conditioned(mats, error, what: str, first_t=None, solutions=None):
     bad = ~finite | (conds > COND_LIMIT)
     if solutions is not None:
         bad |= ~np.isfinite(solutions).all(axis=-1)
-    if not bad.any():
-        return
-    j = np.unravel_index(np.argmax(bad), bad.shape)
-    t = None if first_t is None else first_t + int(j[-1])
-    if not finite[j]:
-        raise error(f"non-finite {what}", t=t)
-    cond = float(conds[j])
-    at = "" if t is None else f" at t={t}"
-    if cond > COND_LIMIT:
-        raise error(f"singular {what}{at} (cond={cond:.3e})", t=t, cond=cond)
-    raise error(f"non-finite solution for the {what}{at}", t=t, cond=cond)
+    k = bad.shape[-1]
+    bad, finite, conds = (a.reshape(-1, k) for a in (bad, finite, conds))
+    errors = [None] * len(bad)
+    for s in np.flatnonzero(bad.any(axis=1)):
+        i = int(np.argmax(bad[s]))
+        t = None if first_t is None else first_t + i
+        at = "" if t is None else f" at t={t}"
+        cond = float(conds[s, i])
+        if not finite[s, i]:
+            errors[s] = error(f"non-finite {what}", t=t)
+        elif cond > COND_LIMIT:
+            errors[s] = error(f"singular {what}{at} (cond={cond:.3e})", t=t, cond=cond)
+        else:
+            errors[s] = error(f"non-finite solution for the {what}{at}", t=t, cond=cond)
+    return errors
+
+
+def check_conditioned(mats, error, what: str, first_t=None, solutions=None):
+    """Raise the first of ``conditioning_errors``, if any."""
+    for err in conditioning_errors(mats, error, what, first_t, solutions):
+        if err is not None:
+            raise err
 
 
 class EstimationBlocks:

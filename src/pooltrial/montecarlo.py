@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass
 import numpy as np
 
-from .core import SeedPlan, TrajectorySet, TrialConfig, stack_trajectories
+from .core import SeedPlan, TrialConfig
 from .errors import ConfigError, NumericalError
 from .estimators import fit_theta
 from .simulator import run_trial, run_trials
@@ -38,14 +38,8 @@ def run_replication(
     config: TrialConfig, plan: SeedPlan, alpha: float = 0.05
 ) -> VarianceReport:
     """Simulate -> estimate -> both variances for one replication."""
-    return _estimate(run_trial(config, plan), alpha)
-
-
-def _estimate(trial, alpha: float) -> VarianceReport:
-    """Both variances of a simulated trial, or the trial's own error raised."""
-    if isinstance(trial, NumericalError):
-        raise trial
-    return variance_report(trial, fit_theta(trial), alpha=alpha, which="both")
+    ts = run_trial(config, plan)
+    return variance_report(ts, fit_theta(ts), alpha=alpha)
 
 
 def rep_batches(n_users: int, reps: int, jobs: int = 1) -> list[range]:
@@ -56,25 +50,22 @@ def rep_batches(n_users: int, reps: int, jobs: int = 1) -> list[range]:
 
 
 def _replicate(args):
-    """One batch of replications, simulated and estimated side by side; if a
-    check (made before any solve) fails, each is estimated on its own."""
+    """One batch of replications, simulated and estimated side by side; if an
+    estimation check fails, each is estimated on its own, for its own error."""
     config, reps, alpha = args
-    trials = run_trials(config, [SeedPlan(config.master_seed, r) for r in reps])
-    trajsets = [ts for ts in trials if isinstance(ts, TrajectorySet)]
-    if trajsets:
-        batch = stack_trajectories(trajsets)
-        try:
-            done = iter(variance_reports(batch, fit_theta(batch), alpha))
-            return [next(done) if isinstance(t, TrajectorySet) else t for t in trials]
-        except NumericalError:
-            pass  # no batched solve has run; each gets its own error below
-    results = []
-    for trial in trials:
-        try:
-            results.append(_estimate(trial, alpha))
-        except NumericalError as err:
-            results.append(err.with_traceback(None))
-    return results
+    batch, errors = run_trials(config, [SeedPlan(config.master_seed, r) for r in reps])
+    kept = range(errors.count(None))
+    try:
+        reports = variance_reports(batch, fit_theta(batch), alpha) if kept else []
+    except NumericalError:
+        reports = []
+        for i in kept:
+            try:
+                reports.append(variance_report(batch[i], fit_theta(batch[i]), alpha))
+            except NumericalError as err:
+                reports.append(err.with_traceback(None))
+    done = iter(reports)
+    return [next(done) if err is None else err for err in errors]
 
 
 def replicate(

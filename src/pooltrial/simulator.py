@@ -14,8 +14,8 @@ import numpy as np
 
 from .core import SeedPlan, TrajectorySet, TrialConfig, derive_stream
 from .environment import correlate_errors, dosage_normalizer, reward
-from .errors import ConfigError, DegenerateDesignError, NumericalError
-from .estimators import check_conditioned, solve_or_nan
+from .errors import ConfigError, DegenerateDesignError
+from .estimators import conditioning_errors, solve_or_nan
 from .policies import policy_path, realized_from_p1
 
 
@@ -28,19 +28,21 @@ def run_trial(config: TrialConfig, plan: SeedPlan, frozen_betas=None) -> Traject
     runs are produced.  A degenerate policy refit raises its error after the
     trial has run to T.
     """
-    (trial,) = run_trials(config, [plan], frozen_betas)
-    if isinstance(trial, NumericalError):
-        raise trial
-    return trial
+    batch, (error,) = run_trials(config, [plan], frozen_betas)
+    if error is not None:
+        raise error
+    return batch[0]
 
 
-def run_trials(config: TrialConfig, plans, frozen_betas=None) -> list:
+def run_trials(config: TrialConfig, plans, frozen_betas=None) -> tuple:
     """Simulate one replication per plan, in lockstep along a leading axis.
 
     The replications share nothing: each draws from its own plan, and its
-    trajectory is bit-identical to a batch of one.  Returns, in plan order,
-    each one's ``TrajectorySet`` (a view into the batch arrays) or the
-    ``DegenerateDesignError`` of its policy refits.
+    trajectory is bit-identical to a batch of one.  Returns ``(batch,
+    errors)``: ``batch`` is one ``TrajectorySet`` over the replications whose
+    policy refits are well posed, in plan order (the simulator's own arrays
+    when none failed), and ``errors`` holds, in plan order, each
+    replication's ``DegenerateDesignError`` or None.
     """
     R = len(plans)
     n, T, d_S = config.n_users, config.horizon_T, config.state_dim
@@ -108,29 +110,16 @@ def run_trials(config: TrialConfig, plans, frozen_betas=None) -> list:
             rewards[:, :, t - 1] = reward(env, dosage / c_gamma, a_t, eps[:, :, t])
             r_prev = rewards[:, :, t - 1]
 
-    one_by_one = False
-    try:  # one call for the refit Grams of the whole batch
-        if frozen_betas is None:
-            check_conditioned(
-                grams, DegenerateDesignError, "policy design", solutions=beta_hats
-            )
-    except DegenerateDesignError:
-        one_by_one = True  # check each replication on its own, for its own error
-    trials = []
-    for r in range(R):
-        try:
-            if one_by_one:
-                check_conditioned(
-                    grams[r], DegenerateDesignError, "policy design", first_t=1,
-                    solutions=beta_hats[r],
-                )
-            trials.append(TrajectorySet(
-                states[r], actions[r], rewards[r], action_probs[r], beta_hats[r], config
-            ))
-        except DegenerateDesignError as err:
-            # kept without its traceback, whose frames hold the batch arrays
-            trials.append(err.with_traceback(None))
-    return trials
+    errors = [None] * R
+    if frozen_betas is None:  # one call for the refit Grams of the whole batch
+        errors = conditioning_errors(
+            grams, DegenerateDesignError, "policy design", first_t=1, solutions=beta_hats
+        )
+    arrays = [states, actions, rewards, action_probs, beta_hats]
+    if any(errors):
+        kept = [r for r, err in enumerate(errors) if err is None]
+        arrays = [a[kept] for a in arrays]
+    return TrajectorySet(*arrays, config), errors
 
 
 def replay_action_probs(trajset: TrajectorySet) -> np.ndarray:

@@ -42,7 +42,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .core import TrajectorySet
-from .errors import SingularBreadError, SingularPolicyBreadError
+from .errors import DegenerateDesignError, SingularBreadError, SingularPolicyBreadError
 from .estimators import EstimationResult, check_conditioned
 from .policies import policy_path, prob_slope
 
@@ -74,7 +74,7 @@ def weight_products(trajset) -> np.ndarray:
 
 def confidence_interval(center: float, se: float, alpha: float):
     """Normal-quantile interval center +/- z_{1 - alpha/2} * se."""
-    if se < 0:
+    if not se >= 0:  # a NaN se fails too
         raise ValueError(f"se must be >= 0, got {se}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0,1), got {alpha}")
@@ -266,7 +266,8 @@ def variance_reports(
     """The report of each replication, one for a ``TrajectorySet`` and R for a
     batch: the sandwich, and under ``which="both"`` the adaptive sandwich, with
     per-coordinate CIs.  Psi_dot, then under ``which="both"`` the policy
-    blocks, are checked before any solve."""
+    blocks, are checked before any solve; a variance that is not finite and
+    > 0 raises ``DegenerateDesignError``."""
     if which not in ("sandwich", "both"):
         raise ValueError(f"unknown variance selection {which!r}")
     blocks, d, n = est.blocks, trajset.config.theta_dim, trajset.n_users
@@ -279,6 +280,10 @@ def variance_reports(
     else:
         check_conditioned(blocks.psi_dot[..., None, :, :], SingularBreadError, "bread")
     sandwiches = sandwich_covariance(blocks.psi_mat, blocks.psi_dot).reshape(-1, d, d)
+    checked = [sandwiches] if which == "sandwich" else [sandwiches, adaptive_covs]
+    variances = np.diagonal(np.stack(checked), axis1=-2, axis2=-1)
+    if not ((variances > 0) & np.isfinite(variances)).all():
+        raise DegenerateDesignError("a plug-in variance is not finite and > 0")
     stacked_dim = (trajset.horizon_T - 1) * trajset.config.policy_dim + d
     reports = []
     for r, center in enumerate(centers):

@@ -200,6 +200,26 @@ class TestEstimate:
         assert "equivalence_gap" not in report
         assert report["alpha"] == 0.1
 
+    def test_zero_variance_exits_2_without_output(self, tmp_path, capsys):
+        # with state_dim 1 the intercept of replication 7 is fit from one
+        # untreated observation: its plug-in variance rounds below zero
+        cfg = {
+            "trial": {"n_users": 4, "horizon_T": 6, "state_dim": 1, "master_seed": 29},
+            "policy": {"kind": "boltzmann", "rho": 5.0},
+        }
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        sim_dir, est_dir = tmp_path / "sim", tmp_path / "est"
+        assert main(["simulate", "--config", str(path), "--out", str(sim_dir),
+                     "--rep", "7"]) == 0
+        capsys.readouterr()
+        code = main(["estimate", "--in", str(sim_dir), "--out", str(est_dir)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: a plug-in variance is not finite and > 0\n"
+        )
+        assert not est_dir.exists()
+
     def test_missing_manifest_exits_1(self, tmp_path):
         code = main(["estimate", "--in", str(tmp_path), "--out", str(tmp_path / "e")])
         assert code == 1

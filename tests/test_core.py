@@ -11,7 +11,9 @@ from pooltrial import (
     run_trial,
 )
 from pooltrial.errors import ConfigError, DataIntegrityError
-from pooltrial.simulator import replay_action_probs
+from pooltrial.simulator import replay_action_probs, run_trials
+
+FIELDS = ("states", "actions", "rewards", "action_probs", "beta_hats")
 
 
 class TestDeriveStream:
@@ -119,6 +121,22 @@ class TestTrajectorySet:
         fields[name].flat[5] = value
         with pytest.raises(DataIntegrityError, match=name):
             TrajectorySet(**fields, config=small_trajset.config)
+
+    @pytest.mark.parametrize("name", ["states", "rewards", "action_probs", "beta_hats"])
+    def test_mismatched_leading_axes_rejected(self, small_config, name):
+        batch, _ = run_trials(small_config, [SeedPlan(1, rep) for rep in range(3)])
+        fields = {f: getattr(batch, f) for f in FIELDS}
+        fields[name] = fields[name][:2]
+        with pytest.raises(DataIntegrityError, match=name):
+            TrajectorySet(**fields, config=small_config)
+
+    @pytest.mark.parametrize("name", ["states", "rewards", "action_probs", "beta_hats"])
+    def test_non_finite_in_one_replication_rejected(self, small_config, name):
+        batch, _ = run_trials(small_config, [SeedPlan(1, rep) for rep in range(3)])
+        fields = {f: np.array(getattr(batch, f)) for f in FIELDS}
+        fields[name][2].flat[-1] = np.nan
+        with pytest.raises(DataIntegrityError, match=name):
+            TrajectorySet(**fields, config=small_config)
 
     def test_immutable(self, small_trajset):
         with pytest.raises(ValueError):

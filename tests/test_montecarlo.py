@@ -32,7 +32,7 @@ from pooltrial.montecarlo import (
     run_replication,
 )
 from pooltrial.core import TrajectorySet
-from pooltrial.variance import sandwich
+from pooltrial.variance import VarianceReport, sandwich
 
 
 def _paper_cell_config(kappa1, rho, n, seed=202):
@@ -299,14 +299,15 @@ class TestRunCell:
         bad = {}
 
         def with_untreated_trial(config, plans):
-            trials = simulate(config, plans)
-            ts = trials[2]
-            actions = np.array(ts.actions)
-            actions[:, :untreated_upto] = 0
-            bad["ts"] = trials[2] = TrajectorySet(
-                ts.states, actions, ts.rewards, ts.action_probs, ts.beta_hats, config
+            batch, errors = simulate(config, plans)
+            actions = np.array(batch.actions)
+            actions[2, :, :untreated_upto] = 0
+            batch = TrajectorySet(
+                batch.states, actions, batch.rewards, batch.action_probs,
+                batch.beta_hats, config,
             )
-            return trials
+            bad["ts"] = batch[2]
+            return batch, errors
 
         monkeypatch.setattr(montecarlo, "run_trials", with_untreated_trial)
         got = replicate(config, 5)
@@ -329,31 +330,79 @@ class TestRunCell:
                 got, want = getattr(rep, name), getattr(alone, name)
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
 
-    @pytest.mark.parametrize("horizon", [5, 20])
-    def test_checks_per_batch_do_not_grow_with_reps(self, monkeypatch, horizon):
-        # one call per kind of matrix: the policy Grams, the inference Gram,
-        # Psi_dot and the policy breads, whatever the batch size
-        from pooltrial import estimators, simulator, variance
+    @pytest.fixture()
+    def checks(self, monkeypatch):
+        """What each conditioning check made from now on checks, in order."""
+        from pooltrial import estimators, simulator
 
         calls = []
-        check = estimators.check_conditioned
+        check = estimators.conditioning_errors
 
         def counted(*args, **kwargs):
             calls.append(args[2])
             return check(*args, **kwargs)
 
-        for module in (estimators, simulator, variance):
-            monkeypatch.setattr(module, "check_conditioned", counted)
+        for module in (estimators, simulator):
+            monkeypatch.setattr(module, "conditioning_errors", counted)
+        return calls
+
+    @pytest.mark.parametrize("horizon", [5, 20])
+    def test_checks_per_batch_do_not_grow_with_reps(self, checks, horizon):
+        # one call per kind of matrix: the policy Grams, the inference Gram,
+        # Psi_dot and the policy breads, whatever the batch size
         config = _paper_cell_config(5.0, 5.0, 50).replace(horizon_T=horizon)
         counts = []
         for size in (1, 3, 8):
-            calls.clear()
+            checks.clear()
             assert len(montecarlo._replicate((config, range(size), 0.05))) == size
-            counts.append(sorted(calls))
+            counts.append(sorted(checks))
         assert counts[0] == counts[1] == counts[2]
         assert counts[0] == sorted(
             ["policy design", "inference design", "bread", "policy bread"]
         )
+
+    def test_one_policy_design_check_for_an_aborting_batch(self, checks):
+        # replications 2 and 4 have an exactly singular policy refit
+        config = TrialConfig(
+            n_users=5,
+            horizon_T=6,
+            master_seed=29,
+            policy=PolicySpec(kind="boltzmann", rho=5.0),
+            env=EnvConfig(kappa1=1.0),
+        )
+        got = montecarlo._replicate((config, range(6), 0.05))
+        assert checks.count("policy design") == 1
+        for r, rep in enumerate(got):
+            try:
+                alone = run_replication(config, SeedPlan(29, r))
+            except NumericalError as err:
+                assert (type(rep), rep.t, rep.cond) == (type(err), err.t, err.cond)
+            else:
+                assert rep.to_dict() == alone.to_dict()
+        assert [r for r, rep in enumerate(got) if isinstance(rep, NumericalError)] == [2, 4]
+
+    def test_nan_variance_aborts_the_replication(self):
+        # with state_dim 1, replication 7 fits its intercept from one
+        # untreated observation: its plug-in variance rounds to -5.6e-14
+        config = TrialConfig(
+            n_users=4,
+            horizon_T=6,
+            state_dim=1,
+            master_seed=29,
+            policy=PolicySpec(kind="boltzmann", rho=5.0),
+        )
+        with pytest.raises(DegenerateDesignError, match="plug-in variance") as alone:
+            run_replication(config, SeedPlan(29, 7))
+        assert (alone.value.t, alone.value.cond) == (None, None)
+        got = replicate(config, 10)
+        assert type(got[7]) is DegenerateDesignError
+        assert (str(got[7]), got[7].t, got[7].cond) == (str(alone.value), None, None)
+        for r, rep in enumerate(got):
+            if r != 7 and isinstance(rep, VarianceReport):
+                alone = run_replication(config, SeedPlan(29, r))
+                for name in rep.to_dict():
+                    want = np.asarray(getattr(alone, name)).tobytes()
+                    assert np.asarray(getattr(rep, name)).tobytes() == want, name
 
 
 class TestRunGrid:

@@ -146,6 +146,12 @@ def _outcome(trial):
     )
 
 
+def _unbatched(batch, errors):
+    """``run_trials``' result in plan order: each trajectory, or its error."""
+    kept = (batch[i] for i in range(errors.count(None)))
+    return [next(kept) if err is None else err for err in errors]
+
+
 class TestRunTrials:
     """A batch of replications equals the same replications run one by one."""
 
@@ -174,21 +180,39 @@ class TestRunTrials:
                 single.append(_outcome(run_trial(config, plan)))
             except DegenerateDesignError as err:
                 single.append(_outcome(err))
-        assert [_outcome(t) for t in run_trials(config, plans)] == single
+        batch = _unbatched(*run_trials(config, plans))
+        assert [_outcome(t) for t in batch] == single
 
     def test_frozen_batch_matches_single_trials(self, small_trajset, small_config):
         frozen = np.asarray(small_trajset.beta_hats)
         plans = [SeedPlan(99, rep) for rep in range(3)]
-        batch = run_trials(small_config, plans, frozen_betas=frozen)
+        batch = _unbatched(*run_trials(small_config, plans, frozen_betas=frozen))
         single = [run_trial(small_config, p, frozen_betas=frozen) for p in plans]
         assert [_outcome(t) for t in batch] == [_outcome(t) for t in single]
 
     def test_trials_are_read_only_views(self, small_config):
-        trials = run_trials(small_config, [SeedPlan(1, rep) for rep in range(3)])
-        for field in FIELDS:
-            arrays = [getattr(t, field) for t in trials]
-            assert all(not a.flags.writeable for a in arrays)
-            assert arrays[1].base is arrays[0].base is not None
+        plans = [SeedPlan(1, rep) for rep in range(3)]
+        batch, errors = run_trials(small_config, plans)
+        assert errors == [None] * 3
+        for r, plan in enumerate(plans):
+            assert _outcome(batch[r]) == _outcome(run_trial(small_config, plan))
+            for field in FIELDS:
+                row, whole = getattr(batch[r], field), getattr(batch, field)
+                assert not row.flags.writeable and not whole.flags.writeable
+                assert row.base is whole
+
+    def test_aborted_replications_leave_the_batch(self):
+        # reps 2 and 4 of this design have an exactly singular refit
+        config = TrialConfig(
+            n_users=5, horizon_T=6, master_seed=29,
+            policy=PolicySpec(kind="boltzmann", rho=5.0), env=EnvConfig(kappa1=1.0),
+        )
+        plans = [SeedPlan(29, rep) for rep in range(6)]
+        batch, errors = run_trials(config, plans)
+        assert [r for r, err in enumerate(errors) if err is not None] == [2, 4]
+        assert batch.actions.shape == (4, 5, 6)
+        for i, r in enumerate((0, 1, 3, 5)):
+            assert _outcome(batch[i]) == _outcome(run_trial(config, plans[r]))
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_actions_follow_per_step_sampler(self, kind):
@@ -202,7 +226,9 @@ class TestRunTrials:
             env=EnvConfig(kappa1=2.0),
         )
         plans = [SeedPlan(5, rep) for rep in range(3)]
-        for plan, ts in zip(plans, run_trials(config, plans)):
+        batch, errors = run_trials(config, plans)
+        assert errors == [None] * len(plans)
+        for plan, ts in zip(plans, [batch[r] for r in range(len(plans))]):
             p1, _ = policy_path(config.policy, ts.states, ts.beta_hats)
             stream = derive_stream(plan, "actions")
             steps = [sample_action(stream, p1[:, t]) for t in range(ts.horizon_T)]

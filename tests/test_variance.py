@@ -14,9 +14,10 @@ from pooltrial import (
     variance_report,
     weight_products,
 )
-from pooltrial.core import TrajectorySet, stack_trajectories
+from pooltrial.core import TrajectorySet
 from pooltrial.errors import SingularBreadError, SingularPolicyBreadError
 from pooltrial.policies import realized_from_p1
+from pooltrial.simulator import run_trials
 from pooltrial.variance import check_equivalence, sandwich_covariance, variance_reports
 
 from oracles import (
@@ -383,6 +384,10 @@ class TestConfidenceInterval:
         with pytest.raises(ValueError):
             confidence_interval(0.0, 1.0, 1.5)
 
+    def test_rejects_nan_se(self):
+        with pytest.raises(ValueError, match="se must be >= 0"):
+            confidence_interval(0.0, float("nan"), 0.05)
+
 
 class TestVarianceReport:
     def test_report_fields(self, small_trajset):
@@ -457,7 +462,7 @@ class TestBatchedEstimation:
             env=EnvConfig(kappa1=2.0),
         )
         trials = [run_trial(config, SeedPlan(41, r)) for r in range(4)]
-        batch = stack_trajectories(trials)
+        batch, _ = run_trials(config, [SeedPlan(41, r) for r in range(4)])
         est = fit_theta(batch)
         adaptive = adaptive_sandwich(batch, est)
         reports = variance_reports(batch, est)
@@ -483,6 +488,9 @@ class TestBatchedEstimation:
             )
 
     def test_single_trajectory_batch_is_a_view(self, small_trajset):
-        batch = stack_trajectories([small_trajset])
-        assert np.shares_memory(batch.states, small_trajset.states)
-        assert batch.states.shape == (1, *small_trajset.states.shape)
+        # run_trial's trajectory is row 0 of its R = 1 batch, whose arrays are
+        # the step loop's own: no copy on the way
+        for name in ("states", "actions", "rewards", "action_probs", "beta_hats"):
+            arr = getattr(small_trajset, name)
+            assert arr.base.shape == (1, *arr.shape)
+            assert arr.base.flags.owndata
