@@ -20,9 +20,9 @@ absent or null for all its defaults):
       gamma: 0.95
       error_corr_base: 0.5
     grid:                      # only consumed by the mc subcommand; each
-      kappa1: [1.0, 5.0]       # axis a non-empty list, one left out (or
-      rho: [0.5, 1.0, 5.0]     # the whole section) is the config's value
-      n_users: [50, 100, 500]
+      kappa1: [1.0, 5.0]       # axis a non-empty list of distinct values,
+      rho: [0.5, 1.0, 5.0]     # one left out (or the whole section) is the
+      n_users: [50, 100, 500]  # config's value; rho varies only for boltzmann
 
 ``load_config`` also resolves bundled preset names (currently
 ``paper_table1``) to their packaged files.
@@ -115,6 +115,11 @@ def parse_config(raw: dict):
         "rho": _grid_axis(grid, "rho", config.policy.rho, real_number),
         "n_users": _grid_axis(grid, "n_users", config.n_users, _integer),
     }
+    for key, values in grid.items():
+        if len(set(values)) < len(values):
+            raise ConfigError(f"grid {key} repeats a value: {values!r}")
+    if len(grid["rho"]) > 1 and config.policy.kind != "boltzmann":
+        raise ConfigError(f"grid rho varies, but {config.policy.kind} has no rho")
     return config, grid
 
 

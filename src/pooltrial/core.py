@@ -9,6 +9,7 @@ be shared freely across worker processes.
 from __future__ import annotations
 
 import dataclasses
+import warnings
 from dataclasses import dataclass, field
 from numbers import Integral
 
@@ -300,10 +301,12 @@ class TrajectorySet:
 def _read_rows(path, n_cols: int) -> np.ndarray:
     """Numeric CSV body (header skipped) as a finite (rows, n_cols) array."""
     try:
-        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except (OSError, ValueError) as err:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # an empty body only warns
+            rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError, UserWarning) as err:
         raise DataIntegrityError(f"{path}: {err}") from err
-    if rows.shape[0] == 0 or rows.shape[1] != n_cols:
+    if rows.shape[1] != n_cols:
         raise DataIntegrityError(
             f"{path}: expected {n_cols} columns, got shape {rows.shape}"
         )

@@ -26,7 +26,6 @@ from .errors import ConfigError
 from .montecarlo import ORACLE_REP_BASE, estimate_theta_star, rep_batches, replicate
 from .policies import PolicySpec
 from .simulator import run_trial, run_trials
-from .variance import VarianceReport
 
 SUITES = ("bernstein", "clt", "invariance")
 
@@ -130,11 +129,8 @@ def clt_check(config: TrialConfig, reps: int, theta_star) -> dict:
     """
     theta_star_1 = float(np.asarray(theta_star)[-1])
     coord = config.theta_dim - 1
-    zs = np.asarray([
-        (rep.theta_hat[coord] - theta_star_1) / rep.se_adaptive[coord]
-        for rep in replicate(config, reps)
-        if isinstance(rep, VarianceReport)
-    ])
+    report, _ = replicate(config, reps)
+    zs = (report.theta_hat[:, coord] - theta_star_1) / report.se_adaptive[:, coord]
     if zs.size < 2:
         stats = ("z_mean", "z_variance", "ks_stat", "ks_threshold")
         return {"reps": int(zs.size), **dict.fromkeys(stats), "passed": False}
@@ -156,13 +152,9 @@ def invariance_scan(
     """Mean per-time ||V_hat_{T,t}||_F profile for each labeled configuration."""
     out = {}
     for label, config in labeled_configs:
-        total = np.zeros(config.horizon_T - 1)
-        count = 0
-        for rep in replicate(config, reps):
-            if isinstance(rep, VarianceReport):
-                total += rep.policy_invariance_norms
-                count += 1
-        out[label] = total / max(count, 1)
+        norms = replicate(config, reps)[0].policy_invariance_norms
+        # summed row by row, in replication order
+        out[label] = norms.sum(axis=0) / max(len(norms), 1)
     return out
 
 

@@ -187,6 +187,6 @@ def fit_theta(trajset) -> EstimationResult:
     residual = (rhs - (gram @ theta[..., None])[..., 0]) / trajset.n_users
     return EstimationResult(
         theta_hat=theta,
-        psi_residual_norm=float(np.abs(residual).max()),
+        psi_residual_norm=float(np.abs(residual).max(initial=0.0)),
         blocks=EstimationBlocks(trajset, theta, -gram / trajset.n_users),
     )

@@ -21,7 +21,7 @@ from .core import SeedPlan, TrialConfig
 from .errors import ConfigError, NumericalError
 from .estimators import fit_theta
 from .simulator import run_trial, run_trials
-from .variance import VarianceReport, variance_report, variance_reports
+from .variance import VarianceReport, variance_report
 
 # Oracle runs live in a disjoint rep-index range so their draws never overlap
 # with coverage replications (which use rep_index 0..reps-1).
@@ -50,44 +50,52 @@ def rep_batches(n_users: int, reps: int, jobs: int = 1) -> list[range]:
 
 
 def _replicate(args):
-    """One batch of replications, simulated and estimated side by side; if an
-    estimation check fails, each is estimated on its own, for its own error."""
+    """One batch of replications, simulated and estimated side by side: its
+    reports and each replication's error or None.  If an estimation check
+    fails, each is estimated alone, as a 1-row batch, for its own error."""
     config, reps, alpha = args
     batch, errors = run_trials(config, [SeedPlan(config.master_seed, r) for r in reps])
-    kept = range(errors.count(None))
     try:
-        reports = variance_reports(batch, fit_theta(batch), alpha) if kept else []
+        return [variance_report(batch, fit_theta(batch), alpha)], errors
     except NumericalError:
         reports = []
-        for i in kept:
-            try:
-                reports.append(variance_report(batch[i], fit_theta(batch[i]), alpha))
-            except NumericalError as err:
-                reports.append(err.with_traceback(None))
-    done = iter(reports)
-    return [next(done) if err is None else err for err in errors]
+    for i, r in enumerate([r for r, err in enumerate(errors) if err is None]):
+        one = batch[i : i + 1]
+        try:
+            reports.append(variance_report(one, fit_theta(one), alpha))
+        except NumericalError as err:
+            errors[r] = err.with_traceback(None)
+    return reports or [variance_report(batch[:0], fit_theta(batch[:0]), alpha)], errors
 
 
 def replicate(
     config: TrialConfig, reps: int, alpha: float = 0.05, jobs: int = 1
-) -> list:
-    """Reports of replications 0..reps-1 in order, and for each that aborted
-    its ``NumericalError`` (degenerate design, singular bread; with ``t`` and
-    ``cond``, without the traceback).  The trials are simulated and estimated
-    in batches (``rep_batches``); ``jobs`` > 1 spreads the batches over a
-    process pool, 0 over every CPU.  The results depend on neither.
+) -> tuple[VarianceReport, list]:
+    """Replications 0..reps-1 as ``(report, errors)``: one report over the
+    completed ones, in order, and each one's ``NumericalError`` (degenerate
+    design, singular bread; with ``t`` and ``cond``, without the traceback) or
+    None.  The trials are simulated and estimated in batches (``rep_batches``);
+    ``jobs`` > 1 spreads the batches over a process pool of at most one worker
+    per batch, 0 over every CPU.  The results depend on neither.
     """
     if reps < 1 or jobs < 0:
         raise ConfigError(f"replicate needs reps >= 1 and jobs >= 0, got {reps}, {jobs}")
     if jobs == 0:
         jobs = os.cpu_count() or 1
     tasks = [(config, batch, alpha) for batch in rep_batches(config.n_users, reps, jobs)]
+    jobs = min(jobs, len(tasks))
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
-            batches = pool.map(_replicate, tasks, chunksize=1)
+            results = pool.map(_replicate, tasks, chunksize=1)
     else:
-        batches = map(_replicate, tasks)
-    return [report for batch in batches for report in batch]
+        results = list(map(_replicate, tasks))
+    reports, errors = (list(itertools.chain(*part)) for part in zip(*results))
+    arrays = {  # the scalar fields are the same in every report
+        f.name: np.concatenate([getattr(rep, f.name) for rep in reports])
+        for f in dataclasses.fields(VarianceReport)
+        if isinstance(getattr(reports[0], f.name), np.ndarray)
+    }
+    return dataclasses.replace(reports[0], **arrays), errors
 
 
 def estimate_theta_star(
@@ -141,38 +149,31 @@ def run_cell(
     interval only, and by the adaptive interval only.
     """
     theta_star_1 = float(np.asarray(theta_star)[-1])
-
-    def covers(ci):
-        lo, hi = ci[-1]  # the treatment-effect coordinate
-        return lo <= theta_star_1 <= hi
-
-    completed = [
-        (covers(rep.ci_sandwich), covers(rep.ci_adaptive))
-        for rep in replicate(config, reps, alpha, jobs)
-        if isinstance(rep, VarianceReport)
-    ]
-    aborted = reps - len(completed)
-    m = max(len(completed), 1)
-    cover_s = sum(o[0] for o in completed) / m
-    cover_a = sum(o[1] for o in completed) / m
-    only_s = sum(s and not a for s, a in completed)
-    only_a = sum(a and not s for s, a in completed)
+    report, _ = replicate(config, reps, alpha, jobs)
+    # whether each completed replication's treatment-effect interval covers
+    s, a = (
+        (ci[:, -1, 0] <= theta_star_1) & (theta_star_1 <= ci[:, -1, 1])
+        for ci in (report.ci_sandwich, report.ci_adaptive)
+    )
+    completed = len(s)
+    m = max(completed, 1)
+    cover_s, cover_a = int(s.sum()) / m, int(a.sum()) / m
     rho = config.policy.rho if config.policy.kind == "boltzmann" else 0.0
     return CoverageCell(
         kappa1=config.env.kappa1,
         rho=rho,
         n=config.n_users,
         reps_requested=reps,
-        reps_completed=len(completed),
-        reps_aborted=aborted,
+        reps_completed=completed,
+        reps_aborted=reps - completed,
         coverage_sandwich=cover_s,
         coverage_adaptive=cover_a,
         mc_se_sandwich=float(np.sqrt(cover_s * (1 - cover_s) / m)),
         mc_se_adaptive=float(np.sqrt(cover_a * (1 - cover_a) / m)),
         theta_star_1=theta_star_1,
-        unhealthy=aborted > 0.01 * reps,
-        reps_only_sandwich=int(only_s),
-        reps_only_adaptive=int(only_a),
+        unhealthy=reps - completed > 0.01 * reps,
+        reps_only_sandwich=int((s & ~a).sum()),
+        reps_only_adaptive=int((a & ~s).sum()),
     )
 
 

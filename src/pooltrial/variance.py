@@ -72,14 +72,16 @@ def weight_products(trajset) -> np.ndarray:
     return grads
 
 
-def confidence_interval(center: float, se: float, alpha: float):
-    """Normal-quantile interval center +/- z_{1 - alpha/2} * se."""
-    if not se >= 0:  # a NaN se fails too
+def confidence_interval(center, se, alpha: float) -> np.ndarray:
+    """Normal-quantile intervals center +/- z_{1 - alpha/2} * se, elementwise:
+    a (..., 2) array of (lower, upper)."""
+    se = np.asarray(se, dtype=float)
+    if not (se >= 0).all():  # a NaN se fails too
         raise ValueError(f"se must be >= 0, got {se}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0,1), got {alpha}")
     z = ndtri(1.0 - alpha / 2.0)
-    return float(center - z * se), float(center + z * se)
+    return np.stack([center - z * se, center + z * se], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -238,18 +240,21 @@ def check_equivalence(
 
 @dataclass
 class VarianceReport:
-    """Covariances (variance of sqrt(n)(theta_hat - theta*)), SEs, and CIs."""
+    """Covariances (variance of sqrt(n)(theta_hat - theta*)), SEs, and CIs of
+    one trajectory, or of each replication of a batch along the leading axes:
+    covariances (..., d, d), SEs and ``theta_hat`` (..., d), CIs (..., d, 2)
+    holding (lower, upper), invariance norms (..., T-1)."""
 
     sandwich_cov: np.ndarray
     adaptive_cov: Optional[np.ndarray]
     se_sandwich: np.ndarray
     se_adaptive: Optional[np.ndarray]
-    ci_sandwich: list
-    ci_adaptive: Optional[list]
+    ci_sandwich: np.ndarray
+    ci_adaptive: Optional[np.ndarray]
     policy_invariance_norms: Optional[np.ndarray]
     stacked_dim: int
     alpha: float
-    theta_hat: np.ndarray = field(default=None)
+    theta_hat: np.ndarray
 
     def to_dict(self) -> dict:
         """Every field, arrays as nested lists."""
@@ -260,52 +265,32 @@ class VarianceReport:
         }
 
 
-def variance_reports(
+def variance_report(
     trajset, est: EstimationResult, alpha: float = 0.05, which: str = "both"
-) -> list:
-    """The report of each replication, one for a ``TrajectorySet`` and R for a
-    batch: the sandwich, and under ``which="both"`` the adaptive sandwich, with
-    per-coordinate CIs.  Psi_dot, then under ``which="both"`` the policy
-    blocks, are checked before any solve; a variance that is not finite and
-    > 0 raises ``DegenerateDesignError``."""
+) -> VarianceReport:
+    """The sandwich, and under ``which="both"`` the adaptive sandwich, with
+    per-coordinate CIs, for a trajectory or a batch.  Psi_dot, then under
+    ``which="both"`` the policy blocks, are checked before any covariance is
+    formed; a variance that is not finite and > 0 raises
+    ``DegenerateDesignError``."""
     if which not in ("sandwich", "both"):
         raise ValueError(f"unknown variance selection {which!r}")
-    blocks, d, n = est.blocks, trajset.config.theta_dim, trajset.n_users
-    centers = np.reshape(est.theta_hat, (-1, d))
-    adaptive_covs = norms = [None] * len(centers)
+    blocks, d = est.blocks, trajset.config.theta_dim
+    adaptive_cov = norms = None
     if which == "both":
         result = adaptive_sandwich(trajset, est)
-        adaptive_covs = np.reshape(result.cov, (-1, d, d))
-        norms = np.reshape(result.invariance_norms, (len(centers), -1))
+        adaptive_cov, norms = result.cov, result.invariance_norms
     else:
         check_conditioned(blocks.psi_dot[..., None, :, :], SingularBreadError, "bread")
-    sandwiches = sandwich_covariance(blocks.psi_mat, blocks.psi_dot).reshape(-1, d, d)
-    checked = [sandwiches] if which == "sandwich" else [sandwiches, adaptive_covs]
-    variances = np.diagonal(np.stack(checked), axis1=-2, axis2=-1)
+    covs = (sandwich_covariance(blocks.psi_mat, blocks.psi_dot), adaptive_cov)
+    computed = [c for c in covs if c is not None]
+    variances = np.diagonal(np.stack(computed), axis1=-2, axis2=-1)
     if not ((variances > 0) & np.isfinite(variances)).all():
         raise DegenerateDesignError("a plug-in variance is not finite and > 0")
+    ses = [*np.sqrt(variances / trajset.n_users), None][:2]  # None: not computed
+    cis = [
+        None if se is None else confidence_interval(est.theta_hat, se, alpha)
+        for se in ses
+    ]
     stacked_dim = (trajset.horizon_T - 1) * trajset.config.policy_dim + d
-    reports = []
-    for r, center in enumerate(centers):
-        covs = (sandwiches[r], adaptive_covs[r])
-        ses = [None if c is None else np.sqrt(np.diag(c) / n) for c in covs]
-        cis = [
-            None if se is None
-            else [confidence_interval(*c, alpha) for c in zip(center, se)]
-            for se in ses
-        ]
-        reports.append(
-            VarianceReport(*covs, *ses, *cis, norms[r], stacked_dim, alpha, center)
-        )
-    return reports
-
-
-def variance_report(
-    trajset: TrajectorySet,
-    est: EstimationResult,
-    alpha: float = 0.05,
-    which: str = "both",
-) -> VarianceReport:
-    """The report of one trajectory; see ``variance_reports``."""
-    (report,) = variance_reports(trajset, est, alpha, which)
-    return report
+    return VarianceReport(*covs, *ses, *cis, norms, stacked_dim, alpha, est.theta_hat)

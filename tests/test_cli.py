@@ -102,6 +102,10 @@ class TestSimulate:
             "policy: 0",
             'env: ""',
             "grid: {n_users: []}",
+            "grid: {n_users: [50, 50]}",
+            "grid: {rho: [1, 1.0]}",
+            "policy: {kind: mirror_descent, eta: 0.5}\ngrid: {rho: [0.5, 1.0]}",
+            "policy: {kind: constant_uniform}\ngrid: {rho: [0.5, 1.0]}",
         ],
     )
     def test_bad_config_value_exits_1(self, text, tmp_path, capsys):
@@ -425,6 +429,15 @@ class TestEstimateRejectsBadInput:
     )
     def test_bad_manifest_exits_1(self, manifest, sim_dir, tmp_path, capsys):
         (sim_dir / "manifest.json").write_text(manifest)
+        code = main(["estimate", "--in", str(sim_dir), "--out", str(tmp_path / "e")])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert not (tmp_path / "e" / "estimate.json").exists()
+
+    def test_header_only_csv_exits_1(self, sim_dir, tmp_path, capsys):
+        path = sim_dir / "trajectories.csv"
+        path.write_text(path.read_text().splitlines()[0] + "\n")
         code = main(["estimate", "--in", str(sim_dir), "--out", str(tmp_path / "e")])
         lines = capsys.readouterr().err.strip().splitlines()
         assert code == 1

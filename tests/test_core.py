@@ -209,6 +209,13 @@ class TestLoadIntegrity:
         with pytest.raises(DataIntegrityError):
             self.load(saved, small_trajset)
 
+    @pytest.mark.parametrize("name", ["trajectories.csv", "beta_hats.csv"])
+    def test_header_only_file(self, saved, small_trajset, name):
+        path = saved / name
+        path.write_text(path.read_text().splitlines()[0] + "\n")
+        with pytest.raises(DataIntegrityError, match=f"{name}: .*no data"):
+            self.load(saved, small_trajset)
+
     def test_missing_sidecar(self, saved, small_trajset):
         (saved / "beta_hats.csv").unlink()
         with pytest.raises(DataIntegrityError, match="beta_hats.csv"):

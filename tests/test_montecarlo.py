@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 
 import numpy as np
@@ -33,6 +34,23 @@ from pooltrial.montecarlo import (
 )
 from pooltrial.core import TrajectorySet
 from pooltrial.variance import VarianceReport, sandwich
+
+
+def per_replication(report, errors) -> list:
+    """``replicate``'s ``(report, errors)`` as one entry per replication: its
+    error, or its row of the report as a one-replication ``VarianceReport``."""
+    arrays = [
+        f.name for f in dataclasses.fields(report)
+        if isinstance(getattr(report, f.name), np.ndarray)
+    ]
+    rows = iter(range(errors.count(None)))
+
+    def row(r):
+        return dataclasses.replace(
+            report, **{name: getattr(report, name)[r] for name in arrays}
+        )
+
+    return [row(next(rows)) if err is None else err for err in errors]
 
 
 def _paper_cell_config(kappa1, rho, n, seed=202):
@@ -191,7 +209,7 @@ class TestRunCell:
             return [
                 (type(rep), rep.t, rep.cond) if isinstance(rep, NumericalError)
                 else rep.to_dict()
-                for rep in replicate(config, 7, jobs=jobs)
+                for rep in per_replication(*replicate(config, 7, jobs=jobs))
             ]
 
         default = reports(montecarlo.BATCH_USERS)
@@ -206,6 +224,80 @@ class TestRunCell:
         assert rep_batches(5_000, 3) == [range(0, 1), range(1, 2), range(2, 3)]
         # enough batches to give each worker one
         assert rep_batches(50, 10, jobs=2) == [range(0, 5), range(5, 10)]
+
+    def test_replicate_pool_matches_serial_bits(self):
+        # n = 5: replications 2 and 4 abort; jobs = 2 runs two batches
+        config = TrialConfig(
+            n_users=5,
+            horizon_T=6,
+            master_seed=29,
+            policy=PolicySpec(kind="boltzmann", rho=5.0),
+            env=EnvConfig(kappa1=1.0),
+        )
+        serial, serial_errors = replicate(config, 7, jobs=1)
+        pooled, pooled_errors = replicate(config, 7, jobs=2)
+        for f in dataclasses.fields(VarianceReport):
+            got, want = getattr(pooled, f.name), getattr(serial, f.name)
+            assert np.asarray(got).shape == np.asarray(want).shape, f.name
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), f.name
+
+        def outcomes(errors):
+            return [err and (type(err), str(err), err.t, err.cond) for err in errors]
+
+        assert outcomes(pooled_errors) == outcomes(serial_errors)
+        assert [r for r, err in enumerate(serial_errors) if err] == [2, 4]
+
+    @pytest.mark.parametrize("reps, jobs, size", [(3, 64, 3), (3, 2, 2), (1, 4, None)])
+    def test_pool_is_capped_at_the_batches(self, monkeypatch, reps, jobs, size):
+        # one replication per batch; size None: no pool
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, tasks, chunksize=1):
+                return [func(task) for task in tasks]
+
+        monkeypatch.setattr(montecarlo.multiprocessing, "Pool", RecordingPool)
+        monkeypatch.setattr(montecarlo, "BATCH_USERS", 1)
+        config = _paper_cell_config(1.0, 1.0, 50).replace(horizon_T=5)
+        report, errors = replicate(config, reps, jobs=jobs)
+        assert sizes == ([] if size is None else [size])
+        assert len(report.theta_hat) == len(errors) == reps
+
+    def test_every_estimation_abort_gives_an_empty_report(self, monkeypatch):
+        config = TrialConfig(
+            n_users=30,
+            horizon_T=6,
+            master_seed=44,
+            policy=PolicySpec(kind="boltzmann", rho=5.0),
+            env=EnvConfig(kappa1=2.0),
+        )
+        simulate = montecarlo.run_trials
+
+        def untreated(config, plans):  # no replication identifies theta_1
+            batch, errors = simulate(config, plans)
+            batch = TrajectorySet(
+                batch.states, np.zeros_like(batch.actions), batch.rewards,
+                batch.action_probs, batch.beta_hats, config,
+            )
+            return batch, errors
+
+        monkeypatch.setattr(montecarlo, "run_trials", untreated)
+        report, errors = replicate(config, 3)
+        assert [type(err) for err in errors] == [DegenerateDesignError] * 3
+        assert report.theta_hat.shape == (0, 3)
+        assert report.ci_sandwich.shape == report.ci_adaptive.shape == (0, 3, 2)
+        assert report.policy_invariance_norms.shape == (0, 5)
+        cell = run_cell(config, 3, np.zeros(3))
+        assert (cell.reps_completed, cell.reps_aborted) == (0, 3)
 
     @pytest.mark.parametrize("reps, jobs", [(0, 1), (-5, 1), (3, -3)])
     def test_replicate_rejects_bad_counts(self, reps, jobs):
@@ -294,7 +386,7 @@ class TestRunCell:
             policy=PolicySpec(kind="boltzmann", rho=5.0),
             env=EnvConfig(kappa1=2.0),
         )
-        clean = replicate(config, 5)
+        clean = per_replication(*replicate(config, 5))
         simulate = montecarlo.run_trials
         bad = {}
 
@@ -310,7 +402,7 @@ class TestRunCell:
             return batch, errors
 
         monkeypatch.setattr(montecarlo, "run_trials", with_untreated_trial)
-        got = replicate(config, 5)
+        got = per_replication(*replicate(config, 5))
         with pytest.raises(error) as alone:
             variance_report(bad["ts"], fit_theta(bad["ts"]))
         assert type(got[2]) is error
@@ -323,7 +415,7 @@ class TestRunCell:
 
     def test_replicate_matches_run_replication(self):
         config = _paper_cell_config(5.0, 5.0, 50).replace(horizon_T=8)
-        reports = replicate(config, 6)
+        reports = per_replication(*replicate(config, 6))
         for r, rep in enumerate(reports):
             alone = run_replication(config, SeedPlan(config.master_seed, r))
             for name in rep.to_dict():
@@ -354,7 +446,8 @@ class TestRunCell:
         counts = []
         for size in (1, 3, 8):
             checks.clear()
-            assert len(montecarlo._replicate((config, range(size), 0.05))) == size
+            (report,), errors = montecarlo._replicate((config, range(size), 0.05))
+            assert errors == [None] * size and len(report.theta_hat) == size
             counts.append(sorted(checks))
         assert counts[0] == counts[1] == counts[2]
         assert counts[0] == sorted(
@@ -370,7 +463,8 @@ class TestRunCell:
             policy=PolicySpec(kind="boltzmann", rho=5.0),
             env=EnvConfig(kappa1=1.0),
         )
-        got = montecarlo._replicate((config, range(6), 0.05))
+        (report,), errors = montecarlo._replicate((config, range(6), 0.05))
+        got = per_replication(report, errors)
         assert checks.count("policy design") == 1
         for r, rep in enumerate(got):
             try:
@@ -394,7 +488,7 @@ class TestRunCell:
         with pytest.raises(DegenerateDesignError, match="plug-in variance") as alone:
             run_replication(config, SeedPlan(29, 7))
         assert (alone.value.t, alone.value.cond) == (None, None)
-        got = replicate(config, 10)
+        got = per_replication(*replicate(config, 10))
         assert type(got[7]) is DegenerateDesignError
         assert (str(got[7]), got[7].t, got[7].cond) == (str(alone.value), None, None)
         for r, rep in enumerate(got):

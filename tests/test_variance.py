@@ -18,7 +18,7 @@ from pooltrial.core import TrajectorySet
 from pooltrial.errors import SingularBreadError, SingularPolicyBreadError
 from pooltrial.policies import realized_from_p1
 from pooltrial.simulator import run_trials
-from pooltrial.variance import check_equivalence, sandwich_covariance, variance_reports
+from pooltrial.variance import check_equivalence, sandwich_covariance
 
 from oracles import (
     block_lower_triangular_inverse,
@@ -371,7 +371,16 @@ class TestConfidenceInterval:
         assert hi == pytest.approx(1.959964, abs=5e-7)
 
     def test_point_interval(self):
-        assert confidence_interval(1.3, 0.0, 0.05) == (1.3, 1.3)
+        assert confidence_interval(1.3, 0.0, 0.05).tolist() == [1.3, 1.3]
+
+    def test_elementwise_on_arrays(self):
+        center = np.array([[0.0, 2.5], [1.3, -1.0]])
+        se = np.array([[1.0, 0.5], [0.0, 2.0]])
+        got = confidence_interval(center, se, 0.05)
+        assert got.shape == (2, 2, 2)
+        for idx in np.ndindex(2, 2):
+            want = confidence_interval(center[idx], se[idx], 0.05)
+            assert got[idx].tobytes() == want.tobytes()
 
     def test_quantile_table_oracle(self):
         lo, hi = confidence_interval(2.5, 0.5, 0.05)
@@ -387,6 +396,11 @@ class TestConfidenceInterval:
     def test_rejects_nan_se(self):
         with pytest.raises(ValueError, match="se must be >= 0"):
             confidence_interval(0.0, float("nan"), 0.05)
+
+    def test_rejects_nan_anywhere_in_se(self):
+        se = np.array([[1.0, 0.5], [np.nan, 2.0]])
+        with pytest.raises(ValueError, match="se must be >= 0"):
+            confidence_interval(np.zeros((2, 2)), se, 0.05)
 
 
 class TestVarianceReport:
@@ -443,8 +457,15 @@ def same_bits(got, want) -> bool:
     return got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def same_report(got, want) -> bool:
-    return all(same_bits(getattr(got, f), getattr(want, f)) for f in got.to_dict())
+def same_row(report, r, want) -> bool:
+    """Row r of a batched report is, bit for bit, the one-trajectory report."""
+    for name in want.to_dict():
+        got, one = getattr(report, name), getattr(want, name)
+        if isinstance(got, np.ndarray):
+            got = got[r]
+        if not (got is one is None or same_bits(got, one)):
+            return False
+    return True
 
 
 class TestBatchedEstimation:
@@ -465,8 +486,8 @@ class TestBatchedEstimation:
         batch, _ = run_trials(config, [SeedPlan(41, r) for r in range(4)])
         est = fit_theta(batch)
         adaptive = adaptive_sandwich(batch, est)
-        reports = variance_reports(batch, est)
-        sandwich_only = variance_reports(batch, est, which="sandwich")
+        report = variance_report(batch, est)
+        sandwich_only = variance_report(batch, est, which="sandwich")
         for r, ts in enumerate(trials):
             one = fit_theta(ts)
             one_adaptive = adaptive_sandwich(ts, one)
@@ -482,9 +503,9 @@ class TestBatchedEstimation:
                 (adaptive.invariance_norms[r], one_adaptive.invariance_norms),
             ]
             assert all(same_bits(got, want) for got, want in pairs)
-            assert same_report(reports[r], variance_report(ts, one))
-            assert same_report(
-                sandwich_only[r], variance_report(ts, one, which="sandwich")
+            assert same_row(report, r, variance_report(ts, one))
+            assert same_row(
+                sandwich_only, r, variance_report(ts, one, which="sandwich")
             )
 
     def test_single_trajectory_batch_is_a_view(self, small_trajset):
