@@ -51,16 +51,22 @@ _JOBS = _checked(int, lambda v: v >= 0, ">= 0 (0 = every CPU)")
 _ALPHA = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 
 
-def _write_manifest(out_dir: str, payload: dict) -> None:
+def _write_json(out_dir: str, name: str, payload) -> str:
+    """Write ``payload`` to ``out_dir/name``, keys sorted; returns the path."""
     os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
+    with open(path, "w") as f:
+        json.dump(payload, f, indent=2, sort_keys=True)
+        f.write("\n")
+    return path
+
+
+def _write_manifest(out_dir: str, payload: dict) -> None:
     # outputs are bit-identical under the same python, numpy and scipy
     versions = {f"{m.__name__}_version": m.__version__ for m in (np, scipy)}
     payload = {"package_version": __version__, **versions,
                "python_version": platform.python_version(), **payload}
-    with open(os.path.join(out_dir, "manifest.json"), "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
-    log.info("manifest written to %s", os.path.join(out_dir, "manifest.json"))
+    log.info("manifest written to %s", _write_json(out_dir, "manifest.json", payload))
 
 
 def _resolved_config(args):
@@ -98,15 +104,11 @@ def cmd_estimate(args) -> int:
     est = fit_theta(trajset)
     report = variance_report(trajset, est, alpha=args.alpha, which=args.variance)
     out = {
-        "theta_hat": est.theta_hat.tolist(),
         "psi_residual_norm": est.psi_residual_norm,
         "beta_hats": np.asarray(trajset.beta_hats).tolist(),
         **report.to_dict(),
     }
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "estimate.json"), "w") as f:
-        json.dump(out, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(args.out, "estimate.json", out)
     _write_manifest(
         args.out,
         {
@@ -124,30 +126,8 @@ def cmd_estimate(args) -> int:
 
 def cmd_mc(args) -> int:
     config, grid = _resolved_config(args)
-
-    def progress(cell):
-        log.info(
-            "cell kappa1=%g rho=%g n=%d: sandwich %.4f (%.4f) "
-            "adaptive %.4f (%.4f) aborted=%d",
-            cell.kappa1,
-            cell.rho,
-            cell.n,
-            cell.coverage_sandwich,
-            cell.mc_se_sandwich,
-            cell.coverage_adaptive,
-            cell.mc_se_adaptive,
-            cell.reps_aborted,
-        )
-
-    cells = run_grid(
-        config,
-        grid,
-        reps=args.reps,
-        oracle_n=args.oracle_n,
-        alpha=args.alpha,
-        jobs=args.jobs,
-        progress=progress,
-    )
+    cells = run_grid(config, grid, reps=args.reps, oracle_n=args.oracle_n,
+                     alpha=args.alpha, jobs=args.jobs)
     emit_table(cells, args.out)
     _write_manifest(
         args.out,
@@ -182,10 +162,7 @@ def cmd_check(args) -> int:
             failures.append(name)
 
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "check.json"), "w") as f:
-            json.dump(results, f, indent=2, sort_keys=True)
-            f.write("\n")
+        _write_json(args.out, "check.json", results)
         _write_manifest(
             args.out,
             {
@@ -203,7 +180,6 @@ def cmd_check(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pooltrial", description=__doc__)
-    parser.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="run one trial and write trajectories")
@@ -256,8 +232,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.verbose:
-            logging.getLogger().setLevel(logging.DEBUG)
         return args.func(args)
     except PoolTrialError as err:
         print(f"error: {err}", file=sys.stderr)

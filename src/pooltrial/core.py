@@ -304,7 +304,11 @@ def _read_rows(path, n_cols: int) -> np.ndarray:
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)  # an empty body only warns
             rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except (OSError, ValueError, UserWarning) as err:
+    except OSError as err:  # numpy's own messages here repeat the path
+        raise DataIntegrityError(f"{path}: {err.strerror or 'not found'}") from err
+    except UserWarning as err:
+        raise DataIntegrityError(f"{path}: no data rows") from err
+    except ValueError as err:
         raise DataIntegrityError(f"{path}: {err}") from err
     if rows.shape[1] != n_cols:
         raise DataIntegrityError(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import logging
 import multiprocessing
 import os
 from dataclasses import dataclass
@@ -30,6 +31,8 @@ ORACLE_REP_BASE = 1_000_000
 # Users simulated side by side in one step loop (see rep_batches); results do
 # not depend on it.
 BATCH_USERS = 1_000
+
+log = logging.getLogger("pooltrial")
 
 _theta_star_cache: dict = {}
 
@@ -184,11 +187,11 @@ def run_grid(
     oracle_n: int,
     alpha: float = 0.05,
     jobs: int = 1,
-    progress=None,
 ) -> list[CoverageCell]:
     """Run every (kappa1, rho, n) cell of ``grid`` (lists under "kappa1",
-    "rho" and "n_users"), n varying fastest, after validating all of them;
-    a (kappa1, rho) family shares one cached oracle run across its sizes."""
+    "rho" and "n_users"), n varying fastest, after validating all of them,
+    logging each cell's coverages as it completes; a (kappa1, rho) family
+    shares one cached oracle run across its sizes."""
     axes = (grid["kappa1"], grid["rho"], grid["n_users"])
     configs = [
         base_config.replace(
@@ -202,9 +205,14 @@ def run_grid(
     cells = []
     for config in configs:
         theta_star = estimate_theta_star(config, oracle_n, oracle_plan)
-        cells.append(run_cell(config, reps, theta_star, alpha, jobs))
-        if progress is not None:
-            progress(cells[-1])
+        c = run_cell(config, reps, theta_star, alpha, jobs)
+        log.info(
+            "cell kappa1=%g rho=%g n=%d: sandwich %.4f (%.4f) "
+            "adaptive %.4f (%.4f) aborted=%d",
+            c.kappa1, c.rho, c.n, c.coverage_sandwich, c.mc_se_sandwich,
+            c.coverage_adaptive, c.mc_se_adaptive, c.reps_aborted,
+        )
+        cells.append(c)
     return cells
 
 

@@ -20,7 +20,7 @@ values into the derivatives behind the ratio gradients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 from scipy.special import expit
@@ -56,15 +56,13 @@ class PolicySpec:
         elif self.eta is not None:
             raise ConfigError(f"eta is a mirror_descent parameter, not {self.kind}")
 
-    def eta_at(self, t: Optional[int]) -> float:
+    def eta_at(self, t: int) -> float:
         """Learning rate for decision time t (t >= 2); scalar eta applies to all t."""
         eta = self.eta
         if eta is None:
             raise ConfigError("eta requested for a policy without one")
         if len(eta) == 1:
             return eta[0]
-        if t is None:
-            raise ConfigError("per-time eta sequence requires a decision time t")
         if not 2 <= t <= len(eta) + 1:
             raise ConfigError(f"no eta configured for decision time {t}")
         return eta[t - 2]

@@ -87,28 +87,23 @@ def run_trials(config: TrialConfig, plans, frozen_betas=None) -> tuple:
     # refit leaves NaN parameters and the trial runs on to T
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, T + 1):
-            states[:, :, t - 1, 1:] = r_prev[..., None]
-            if t == 1:
-                p1 = np.full((R, n), 0.5)
-            else:
-                if frozen_betas is None:
-                    s_prev = states[:, :, t - 2]
-                    x_prev = np.concatenate(
-                        [s_prev, actions[:, :, t - 2, None] * s_prev], axis=2
-                    )
-                    gram += np.einsum("rnk,rnl->rkl", x_prev, x_prev)
-                    # a batched matmul: einsum("rn,rnk->rk") sums in another order
-                    rhs += (rewards[:, None, :, t - 2] @ x_prev)[:, 0]
-                    grams[:, t - 2] = gram
-                    beta_hats[:, t - 2] = solve_or_nan(gram, rhs)
-                p1, _ = policy_path(policy, states[:, :, t - 1 : t], beta_hats[:, : t - 1])
-                p1 = p1[..., 0]
-                dosage = env.gamma * dosage + actions[:, :, t - 2]
+            s_t = states[:, :, t - 1]
+            s_t[..., 1:] = r_prev[..., None]
+            # with no fit yet (t = 1) the policy gives the pre-specified 0.5
+            p1 = policy_path(policy, s_t[:, :, None], beta_hats[:, : t - 1])[0][..., 0]
             a_t = (uniforms[:, t - 1] < p1).astype(np.int8)
             actions[:, :, t - 1] = a_t
             action_probs[:, :, t - 1] = realized_from_p1(p1, a_t, policy.pi_min)
             rewards[:, :, t - 1] = reward(env, dosage / c_gamma, a_t, eps[:, :, t])
             r_prev = rewards[:, :, t - 1]
+            dosage = env.gamma * dosage + a_t
+            if t < T and frozen_betas is None:  # the fit for time t + 1
+                x_t = np.concatenate([s_t, a_t[..., None] * s_t], axis=2)
+                gram += np.einsum("rnk,rnl->rkl", x_t, x_t)
+                # a batched matmul: einsum("rn,rnk->rk") sums in another order
+                rhs += (rewards[:, None, :, t - 1] @ x_t)[:, 0]
+                grams[:, t - 1] = gram
+                beta_hats[:, t - 1] = solve_or_nan(gram, rhs)
 
     errors = [None] * R
     if frozen_betas is None:  # one call for the refit Grams of the whole batch

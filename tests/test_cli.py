@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import platform
 import subprocess
@@ -15,6 +16,7 @@ from pooltrial.cli import main
 from pooltrial.config import load_config, parse_config
 
 from oracles import dense_stacked_oracle
+from test_golden import MC_CONFIG
 
 TINY_CONFIG = {
     "trial": {"n_users": 40, "horizon_T": 6, "state_dim": 2, "master_seed": 7},
@@ -259,6 +261,34 @@ class TestMc:
         assert manifest["reps"] == 8
         assert manifest["grid"]["n_users"] == [40]
 
+    def test_logs_one_line_per_cell_in_run_order(self, tmp_path, caplog):
+        config = tmp_path / "grid.yaml"
+        config.write_text(yaml.safe_dump(MC_CONFIG))
+        out = tmp_path / "mc"
+        caplog.set_level(logging.INFO, logger="pooltrial")
+        code = main(
+            ["mc", "--config", str(config), "--reps", "10", "--oracle-n", "2000",
+             "--out", str(out)]
+        )
+        assert code == 0
+        got = [
+            (r.name, r.levelno, r.getMessage())
+            for r in caplog.records
+            if r.getMessage().startswith("cell ")
+        ]
+        want = [  # table.json's rows, in the sorted order, which is the run order here
+            ("pooltrial", logging.INFO,
+             f"cell kappa1={c['kappa1']:g} rho={c['rho']:g} n={c['n']}: "
+             f"sandwich {c['coverage_sandwich']:.4f} ({c['mc_se_sandwich']:.4f}) "
+             f"adaptive {c['coverage_adaptive']:.4f} ({c['mc_se_adaptive']:.4f}) "
+             f"aborted={c['reps_aborted']}")
+            for c in json.loads((out / "table.json").read_text())
+        ]
+        assert got == want
+        assert [m.split(":")[0] for _, _, m in got] == [
+            f"cell kappa1=2 rho={rho} n={n}" for rho in (0.5, 5) for n in (40, 60)
+        ]
+
     def test_grid_defaults_to_the_config_point(self):
         raw = {"trial": {"n_users": 60}, "policy": {"rho": 2.0}, "env": {"kappa1": 3.0}}
         _, grid = parse_config(raw)
@@ -303,6 +333,12 @@ class TestFlagsRejected:
         assert main([command, *args, *flags, "--out", str(out)]) == 1
         assert not out.exists()
         assert f"argument {flags[0]}: must be" in capsys.readouterr().err
+
+    def test_verbose_is_not_an_option(self, tiny_config_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["--verbose", "mc", "--config", tiny_config_file, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "unrecognized arguments: --verbose" in capsys.readouterr().err
 
 
 class TestCheck:
@@ -443,6 +479,19 @@ class TestEstimateRejectsBadInput:
         assert code == 1
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
         assert not (tmp_path / "e" / "estimate.json").exists()
+
+    @pytest.mark.parametrize("edit", ["missing", "header_only"])
+    def test_csv_error_names_the_file_once(self, edit, sim_dir, tmp_path, capsys):
+        path = sim_dir / "trajectories.csv"
+        if edit == "missing":
+            path.unlink()
+        else:
+            path.write_text(path.read_text().splitlines()[0] + "\n")
+        code = main(["estimate", "--in", str(sim_dir), "--out", str(tmp_path / "e")])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith(f"error: {path}: "), lines
+        assert lines[0].count("trajectories.csv") == 1, lines
 
     def test_tampered_action_prob_exits_1(self, sim_dir, tmp_path):
         path = sim_dir / "trajectories.csv"

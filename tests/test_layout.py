@@ -1,7 +1,8 @@
 """Package layout: no top-level name in ``src/pooltrial`` exists only for tests.
 
 A function or class that nothing in the package or the benchmark uses belongs
-in ``tests/oracles.py`` (or nowhere), not in the package.
+in ``tests/oracles.py`` (or nowhere), not in the package, and a module-level
+constant that nothing reads is dead.
 """
 
 import ast
@@ -35,6 +36,26 @@ def _definitions():
                 yield path, node
 
 
+def _constants():
+    """(path, node, name) of each name a top-level assignment binds; dunders exempt."""
+    for path in PACKAGE:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for name in (n for t in targets for n in ast.walk(t)):
+                    if isinstance(name, ast.Name) and not name.id.startswith("__"):
+                        yield pytest.param(path, node, name.id, id=f"{path.name}-{name.id}")
+
+
+def _used_outside(name, path, first, last):
+    """Whether ``name`` occurs in src/ or benchmarks/ outside lines first..last of path."""
+    return any(
+        token == name and not (user == path and first <= line <= last)
+        for user in USERS
+        for token, line in _name_tokens(user)
+    )
+
+
 @pytest.mark.parametrize(
     "path, node",
     list(_definitions()),
@@ -42,8 +63,13 @@ def _definitions():
 )
 def test_top_level_definition_has_a_user(path, node):
     first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-    for user in USERS:
-        for name, line in _name_tokens(user):
-            if name == node.name and not (user == path and first <= line <= node.end_lineno):
-                return
-    pytest.fail(f"{path.name}:{node.lineno} {node.name} has no user in src/ or benchmarks/")
+    assert _used_outside(node.name, path, first, node.end_lineno), (
+        f"{path.name}:{node.lineno} {node.name} has no user in src/ or benchmarks/"
+    )
+
+
+@pytest.mark.parametrize("path, node, name", list(_constants()))
+def test_module_constant_has_a_reader(path, node, name):
+    assert _used_outside(name, path, node.lineno, node.end_lineno), (
+        f"{path.name}:{node.lineno} {name} is read nowhere in src/ or benchmarks/"
+    )
