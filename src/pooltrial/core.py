@@ -202,7 +202,14 @@ class TrajectorySet:
             object.__setattr__(self, name, _freeze(getattr(self, name)))
 
     def __getitem__(self, r) -> "TrajectorySet":
-        return TrajectorySet(*(getattr(self, name)[r] for name in _ARRAYS), self.config)
+        # rows of a checked batch: the value scans are not repeated
+        if self.actions.ndim < 3:
+            raise DataIntegrityError("a trajectory without a replication axis has no rows")
+        row = object.__new__(TrajectorySet)
+        for name in _ARRAYS:
+            object.__setattr__(row, name, _freeze(getattr(self, name)[r]))
+        object.__setattr__(row, "config", self.config)
+        return row
 
     @property
     def n_users(self) -> int:

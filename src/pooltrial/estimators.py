@@ -33,9 +33,10 @@ COND_LIMIT = 1e12
 
 def inference_design(trajset) -> np.ndarray:
     """Regressor [S_t; A_t] for psi, shape (..., n, T, d_S + 1)."""
-    return np.concatenate(
-        [trajset.states, trajset.actions[..., None].astype(float)], axis=-1
-    )
+    z = np.empty((*trajset.states.shape[:-1], trajset.config.theta_dim))
+    z[..., :-1] = trajset.states
+    z[..., -1] = trajset.actions  # no float copy of the actions
+    return z
 
 
 def policy_design(trajset) -> np.ndarray:

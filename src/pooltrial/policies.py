@@ -59,8 +59,6 @@ class PolicySpec:
     def eta_at(self, t: int) -> float:
         """Learning rate for decision time t (t >= 2); scalar eta applies to all t."""
         eta = self.eta
-        if eta is None:
-            raise ConfigError("eta requested for a policy without one")
         if len(eta) == 1:
             return eta[0]
         if not 2 <= t <= len(eta) + 1:

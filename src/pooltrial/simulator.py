@@ -58,13 +58,15 @@ def run_trials(config: TrialConfig, plans, frozen_betas=None) -> tuple:
     for r, plan in enumerate(plans):
         derive_stream(plan, "errors").standard_normal(out=eps[r])
         derive_stream(plan, "actions").random(out=uniforms[r])
-    correlate_errors(eps, env.error_corr_base)
-    r_prev = env.kappa0 + eps[:, :, 0]
+    # the loop works time-major, so that each step reads and writes
+    # contiguous (R, n) slices; the user-major arrays are assembled after it
+    eps = np.ascontiguousarray(eps.swapaxes(1, 2))
+    correlate_errors(eps.swapaxes(1, 2), env.error_corr_base)
+    r_prev = r_0 = env.kappa0 + eps[:, 0]
 
-    states = np.ones((R, n, T, d_S))  # S_t = [1, R_{t-1}], or [1] when d_S = 1
-    actions = np.empty((R, n, T), dtype=np.int8)
-    rewards = np.empty((R, n, T))
-    action_probs = np.empty((R, n, T))
+    actions = np.empty((R, T, n), dtype=np.int8)
+    rewards = np.empty((R, T, n))
+    action_probs = np.empty((R, T, n))
     beta_hats = np.empty((R, T - 1, 2 * d_S))
     if frozen_betas is not None:
         frozen = np.array(frozen_betas, dtype=float)
@@ -76,6 +78,10 @@ def run_trials(config: TrialConfig, plans, frozen_betas=None) -> tuple:
 
     c_gamma = dosage_normalizer(env.gamma)
     dosage = np.zeros((R, n))
+    # x_t = [s_t; a_t s_t] with S_t = [1, R_{t-1}] (or [1] when d_S = 1)
+    x_t = np.ones((R, n, 2 * d_S))
+    s_t = x_t[..., :d_S]
+    r_col = np.empty((R, n, 2))  # R_t at a non-unit stride, in column 0
     # pooled normal-equation accumulators for the policy refits, and the
     # Gram of each refit, checked once after the loop
     gram = np.zeros((R, 2 * d_S, 2 * d_S))
@@ -87,29 +93,40 @@ def run_trials(config: TrialConfig, plans, frozen_betas=None) -> tuple:
     # refit leaves NaN parameters and the trial runs on to T
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, T + 1):
-            s_t = states[:, :, t - 1]
             s_t[..., 1:] = r_prev[..., None]
             # with no fit yet (t = 1) the policy gives the pre-specified 0.5
             p1 = policy_path(policy, s_t[:, :, None], beta_hats[:, : t - 1])[0][..., 0]
-            a_t = (uniforms[:, t - 1] < p1).astype(np.int8)
-            actions[:, :, t - 1] = a_t
-            action_probs[:, :, t - 1] = realized_from_p1(p1, a_t, policy.pi_min)
-            rewards[:, :, t - 1] = reward(env, dosage / c_gamma, a_t, eps[:, :, t])
-            r_prev = rewards[:, :, t - 1]
+            a_t = actions[:, t - 1]
+            a_t[:] = uniforms[:, t - 1] < p1
+            action_probs[:, t - 1] = realized_from_p1(p1, a_t, policy.pi_min)
+            r_prev = rewards[:, t - 1]
+            r_prev[:] = reward(env, dosage / c_gamma, a_t, eps[:, t])
             dosage = env.gamma * dosage + a_t
             if t < T and frozen_betas is None:  # the fit for time t + 1
-                x_t = np.concatenate([s_t, a_t[..., None] * s_t], axis=2)
+                np.multiply(a_t[..., None], s_t, out=x_t[..., d_S:])
                 gram += np.einsum("rnk,rnl->rkl", x_t, x_t)
-                # a batched matmul: einsum("rn,rnk->rk") sums in another order
-                rhs += (rewards[:, None, :, t - 1] @ x_t)[:, 0]
+                # a batched matmul (einsum("rn,rnk->rk") sums in another order)
+                # with a non-unit-stride reward vector: a unit-stride (1, n) @
+                # (n, k) takes another BLAS path, whose bits differ if n % 4 != 0
+                r_col[..., 0] = r_prev
+                rhs += (r_col[:, None, :, 0] @ x_t)[:, 0]
                 grams[:, t - 1] = gram
                 beta_hats[:, t - 1] = solve_or_nan(gram, rhs)
+    # free the loop's buffers (r_prev and a_t are views) before the copies
+    del eps, uniforms, r_prev, a_t
 
     errors = [None] * R
     if frozen_betas is None:  # one call for the refit Grams of the whole batch
         errors = conditioning_errors(
             grams, DegenerateDesignError, "policy design", first_t=1, solutions=beta_hats
         )
+    actions = np.ascontiguousarray(actions.swapaxes(1, 2))
+    rewards = np.ascontiguousarray(rewards.swapaxes(1, 2))
+    action_probs = np.ascontiguousarray(action_probs.swapaxes(1, 2))
+    # the states the loop used: S_1 = [1, R_0] and S_t = [1, R_{t-1}]
+    states = np.ones((R, n, T, d_S))
+    states[..., 0, 1:] = r_0[..., None]
+    states[..., 1:, 1:] = rewards[..., :-1, None]
     arrays = [states, actions, rewards, action_probs, beta_hats]
     if any(errors):
         kept = [r for r, err in enumerate(errors) if err is None]

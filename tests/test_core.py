@@ -138,6 +138,21 @@ class TestTrajectorySet:
         with pytest.raises(DataIntegrityError, match=name):
             TrajectorySet(**fields, config=small_config)
 
+    def test_rows_are_read_only_views_of_the_batch(self, small_config):
+        batch, _ = run_trials(small_config, [SeedPlan(1, rep) for rep in range(3)])
+        for r in range(3):
+            row = batch[r]
+            for f in FIELDS:
+                arr, whole = getattr(row, f), getattr(batch, f)
+                assert arr.shape == whole.shape[1:]
+                assert arr.tobytes() == whole[r].tobytes()
+                assert arr.flags.c_contiguous and not arr.flags.writeable
+            assert row.config is batch.config
+
+    def test_trajectory_without_replication_axis_has_no_rows(self, small_trajset):
+        with pytest.raises(DataIntegrityError, match="replication axis"):
+            small_trajset[0]
+
     def test_immutable(self, small_trajset):
         with pytest.raises(ValueError):
             small_trajset.rewards[0, 0] = 1.0

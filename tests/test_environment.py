@@ -4,7 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pooltrial import EnvConfig, SeedPlan, derive_stream
-from pooltrial.environment import dosage_normalizer, generate_errors, reward
+from pooltrial.environment import (
+    correlate_errors,
+    dosage_normalizer,
+    generate_errors,
+    reward,
+)
 
 from oracles import dosage_update
 
@@ -126,3 +131,13 @@ class TestGenerateErrors:
         eps = generate_errors(stream, 10_000, 4, 0.5)
         c = np.corrcoef(eps[:-1, 0], eps[1:, 0])[0, 1]
         assert abs(c) < 4 / np.sqrt(eps.shape[0])
+
+    @pytest.mark.parametrize("corr_base", [0.5, 0.0])
+    def test_time_major_view_matches_user_major(self, corr_base):
+        # the simulator correlates a contiguous (R, T + 1, n) copy through
+        # its swapaxes view; the recursion must give the same bits
+        draws = derive_stream(SeedPlan(9, 6), "errors").standard_normal((3, 40, 11))
+        user_major = correlate_errors(draws.copy(), corr_base)
+        time_major = np.ascontiguousarray(draws.swapaxes(-1, -2))
+        correlate_errors(time_major.swapaxes(-1, -2), corr_base)
+        assert time_major.swapaxes(-1, -2).tobytes() == user_major.tobytes()

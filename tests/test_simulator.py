@@ -214,6 +214,30 @@ class TestRunTrials:
         for i, r in enumerate((0, 1, 3, 5)):
             assert _outcome(batch[i]) == _outcome(run_trial(config, plans[r]))
 
+    @pytest.mark.parametrize("state_dim", [1, 2])
+    def test_arrays_are_assembled_from_the_loop_values(self, state_dim):
+        # the step loop runs time-major; the user-major arrays are built after it
+        config = TrialConfig(
+            n_users=30, horizon_T=7, state_dim=state_dim, master_seed=13,
+            policy=PolicySpec(kind="boltzmann", rho=5.0),
+            env=EnvConfig(kappa0=0.25, kappa1=5.0),
+        )
+        plans = [SeedPlan(13, rep) for rep in range(3)]
+        batch, errors = run_trials(config, plans)
+        assert errors == [None] * 3
+        for field in FIELDS:
+            arr = getattr(batch, field)
+            assert arr.flags.c_contiguous and not arr.flags.writeable
+        states = batch.states
+        assert np.all(states[..., 0] == 1.0)
+        if state_dim == 1:
+            return
+        assert np.array_equal(states[..., 1:, 1], batch.rewards[..., :-1])
+        for r, plan in enumerate(plans):
+            # S_1 = [1, kappa0 + eps_0]; the AR recursion leaves column 0 as drawn
+            eps_0 = derive_stream(plan, "errors").standard_normal((30, 8))[:, 0]
+            assert np.array_equal(states[r, :, 0, 1], 0.25 + eps_0)
+
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_actions_follow_per_step_sampler(self, kind):
         # the batch draws each replication's uniforms for all decision times
