@@ -25,7 +25,7 @@ from .errors import DiagnosticFailure, PoolTrialError
 from .estimators import fit_theta
 from .montecarlo import emit_table, run_grid
 from .simulator import run_trial
-from .variance import variance_report
+from .variance import invariance_norms, variance_report
 
 log = logging.getLogger("pooltrial")
 
@@ -103,9 +103,11 @@ def cmd_estimate(args) -> int:
     trajset = TrajectorySet.load(args.input, config)
     est = fit_theta(trajset)
     report = variance_report(trajset, est, alpha=args.alpha, which=args.variance)
+    norms = invariance_norms(trajset, est).tolist() if args.variance == "both" else None
     out = {
         "psi_residual_norm": est.psi_residual_norm,
         "beta_hats": np.asarray(trajset.beta_hats).tolist(),
+        "policy_invariance_norms": norms,
         **report.to_dict(),
     }
     _write_json(args.out, "estimate.json", out)

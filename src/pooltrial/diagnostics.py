@@ -23,9 +23,11 @@ from scipy.stats import kstest
 
 from .core import EnvConfig, SeedPlan, TrialConfig
 from .errors import ConfigError
+from .estimators import fit_theta
 from .montecarlo import ORACLE_REP_BASE, estimate_theta_star, rep_batches, replicate
 from .policies import PolicySpec
 from .simulator import run_trial, run_trials
+from .variance import invariance_norms
 
 SUITES = ("bernstein", "clt", "invariance")
 
@@ -149,10 +151,14 @@ def clt_check(config: TrialConfig, reps: int, theta_star) -> dict:
 def invariance_scan(
     labeled_configs: Sequence[tuple[str, TrialConfig]], reps: int
 ) -> dict[str, np.ndarray]:
-    """Mean per-time ||V_hat_{T,t}||_F profile for each labeled configuration."""
+    """Mean per-time ||V_hat_{T,t}||_F profile for each labeled configuration
+    over its replications 0..reps-1 that simulated, fitted in one batch with no
+    variance estimated; a degenerate inference design raises."""
     out = {}
     for label, config in labeled_configs:
-        norms = replicate(config, reps)[0].policy_invariance_norms
+        plans = [SeedPlan(config.master_seed, r) for r in range(reps)]
+        batch, _ = run_trials(config, plans)
+        norms = invariance_norms(batch, fit_theta(batch))
         # summed row by row, in replication order
         out[label] = norms.sum(axis=0) / max(len(norms), 1)
     return out

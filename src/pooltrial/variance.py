@@ -165,7 +165,6 @@ class AdaptiveResult:
 
     cov: np.ndarray
     m_blocks: np.ndarray                  # (d_theta, sum d_t), M_1..M_{T-1}
-    invariance_norms: np.ndarray          # (T-1,), ||V_hat_{T,t}||_F
     trajset: TrajectorySet = field(repr=False)
     est: EstimationResult = field(repr=False)
     grads: np.ndarray = field(repr=False)   # weight_products(trajset)
@@ -180,9 +179,9 @@ def adaptive_sandwich(trajset, est: EstimationResult) -> AdaptiveResult:
 
     Returns the lower-right d_theta block of bread^{-1} meat bread^{-T}, the
     sandwich of the corrected scores, together with the M_t = Psi_dot^{-1} K_t
-    blocks (the lower-left blocks of the stacked inverse) and the per-time
-    Frobenius norms of V_hat.  Psi_dot, then the policy blocks (earliest time
-    first), are checked before any arithmetic; a batch keeps its leading axis.
+    blocks (the lower-left blocks of the stacked inverse).  Psi_dot, then the
+    policy blocks (earliest time first), are checked before any arithmetic; a
+    batch keeps its leading axis.
     """
     blocks = est.blocks
     check_conditioned(blocks.psi_dot[..., None, :, :], SingularBreadError, "bread")
@@ -198,15 +197,19 @@ def adaptive_sandwich(trajset, est: EstimationResult) -> AdaptiveResult:
         cross = -(corrected.swapaxes(-1, -2) @ grads[..., c, :] / n)
         gains[c] = cross @ phi_dot_invs[..., c, :, :]
         corrected = corrected + blocks.phi_mats[c] @ gains[c].swapaxes(-1, -2)
-    v_hat = np.einsum("...nk,...ntl->...tkl", blocks.psi_mat, grads) / n
     return AdaptiveResult(
         cov=sandwich_covariance(corrected, blocks.psi_dot),
         m_blocks=np.linalg.solve(blocks.psi_dot, np.concatenate(gains, axis=-1)),
-        invariance_norms=np.linalg.norm(v_hat, axis=(-2, -1)),
         trajset=trajset,
         est=est,
         grads=grads,
     )
+
+
+def invariance_norms(trajset, est: EstimationResult) -> np.ndarray:
+    """Per-time ||V_hat_{T,t}||_F, (..., T-1): a policy diagnostic no sandwich reads."""
+    v_hat = np.einsum("...nk,...ntl->...tkl", est.blocks.psi_mat, weight_products(trajset))
+    return np.linalg.norm(v_hat / trajset.n_users, axis=(-2, -1))
 
 
 def check_equivalence(
@@ -243,7 +246,7 @@ class VarianceReport:
     """Covariances (variance of sqrt(n)(theta_hat - theta*)), SEs, and CIs of
     one trajectory, or of each replication of a batch along the leading axes:
     covariances (..., d, d), SEs and ``theta_hat`` (..., d), CIs (..., d, 2)
-    holding (lower, upper), invariance norms (..., T-1)."""
+    holding (lower, upper)."""
 
     sandwich_cov: np.ndarray
     adaptive_cov: Optional[np.ndarray]
@@ -251,7 +254,6 @@ class VarianceReport:
     se_adaptive: Optional[np.ndarray]
     ci_sandwich: np.ndarray
     ci_adaptive: Optional[np.ndarray]
-    policy_invariance_norms: Optional[np.ndarray]
     stacked_dim: int
     alpha: float
     theta_hat: np.ndarray
@@ -276,12 +278,9 @@ def variance_report(
     if which not in ("sandwich", "both"):
         raise ValueError(f"unknown variance selection {which!r}")
     blocks, d = est.blocks, trajset.config.theta_dim
-    adaptive_cov = norms = None
-    if which == "both":
-        result = adaptive_sandwich(trajset, est)
-        adaptive_cov, norms = result.cov, result.invariance_norms
-    else:
+    if which == "sandwich":  # adaptive_sandwich checks Psi_dot itself
         check_conditioned(blocks.psi_dot[..., None, :, :], SingularBreadError, "bread")
+    adaptive_cov = adaptive_sandwich(trajset, est).cov if which == "both" else None
     covs = (sandwich_covariance(blocks.psi_mat, blocks.psi_dot), adaptive_cov)
     computed = [c for c in covs if c is not None]
     variances = np.diagonal(np.stack(computed), axis1=-2, axis2=-1)
@@ -293,4 +292,4 @@ def variance_report(
         for se in ses
     ]
     stacked_dim = (trajset.horizon_T - 1) * trajset.config.policy_dim + d
-    return VarianceReport(*covs, *ses, *cis, norms, stacked_dim, alpha, est.theta_hat)
+    return VarianceReport(*covs, *ses, *cis, stacked_dim, alpha, est.theta_hat)

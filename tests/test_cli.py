@@ -14,6 +14,7 @@ import yaml
 from pooltrial import TrajectorySet, fit_theta
 from pooltrial.cli import main
 from pooltrial.config import load_config, parse_config
+from pooltrial.variance import invariance_norms
 
 from oracles import dense_stacked_oracle
 from test_golden import MC_CONFIG
@@ -171,6 +172,23 @@ class TestEstimate:
         ts = TrajectorySet.load(str(sim_dir), config)
         dense = dense_stacked_oracle(ts, fit_theta(ts)).cov
         assert np.abs(np.array(report["adaptive_cov"]) - dense).max() < 1e-10
+
+    @pytest.mark.parametrize("variance", ["both", "sandwich"])
+    def test_invariance_norms_key(self, variance, tiny_config_file, tmp_path):
+        sim_dir, est_dir = tmp_path / "sim", tmp_path / "est"
+        main(["simulate", "--config", tiny_config_file, "--out", str(sim_dir)])
+        code = main(["estimate", "--in", str(sim_dir), "--out", str(est_dir),
+                     "--variance", variance])
+        assert code == 0
+        report = json.loads((est_dir / "estimate.json").read_text())
+        got = report["policy_invariance_norms"]
+        if variance == "sandwich":
+            assert got is None
+            return
+        config, _, _ = load_config(tiny_config_file)
+        loaded = TrajectorySet.load(str(sim_dir), config)
+        want = invariance_norms(loaded, fit_theta(loaded))
+        assert np.array(got).tobytes() == want.tobytes()
 
     def test_seed_flag_rejected(self, tiny_config_file, tmp_path):
         # estimation draws no random numbers, so it takes no seed

@@ -14,8 +14,13 @@ from pooltrial.diagnostics import (
     run_suite,
 )
 from pooltrial import montecarlo
+from pooltrial.cli import main
+from pooltrial.core import TrajectorySet
 from pooltrial.errors import ConfigError, DegenerateDesignError
+from pooltrial.estimators import fit_theta
 from pooltrial.montecarlo import ORACLE_REP_BASE
+from pooltrial.simulator import run_trials
+from pooltrial.variance import invariance_norms
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +123,43 @@ class TestInvarianceScan:
         )
         profiles = invariance_scan([("rho5", base), ("rho05", shallow)], reps=60)
         assert np.all(profiles["rho5"] > profiles["rho05"])
+
+    def test_averages_only_the_simulated_replications(self, tiny_config, monkeypatch):
+        def drop_odd(config, plans):  # the odd replications abort in simulation
+            batch, _ = run_trials(config, plans[::2])
+            errors = [DegenerateDesignError("policy design") for _ in plans]
+            errors[::2] = [None] * len(batch.actions)
+            return batch, errors
+
+        monkeypatch.setattr(diagnostics, "run_trials", drop_odd)
+        profile = invariance_scan([("kept", tiny_config)], reps=6)["kept"]
+        kept, _ = run_trials(tiny_config, [SeedPlan(92, r) for r in (0, 2, 4)])
+        norms = invariance_norms(kept, fit_theta(kept))
+        want = (norms[0] + norms[1] + norms[2]) / 3
+        assert profile.tobytes() == want.tobytes()
+
+    @pytest.fixture
+    def untreated(self, monkeypatch):
+        """Simulate as usual, then record no user as treated: no replication
+        identifies theta_1, so every inference design is singular."""
+
+        def simulate(config, plans):
+            batch, errors = run_trials(config, plans)
+            batch = TrajectorySet(
+                batch.states, np.zeros_like(batch.actions), batch.rewards,
+                batch.action_probs, batch.beta_hats, config,
+            )
+            return batch, errors
+
+        monkeypatch.setattr(diagnostics, "run_trials", simulate)
+
+    def test_degenerate_inference_design_raises(self, tiny_config, untreated):
+        with pytest.raises(DegenerateDesignError, match="inference design"):
+            invariance_scan([("untreated", tiny_config)], reps=3)
+
+    def test_degenerate_inference_design_exits_2(self, untreated, capsys):
+        assert main(["check", "--suite", "invariance", "--reps", "3"]) == 2
+        assert "inference design" in capsys.readouterr().err
 
 
 class TestRunSuite:

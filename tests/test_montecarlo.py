@@ -295,7 +295,6 @@ class TestRunCell:
         assert [type(err) for err in errors] == [DegenerateDesignError] * 3
         assert report.theta_hat.shape == (0, 3)
         assert report.ci_sandwich.shape == report.ci_adaptive.shape == (0, 3, 2)
-        assert report.policy_invariance_norms.shape == (0, 5)
         cell = run_cell(config, 3, np.zeros(3))
         assert (cell.reps_completed, cell.reps_aborted) == (0, 3)
 

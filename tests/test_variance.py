@@ -18,7 +18,7 @@ from pooltrial.core import TrajectorySet
 from pooltrial.errors import SingularBreadError, SingularPolicyBreadError
 from pooltrial.policies import realized_from_p1
 from pooltrial.simulator import run_trials
-from pooltrial.variance import check_equivalence, sandwich_covariance
+from pooltrial.variance import check_equivalence, invariance_norms, sandwich_covariance
 
 from oracles import (
     block_lower_triangular_inverse,
@@ -205,7 +205,7 @@ class TestAdaptiveSandwich:
         for got, want in (
             (result.cov, oracle.cov),
             (result.m_blocks, oracle.m_blocks),
-            (result.invariance_norms, np.linalg.norm(oracle.v_hat, axis=(1, 2))),
+            (invariance_norms(ts, est), np.linalg.norm(oracle.v_hat, axis=(1, 2))),
         ):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
@@ -258,7 +258,7 @@ class TestAdaptiveSandwich:
         result = adaptive_sandwich(uniform_trajset, est)
         assert np.array_equal(result.cov, sandwich(uniform_trajset, est))
         assert np.all(result.m_blocks == 0.0)
-        assert np.all(result.invariance_norms == 0.0)
+        assert np.all(invariance_norms(uniform_trajset, est) == 0.0)
 
     def test_scale_invariance(self, small_trajset):
         a = adaptive_sandwich(small_trajset, fit_theta(small_trajset)).cov
@@ -412,17 +412,17 @@ class TestVarianceReport:
         assert rep.sandwich_cov.shape == (3, 3)
         assert rep.adaptive_cov.shape == (3, 3)
         assert len(rep.ci_sandwich) == 3
-        assert len(rep.policy_invariance_norms) == T - 1
         d = rep.to_dict()
-        assert set(d) >= {
+        assert set(d) == {
             "sandwich_cov",
             "adaptive_cov",
             "se_sandwich",
             "se_adaptive",
             "ci_sandwich",
             "ci_adaptive",
-            "policy_invariance_norms",
             "stacked_dim",
+            "alpha",
+            "theta_hat",
         }
 
     def test_sandwich_only(self, small_trajset):
@@ -486,6 +486,7 @@ class TestBatchedEstimation:
         batch, _ = run_trials(config, [SeedPlan(41, r) for r in range(4)])
         est = fit_theta(batch)
         adaptive = adaptive_sandwich(batch, est)
+        norms = invariance_norms(batch, est)
         report = variance_report(batch, est)
         sandwich_only = variance_report(batch, est, which="sandwich")
         for r, ts in enumerate(trials):
@@ -500,7 +501,7 @@ class TestBatchedEstimation:
                 (weight_products(batch)[r], weight_products(ts)),
                 (adaptive.cov[r], one_adaptive.cov),
                 (adaptive.m_blocks[r], one_adaptive.m_blocks),
-                (adaptive.invariance_norms[r], one_adaptive.invariance_norms),
+                (norms[r], invariance_norms(ts, one)),
             ]
             assert all(same_bits(got, want) for got, want in pairs)
             assert same_row(report, r, variance_report(ts, one))
