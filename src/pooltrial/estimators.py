@@ -30,6 +30,9 @@ from .errors import DegenerateDesignError
 # a design is treated as degenerate rather than silently pseudo-inverted.
 COND_LIMIT = 1e12
 
+# Users per block of fit_theta's Gram product: about 3 MB of rows at T = 50
+GRAM_BLOCK_USERS = 2048
+
 
 def inference_design(trajset) -> np.ndarray:
     """Regressor [S_t; A_t] for psi, shape (..., n, T, d_S + 1)."""
@@ -176,18 +179,40 @@ class EstimationResult:
 
 
 def fit_theta(trajset) -> EstimationResult:
-    """Exact normal-equation root of (1/n) sum_i psi(H_T_i; theta) = 0."""
-    z = inference_design(trajset)
-    gram = np.einsum("...ntk,...ntl->...kl", z, z)
-    rhs = np.einsum("...ntk,...nt->...k", z, trajset.rewards)
-    theta = solve_or_nan(gram, rhs)
-    check_conditioned(
-        gram[..., None, :, :], DegenerateDesignError, "inference design",
-        solutions=theta[..., None, :],
-    )
-    residual = (rhs - (gram @ theta[..., None])[..., 0]) / trajset.n_users
+    """Exact normal-equation root of (1/n) sum_i psi(H_T_i; theta) = 0.
+
+    The Gram of [S_t; A_t] and the right-hand side are the leading block and
+    the last column of one BLAS product of [S_t; A_t; R_t] with itself,
+    summed over blocks of GRAM_BLOCK_USERS users, so no (n, T, d_S + 1)
+    design is built.  The blocks have a fixed size, so the summation order
+    depends on n and T only: theta-hat's bits do not depend on the BLAS
+    thread count.
+    """
+    n = trajset.n_users
+    *batch, _, T, d_S = trajset.states.shape
+    k = d_S + 2
+    rows = np.empty((*batch, k, min(n, GRAM_BLOCK_USERS), T))
+    prod = np.zeros((*batch, k, k))
+    # overflowing data ends in the typed error below, not numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n, GRAM_BLOCK_USERS):
+            users = slice(lo, lo + GRAM_BLOCK_USERS)
+            m = min(n - lo, GRAM_BLOCK_USERS)
+            block = rows[..., :m, :]
+            block[..., :d_S, :, :] = np.moveaxis(trajset.states[..., users, :, :], -1, -3)
+            block[..., d_S, :, :] = trajset.actions[..., users, :]
+            block[..., d_S + 1, :, :] = trajset.rewards[..., users, :]
+            flat = block.reshape(*batch, k, m * T)
+            prod += flat @ flat.swapaxes(-1, -2)
+        gram, rhs = prod[..., :-1, :-1], prod[..., :-1, -1]
+        theta = solve_or_nan(gram, rhs)
+        check_conditioned(
+            gram[..., None, :, :], DegenerateDesignError, "inference design",
+            solutions=theta[..., None, :],
+        )
+        residual = (rhs - (gram @ theta[..., None])[..., 0]) / n
     return EstimationResult(
         theta_hat=theta,
         psi_residual_norm=float(np.abs(residual).max(initial=0.0)),
-        blocks=EstimationBlocks(trajset, theta, -gram / trajset.n_users),
+        blocks=EstimationBlocks(trajset, theta, -gram / n),
     )

@@ -78,10 +78,11 @@ def run_trials(config: TrialConfig, plans, frozen_betas=None) -> tuple:
 
     c_gamma = dosage_normalizer(env.gamma)
     dosage = np.zeros((R, n))
-    # x_t = [s_t; a_t s_t] with S_t = [1, R_{t-1}] (or [1] when d_S = 1)
-    x_t = np.ones((R, n, 2 * d_S))
-    s_t = x_t[..., :d_S]
-    r_col = np.empty((R, n, 2))  # R_t at a non-unit stride, in column 0
+    # x_t = [s_t; a_t s_t] with S_t = [1, R_{t-1}] (or [1] when d_S = 1), held
+    # feature-major: one contiguous row of n users per regressor
+    x_t = np.ones((R, 2 * d_S, n))
+    s_t = x_t[:, :d_S]
+    states_t = s_t.swapaxes(1, 2)[:, :, None]  # the policy's (R, n, 1, d_S) view
     # pooled normal-equation accumulators for the policy refits, and the
     # Gram of each refit, checked once after the loop
     gram = np.zeros((R, 2 * d_S, 2 * d_S))
@@ -93,9 +94,9 @@ def run_trials(config: TrialConfig, plans, frozen_betas=None) -> tuple:
     # refit leaves NaN parameters and the trial runs on to T
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, T + 1):
-            s_t[..., 1:] = r_prev[..., None]
+            s_t[:, 1:] = r_prev[:, None]
             # with no fit yet (t = 1) the policy gives the pre-specified 0.5
-            p1 = policy_path(policy, s_t[:, :, None], beta_hats[:, : t - 1])[0][..., 0]
+            p1 = policy_path(policy, states_t, beta_hats[:, : t - 1])[0][..., 0]
             a_t = actions[:, t - 1]
             a_t[:] = uniforms[:, t - 1] < p1
             action_probs[:, t - 1] = realized_from_p1(p1, a_t, policy.pi_min)
@@ -103,13 +104,12 @@ def run_trials(config: TrialConfig, plans, frozen_betas=None) -> tuple:
             r_prev[:] = reward(env, dosage / c_gamma, a_t, eps[:, t])
             dosage = env.gamma * dosage + a_t
             if t < T and frozen_betas is None:  # the fit for time t + 1
-                np.multiply(a_t[..., None], s_t, out=x_t[..., d_S:])
-                gram += np.einsum("rnk,rnl->rkl", x_t, x_t)
-                # a batched matmul (einsum("rn,rnk->rk") sums in another order)
-                # with a non-unit-stride reward vector: a unit-stride (1, n) @
-                # (n, k) takes another BLAS path, whose bits differ if n % 4 != 0
-                r_col[..., 0] = r_prev
-                rhs += (r_col[:, None, :, 0] @ x_t)[:, 0]
+                np.multiply(a_t[:, None], s_t, out=x_t[:, d_S:])
+                # two BLAS products per replication: x x' (a syrk, so the Gram
+                # is exactly symmetric) and x r_t; neither depends on the BLAS
+                # thread count for its bits
+                gram += x_t @ x_t.swapaxes(1, 2)
+                rhs += (x_t @ r_prev[..., None])[..., 0]
                 grams[:, t - 1] = gram
                 beta_hats[:, t - 1] = solve_or_nan(gram, rhs)
     # free the loop's buffers (r_prev and a_t are views) before the copies

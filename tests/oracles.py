@@ -248,6 +248,39 @@ def fit_policy_params(states, actions, rewards):
     return np.linalg.solve(gram, rhs)
 
 
+def inference_gram(trajset):
+    """``fit_theta``'s Gram and right-hand side by the full design einsum.
+
+    Sums z z' and R z, z = [S_t; A_t], row by row over the whole
+    (..., n, T, d_S + 1) design; ``fit_theta`` sums the same products by BLAS
+    over blocks of users.  Returns ((..., d, d), (..., d)).
+    """
+    z = inference_design(trajset)
+    gram = np.einsum("...ntk,...ntl->...kl", z, z)
+    rhs = np.einsum("...ntk,...nt->...k", z, trajset.rewards)
+    return gram, rhs
+
+
+def refit_grams(trajset):
+    """The simulator's policy-refit Grams and right-hand sides, row-major.
+
+    For each decision time t = 1..T-1, the pooled sums of x x' and R x over
+    all users and the times through t, x = [S; A S], accumulated one time at
+    a time by the user-major einsum the step loop once ran.  Returns
+    ((..., T-1, 2 d_S, 2 d_S), (..., T-1, 2 d_S)).
+    """
+    x = policy_design(trajset)
+    gram = rhs = 0.0
+    grams, rhss = [], []
+    for t in range(trajset.horizon_T - 1):
+        xt = x[..., t, :]
+        gram = gram + np.einsum("...nk,...nl->...kl", xt, xt)
+        rhs = rhs + np.einsum("...nk,...n->...k", xt, trajset.rewards[..., t])
+        grams.append(gram)
+        rhss.append(rhs)
+    return np.stack(grams, axis=-3), np.stack(rhss, axis=-2)
+
+
 def sample_action(stream, prob1):
     """One decision time's Bernoulli(prob1) draws from ``stream``, as int8 {0, 1}.
 

@@ -7,14 +7,22 @@ from pooltrial import EnvConfig, PolicySpec, SeedPlan, TrialConfig, fit_theta, r
 from pooltrial.core import TrajectorySet
 from pooltrial.errors import DegenerateDesignError
 from pooltrial.estimators import (
+    GRAM_BLOCK_USERS,
     check_conditioned,
     inference_design,
     psi_matrix,
     solve_or_nan,
 )
+from pooltrial.simulator import run_trials
 from pooltrial.variance import sandwich
 
-from oracles import phi, phi_matrix, psi
+from oracles import inference_gram, phi, phi_matrix, psi
+
+KINDS = {
+    "boltzmann": dict(kind="boltzmann", rho=5.0),
+    "mirror_descent": dict(kind="mirror_descent", eta=0.5),
+    "constant_uniform": dict(kind="constant_uniform"),
+}
 
 
 def toy_history(rng, T=6):
@@ -190,6 +198,36 @@ class TestFitTheta:
         )
         a, b = fit_theta(small_trajset), fit_theta(shuffled)
         assert np.allclose(a.theta_hat, b.theta_hat, rtol=1e-10)
+
+
+class TestInferenceGram:
+    """fit_theta's blocked BLAS Gram against the full design einsum."""
+
+    # n % 4 != 0, within one block of users and across three
+    @pytest.mark.parametrize("n", [37, 2 * GRAM_BLOCK_USERS + 37])
+    @pytest.mark.parametrize("reps", [1, 3])
+    @pytest.mark.parametrize("state_dim", [1, 2])
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_matches_design_einsum(self, kind, state_dim, reps, n):
+        config = TrialConfig(
+            n_users=n, horizon_T=4, state_dim=state_dim, master_seed=41,
+            policy=PolicySpec(**KINDS[kind]), env=EnvConfig(kappa1=2.0),
+        )
+        batch, errors = run_trials(config, [SeedPlan(41, r) for r in range(reps)])
+        assert errors == [None] * reps
+        est = fit_theta(batch)
+        gram, rhs = inference_gram(batch)
+        psi_dot, theta = est.blocks.psi_dot, est.theta_hat
+        scale = np.abs(gram).max()
+        assert np.abs(psi_dot + gram / n).max() <= 1e-12 * scale / n
+        # theta-hat solves the einsum's normal equations to rounding
+        resid = rhs - (gram @ theta[..., None])[..., 0]
+        assert np.abs(resid).max() <= 1e-12 * scale * max(1.0, np.abs(theta).max())
+        assert np.array_equal(psi_dot, psi_dot.swapaxes(-1, -2))
+        for r in range(reps):
+            one = fit_theta(batch[r])
+            assert np.array_equal(one.theta_hat, theta[r])
+            assert np.array_equal(one.blocks.psi_dot, psi_dot[r])
 
 
 class TestJacobians:

@@ -1,4 +1,9 @@
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,13 +15,14 @@ from pooltrial import (
     TrialConfig,
     derive_stream,
     run_trial,
+    simulator,
 )
 from pooltrial.errors import ConfigError, DegenerateDesignError, NumericalError
-from pooltrial.estimators import psi_matrix
+from pooltrial.estimators import conditioning_errors, psi_matrix
 from pooltrial.policies import policy_path
 from pooltrial.simulator import replay_action_probs, run_trials
 
-from oracles import fit_policy_params, sample_action, weight_product_at
+from oracles import fit_policy_params, refit_grams, sample_action, weight_product_at
 
 FIELDS = ("states", "actions", "rewards", "action_probs", "beta_hats")
 KINDS = {
@@ -257,6 +263,73 @@ class TestRunTrials:
             stream = derive_stream(plan, "actions")
             steps = [sample_action(stream, p1[:, t]) for t in range(ts.horizon_T)]
             assert np.array_equal(np.stack(steps, axis=1), ts.actions)
+
+
+class TestRefitGrams:
+    """The step loop's BLAS refit products against the row-major einsum."""
+
+    @pytest.mark.parametrize("reps", [1, 3])
+    @pytest.mark.parametrize("state_dim", [1, 2])
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_matches_row_major_einsum(self, kind, state_dim, reps, monkeypatch):
+        seen = []  # the refit Grams run_trials hands to its one check
+
+        def spy(grams, *args, **kwargs):
+            seen.append(np.array(grams))
+            return conditioning_errors(grams, *args, **kwargs)
+
+        monkeypatch.setattr(simulator, "conditioning_errors", spy)
+        config = TrialConfig(
+            n_users=37, horizon_T=7, state_dim=state_dim, master_seed=23,
+            policy=PolicySpec(**KINDS[kind]), env=EnvConfig(kappa1=2.0),
+        )
+        plans = [SeedPlan(23, rep) for rep in range(reps)]
+        batch, errors = run_trials(config, plans)
+        assert errors == [None] * reps
+        grams = seen[0]
+        want, rhs = refit_grams(batch)
+        scale = np.abs(want).max()
+        assert np.abs(grams - want).max() <= 1e-12 * scale
+        # each beta_hat_t solves the einsum's normal equations to rounding
+        beta = batch.beta_hats
+        resid = rhs - (want @ beta[..., None])[..., 0]
+        assert np.abs(resid).max() <= 1e-12 * scale * max(1.0, np.abs(beta).max())
+        assert np.array_equal(grams, grams.swapaxes(-1, -2))
+        for r, plan in enumerate(plans):
+            run_trials(config, [plan])
+            assert np.array_equal(seen[-1][0], grams[r])
+
+
+# One batch of 2 replications of n T = 1M rows each, simulated and fitted;
+# prints the digests of the fields the BLAS products feed
+BLAS_THREADS_SCRIPT = """
+import hashlib, json
+from pooltrial import EnvConfig, PolicySpec, SeedPlan, TrialConfig, fit_theta
+from pooltrial.simulator import run_trials
+config = TrialConfig(
+    n_users=20_000, horizon_T=50, master_seed=3,
+    policy=PolicySpec(kind="boltzmann", rho=5.0), env=EnvConfig(kappa1=5.0),
+)
+batch, errors = run_trials(config, [SeedPlan(3, 0), SeedPlan(3, 1)])
+assert errors == [None, None]
+arrays = [batch.beta_hats, batch.action_probs, fit_theta(batch).theta_hat]
+print(json.dumps([hashlib.sha256(a.tobytes()).hexdigest() for a in arrays]))
+"""
+
+
+def test_outputs_do_not_depend_on_blas_thread_count():
+    # large enough that OpenBLAS splits its products over threads when it can
+    src = str(Path(simulator.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", BLAS_THREADS_SCRIPT],
+            env=env, capture_output=True, text=True, check=True, timeout=300,
+        )
+        digests.append(json.loads(out.stdout.splitlines()[-1]))
+    assert digests[0] == digests[1]
 
 
 class TestFitPolicyParams:
