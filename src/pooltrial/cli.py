@@ -9,7 +9,6 @@ configuration and master seed, sufficient to re-run the job byte-identically.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import platform
@@ -20,7 +19,7 @@ import scipy
 
 from . import __version__
 from .config import config_to_raw, load_config, manifest_config
-from .core import SeedPlan, TrajectorySet
+from .core import SeedPlan, TrajectorySet, write_json
 from .errors import DiagnosticFailure, PoolTrialError
 from .estimators import fit_theta
 from .montecarlo import emit_table, run_grid
@@ -51,22 +50,12 @@ _JOBS = _checked(int, lambda v: v >= 0, ">= 0 (0 = every CPU)")
 _ALPHA = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 
 
-def _write_json(out_dir: str, name: str, payload) -> str:
-    """Write ``payload`` to ``out_dir/name``, keys sorted; returns the path."""
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
-    return path
-
-
 def _write_manifest(out_dir: str, payload: dict) -> None:
     # outputs are bit-identical under the same python, numpy and scipy
     versions = {f"{m.__name__}_version": m.__version__ for m in (np, scipy)}
     payload = {"package_version": __version__, **versions,
                "python_version": platform.python_version(), **payload}
-    log.info("manifest written to %s", _write_json(out_dir, "manifest.json", payload))
+    log.info("manifest written to %s", write_json(out_dir, "manifest.json", payload))
 
 
 def _resolved_config(args):
@@ -110,7 +99,7 @@ def cmd_estimate(args) -> int:
         "policy_invariance_norms": norms,
         **report.to_dict(),
     }
-    _write_json(args.out, "estimate.json", out)
+    write_json(args.out, "estimate.json", out)
     _write_manifest(
         args.out,
         {
@@ -164,7 +153,7 @@ def cmd_check(args) -> int:
             failures.append(name)
 
     if args.out:
-        _write_json(args.out, "check.json", results)
+        write_json(args.out, "check.json", results)
         _write_manifest(
             args.out,
             {

@@ -9,6 +9,8 @@ be shared freely across worker processes.
 from __future__ import annotations
 
 import dataclasses
+import json
+import os
 import warnings
 from dataclasses import dataclass, field
 from numbers import Integral
@@ -85,8 +87,8 @@ class EnvConfig:
     error_corr_base: float = 0.5
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            real_number(getattr(self, f.name), f.name)
+        for f in dataclasses.fields(self):  # plain floats, as outputs write their repr
+            object.__setattr__(self, f.name, real_number(getattr(self, f.name), f.name))
         if not 0.0 < self.gamma < 1.0:
             raise ConfigError(f"gamma must be in (0,1), got {self.gamma}")
         # 0.0 is the documented i.i.d. limit of the AR error process.
@@ -112,6 +114,7 @@ class TrialConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # np.int64 is not JSON
         if self.n_users < 2:
             raise ConfigError(f"n_users must be >= 2, got {self.n_users}")
         if self.horizon_T < 2:
@@ -122,7 +125,7 @@ class TrialConfig:
                 f"state_dim must be 1 or 2 for the built-in environment, "
                 f"got {self.state_dim}"
             )
-        if not 0 <= int(self.master_seed) < 2**64:
+        if not 0 <= self.master_seed < 2**64:
             raise ConfigError(f"master_seed must be a u64, got {self.master_seed}")
         eta = self.policy.eta
         if eta is not None and 1 < len(eta) < self.horizon_T - 1:
@@ -225,8 +228,8 @@ class TrajectorySet:
         Floats are written with shortest round-trip repr, so a load followed
         by a policy replay is bit-identical to the original run.
         """
-        import os
-
+        if self.actions.ndim != 2:
+            raise DataIntegrityError("save writes one trajectory, not a batch; save ts[r]")
         os.makedirs(out_dir, exist_ok=True)
         n, T, d_S = self.states.shape
         tables = {
@@ -243,10 +246,7 @@ class TrajectorySet:
             ),
         }
         for name, (header, columns) in tables.items():
-            fields = [map(repr, col.tolist()) for col in columns]
-            with open(os.path.join(out_dir, name), "w") as f:
-                f.write(",".join(header) + "\n")
-                f.writelines(",".join(row) + "\n" for row in zip(*fields))
+            write_csv(os.path.join(out_dir, name), header, [c.tolist() for c in columns])
 
     @classmethod
     def load(cls, in_dir, config: TrialConfig) -> "TrajectorySet":
@@ -258,8 +258,6 @@ class TrajectorySet:
         states, actions and beta_hats) within PROB_TOL; any other input
         raises DataIntegrityError.
         """
-        import os
-
         from .simulator import replay_action_probs
 
         d_S = config.state_dim
@@ -303,6 +301,26 @@ class TrajectorySet:
                 f"its replay through the policy"
             )
         return trajset
+
+
+def write_csv(path, header, columns) -> None:
+    """Write ``columns`` (equal-length sequences of Python numbers) under
+    ``header``, each value by its repr: for a float, the shortest string that
+    reads back to the same float."""
+    fields = [map(repr, col) for col in columns]
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        f.writelines(",".join(row) + "\n" for row in zip(*fields))
+
+
+def write_json(out_dir, name: str, payload) -> str:
+    """Write ``payload`` to ``out_dir/name``, keys sorted; returns the path."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
+    with open(path, "w") as f:
+        json.dump(payload, f, indent=2, sort_keys=True)
+        f.write("\n")
+    return path
 
 
 def _read_rows(path, n_cols: int) -> np.ndarray:

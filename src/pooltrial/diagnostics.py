@@ -24,7 +24,7 @@ from scipy.stats import kstest
 from .core import EnvConfig, SeedPlan, TrialConfig
 from .errors import ConfigError
 from .estimators import fit_theta
-from .montecarlo import ORACLE_REP_BASE, estimate_theta_star, rep_batches, replicate
+from .montecarlo import ORACLE_REP_BASE, averaged_theta_star, rep_batches, replicate
 from .policies import PolicySpec
 from .simulator import run_trial, run_trials
 from .variance import invariance_norms
@@ -101,25 +101,6 @@ def bernstein_check(config: TrialConfig, reps: int, oracle_n: int = 100_000) -> 
         "bound": bound.tolist(),
         "violations": int(violations.sum()),
     }
-
-
-def averaged_theta_star(
-    config: TrialConfig, oracle_n: int, n_oracles: int
-) -> np.ndarray:
-    """Average several independent large-n oracle estimates of theta*.
-
-    A single oracle run at n = oracle_n leaves theta*_1 noise of roughly
-    sqrt(n_cell / oracle_n) standard errors, which is enough to shift every
-    standardised replication coherently; averaging independent runs shrinks
-    that common shift by 1/sqrt(n_oracles).
-    """
-    estimates = [
-        estimate_theta_star(
-            config, oracle_n, SeedPlan(config.master_seed, ORACLE_REP_BASE + k)
-        )
-        for k in range(n_oracles)
-    ]
-    return np.mean(estimates, axis=0)
 
 
 def clt_check(config: TrialConfig, reps: int, theta_star) -> dict:

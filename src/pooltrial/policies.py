@@ -42,9 +42,11 @@ class PolicySpec:
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
             raise ConfigError(f"unknown policy kind {self.kind!r}")
-        if not 0.0 < real_number(self.pi_min, "pi_min") < 0.5:
+        for name in ("pi_min", "rho"):  # plain floats, as outputs write their repr
+            object.__setattr__(self, name, real_number(getattr(self, name), name))
+        if not 0.0 < self.pi_min < 0.5:
             raise ConfigError(f"pi_min must be in (0, 0.5), got {self.pi_min}")
-        if real_number(self.rho, "rho") < 0 and self.kind == "boltzmann":
+        if self.rho < 0 and self.kind == "boltzmann":
             raise ConfigError(f"rho must be >= 0, got {self.rho}")
         if self.kind == "mirror_descent":
             if self.eta is None:

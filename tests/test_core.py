@@ -78,6 +78,19 @@ class TestConfigValidation:
         assert cfg.policy_dim == 4
         assert cfg.theta_dim == 3
 
+    def test_numpy_scalars_stored_as_python_scalars(self):
+        cfg = TrialConfig(
+            n_users=np.int64(10),
+            horizon_T=np.int32(5),
+            master_seed=np.uint64(7),
+            policy=PolicySpec(rho=np.float64(2.0), pi_min=np.float32(0.25)),
+            env=EnvConfig(kappa0=np.int64(1), kappa1=np.float64(2.0)),
+        )
+        assert [type(cfg.n_users), type(cfg.horizon_T), type(cfg.master_seed)] == [int] * 3
+        assert [type(cfg.policy.rho), type(cfg.policy.pi_min)] == [float] * 2
+        assert {type(getattr(cfg.env, f)) for f in ("kappa0", "kappa1", "gamma")} == {float}
+        assert (cfg.policy.pi_min, cfg.env.kappa0) == (0.25, 1.0)
+
 
 class TestTrajectorySet:
     def test_action_prob_range_enforced(self, small_trajset):
@@ -175,6 +188,17 @@ class TestTrajectorySet:
         # replay through the policy map still reproduces probs exactly
         assert np.array_equal(
             replay_action_probs(loaded), small_trajset.action_probs
+        )
+
+    def test_batch_save_rejected_before_writing(self, small_config, tmp_path):
+        batch, _ = run_trials(small_config, [SeedPlan(1, rep) for rep in range(2)])
+        out = tmp_path / "out"
+        with pytest.raises(DataIntegrityError, match="batch"):
+            batch.save(out)
+        assert not out.exists()
+        batch[1].save(out)  # one replication of it saves
+        assert TrajectorySet.load(out, small_config).rewards.tobytes() == (
+            batch.rewards[1].tobytes()
         )
 
     def test_seed_plan_validation(self):

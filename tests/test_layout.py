@@ -73,3 +73,33 @@ def test_module_constant_has_a_reader(path, node, name):
     assert _used_outside(name, path, node.lineno, node.end_lineno), (
         f"{path.name}:{node.lineno} {name} is read nowhere in src/ or benchmarks/"
     )
+
+
+def _file_writes(path):
+    """(line, call) of each json.dump, and each open in a write, append or
+    create mode, in a file."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr == "dump" and (
+            isinstance(func.value, ast.Name) and func.value.id == "json"
+        ):
+            yield node.lineno, "json.dump"
+        elif isinstance(func, ast.Name) and func.id == "open":
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            for mode in modes:
+                # a mode that is not a literal string cannot be checked: flag it
+                text = mode.value if isinstance(mode, ast.Constant) else "w"
+                if set(str(text)) & set("wax+"):
+                    yield node.lineno, f"open(..., {ast.unparse(mode)})"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in PACKAGE if p.name != "core.py"], ids=lambda p: p.name
+)
+def test_only_core_writes_files(path):
+    """core.write_csv and core.write_json own the on-disk format; other
+    modules may read files but write through them."""
+    writes = list(_file_writes(path))
+    assert not writes, f"{path.name} writes files itself: {writes}"

@@ -532,6 +532,50 @@ class TestRunGrid:
             ("oracle", 5.0, 2.0, 2_000), ("cell", 5.0, 2.0, 20), ("cell", 5.0, 2.0, 30),
         ]
 
+    def test_theta_star_is_one_oracle_plan_through_averaged_theta_star(
+        self, ran, monkeypatch
+    ):
+        calls = []
+        real = montecarlo.averaged_theta_star
+
+        def recorded(config, oracle_n, n_oracles):
+            calls.append((config, oracle_n, n_oracles, real(config, oracle_n, n_oracles)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(montecarlo, "averaged_theta_star", recorded)
+        grid = {**self.GRID, "n_users": [20]}
+        cells = run_grid(self.BASE, grid, reps=4, oracle_n=2_000)
+        assert [(c.env.kappa1, c.n_users, k, n) for c, k, n, _ in calls] == [
+            (1.0, 20, 2_000, 1), (5.0, 20, 2_000, 1)
+        ]
+        montecarlo._theta_star_cache.clear()  # the reference is a fresh run
+        for cell, (config, _, _, theta_star) in zip(cells, calls):
+            plan = SeedPlan(self.BASE.master_seed, ORACLE_REP_BASE)
+            want = estimate_theta_star(config, 2_000, plan)
+            assert theta_star.tobytes() == want.tobytes()
+            assert cell.theta_star_1 == want[-1]
+
+    def test_numpy_scalar_config_writes_the_same_tables(self, tmp_path):
+        twin = TrialConfig(
+            n_users=np.int64(40),
+            horizon_T=np.int64(5),
+            master_seed=np.int64(202),
+            policy=PolicySpec(rho=np.float64(1.0), pi_min=np.float64(0.1)),
+            env=EnvConfig(kappa1=np.float64(1.0)),
+        )
+        assert twin == self.BASE
+        grids = [
+            {"kappa1": [1.0, 5.0], "rho": [2.0], "n_users": [20]},
+            {"kappa1": [np.float64(1.0), np.float64(5.0)], "rho": [np.float64(2.0)],
+             "n_users": [np.int64(20)]},
+        ]
+        for name, base, grid in [("plain", self.BASE, grids[0]), ("numpy", twin, grids[1])]:
+            emit_table(run_grid(base, grid, reps=3, oracle_n=500), tmp_path / name)
+        for table in ("table.csv", "table.json"):
+            plain = (tmp_path / "plain" / table).read_bytes()
+            assert plain == (tmp_path / "numpy" / table).read_bytes(), table
+        assert b"np." not in plain
+
     def test_bad_cell_fails_before_any_run(self, ran):
         grid = {**self.GRID, "n_users": [20, 1]}
         with pytest.raises(ConfigError, match="n_users must be >= 2"):
