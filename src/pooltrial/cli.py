@@ -203,11 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.set_defaults(func=cmd_mc)
 
     p_chk = sub.add_parser("check", help="run diagnostic suites")
-    p_chk.add_argument(
-        "--suite",
-        choices=["bernstein", "clt", "invariance", "all"],
-        default="all",
-    )
+    p_chk.add_argument("--suite", choices=["clt", "invariance", "all"], default="all")
     p_chk.add_argument("--reps", type=_REPS, default=2000)
     p_chk.add_argument("--oracle-n", type=_ORACLE_N, default=100_000)
     p_chk.add_argument("--seed", type=int, default=20240601)

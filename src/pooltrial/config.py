@@ -126,8 +126,8 @@ def parse_config(raw: dict):
 def load_config(path_or_preset: str):
     """Read and validate a config file; returns (TrialConfig, grid, raw dict)."""
     path = resolve_config_path(path_or_preset)
-    try:
-        with open(path) as f:
+    try:  # bytes: PyYAML decodes them, and bad UTF-8 is a YAMLError
+        with open(path, "rb") as f:
             raw = yaml.safe_load(f)
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err

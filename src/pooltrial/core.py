@@ -230,7 +230,7 @@ class TrajectorySet:
         """
         if self.actions.ndim != 2:
             raise DataIntegrityError("save writes one trajectory, not a batch; save ts[r]")
-        os.makedirs(out_dir, exist_ok=True)
+        _make_out_dir(out_dir)
         n, T, d_S = self.states.shape
         tables = {
             "trajectories.csv": (
@@ -313,9 +313,20 @@ def write_csv(path, header, columns) -> None:
         f.writelines(",".join(row) + "\n" for row in zip(*fields))
 
 
+def _make_out_dir(out_dir) -> None:
+    """Create ``out_dir`` and its parents where missing; a path that cannot
+    be a directory (a file, or a path under one) is a ConfigError naming it."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(
+            f"cannot create output directory {out_dir}: {err.strerror}"
+        ) from err
+
+
 def write_json(out_dir, name: str, payload) -> str:
     """Write ``payload`` to ``out_dir/name``, keys sorted; returns the path."""
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     path = os.path.join(out_dir, name)
     with open(path, "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)

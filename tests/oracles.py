@@ -8,7 +8,9 @@ explicit design matrices, and build and invert the full stacked system: slow
 (O(D^3) for D = (T-1) d_t + d_theta), but independent of the package's
 sweeps.  The exception is the policy map at alternative fits
 (``policy_path_at``, ``weight_product_at``): it calls the package's sweep once
-per decision time, with that time's stored fit replaced.
+per decision time, with that time's stored fit replaced.  A large-n run under
+the target policies (``target_policy_oracle``) is the package's simulator
+with its policies frozen at the fits of an adaptive large-n run.
 
 Policy parameters are stacked vectors [beta0, beta1], each half of length d_S.
 """
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
+from pooltrial.core import SeedPlan, TrialConfig
 from pooltrial.errors import (
     ConfigError,
     DegenerateDesignError,
@@ -29,7 +32,9 @@ from pooltrial.estimators import (
     policy_design,
     psi_matrix,
 )
+from pooltrial.montecarlo import ORACLE_REP_BASE
 from pooltrial.policies import policy_path, realized_from_p1
+from pooltrial.simulator import run_trial
 
 
 def _beta1(beta, state):
@@ -136,6 +141,20 @@ def weight_product_at(trajset, betas):
     p1, _ = policy_path_at(spec, trajset.states, trajset.beta_hats, betas)
     num = realized_from_p1(p1[:, 1:], trajset.actions[:, 1:], spec.pi_min)
     return np.prod(num / trajset.action_probs[:, 1:], axis=1)
+
+
+def target_policy_oracle(config: TrialConfig, oracle_n: int):
+    """An n = oracle_n run under the target policies: its policies are frozen
+    at the fits of an adaptive n = oracle_n run (its ``beta_hats``)."""
+    oracle_config = config.replace(n_users=oracle_n)
+    beta_star = run_trial(
+        oracle_config, SeedPlan(config.master_seed, ORACLE_REP_BASE)
+    ).beta_hats
+    return run_trial(
+        oracle_config,
+        SeedPlan(config.master_seed, ORACLE_REP_BASE + 1),
+        frozen_betas=beta_star,
+    )
 
 
 def path_oracle(spec, states, beta_hats, betas=None):

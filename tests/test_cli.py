@@ -1,3 +1,4 @@
+import argparse
 import json
 import logging
 import os
@@ -12,7 +13,7 @@ import scipy
 import yaml
 
 from pooltrial import TrajectorySet, fit_theta
-from pooltrial.cli import main
+from pooltrial.cli import build_parser, main
 from pooltrial.config import load_config, parse_config
 from pooltrial.variance import invariance_norms
 
@@ -346,7 +347,7 @@ class TestFlagsRejected:
         args = {
             "mc": ["--config", tiny_config_file],
             "estimate": ["--in", str(tmp_path), "--config", tiny_config_file],
-            "check": ["--suite", "bernstein"],
+            "check": ["--suite", "invariance"],
         }[command]
         assert main([command, *args, *flags, "--out", str(out)]) == 1
         assert not out.exists()
@@ -357,6 +358,43 @@ class TestFlagsRejected:
         assert main(["--verbose", "mc", "--config", tiny_config_file, "--out", str(out)]) == 1
         assert not out.exists()
         assert "unrecognized arguments: --verbose" in capsys.readouterr().err
+
+
+class TestBadPaths:
+    """A config file or an output path the commands cannot use exits 1 with
+    an error naming it, not a traceback, and writes nothing."""
+
+    @pytest.mark.parametrize("command", ["simulate", "mc", "estimate"])
+    def test_non_utf8_config_exits_1(self, command, tmp_path, capsys):
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes(b"trial: {n_users: 20}  # \xff\n")
+        out = tmp_path / "o"
+        args = ["--in", str(tmp_path)] if command == "estimate" else []
+        code = main([command, *args, "--config", str(path), "--out", str(out)])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert lines[0].startswith(f"error: malformed config {path}: "), lines
+        assert not out.exists()
+
+    @pytest.mark.parametrize("under_file", [False, True], ids=["file", "under_file"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["simulate", "--config", "paper_table1"],
+            ["check", "--suite", "invariance", "--reps", "3"],
+        ],
+        ids=["simulate", "check"],
+    )
+    def test_out_that_cannot_be_a_directory_exits_1(
+        self, command, under_file, tmp_path, capsys
+    ):
+        blocker = tmp_path / "taken"
+        blocker.write_text("kept\n")
+        out = blocker / "out" if under_file else blocker
+        assert main([*command, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot create output directory {out}: "), err
+        assert blocker.read_text() == "kept\n"
 
 
 class TestCheck:
@@ -370,31 +408,43 @@ class TestCheck:
         assert report["invariance"]["rho5_dominates"] is True
         assert report["invariance"]["constant_uniform_zero"] is True
 
-    def test_bernstein_suite_small(self, tmp_path):
-        code = main(["check", "--suite", "bernstein", "--reps", "50"])
-        assert code == 0
-
-    def test_oracle_n_reaches_bernstein(self, monkeypatch, tmp_path):
+    def test_oracle_n_reaches_clt(self, monkeypatch, tmp_path):
         import pooltrial.diagnostics as diag
 
         seen = []
 
-        def fake_check(config, reps, oracle_n=100_000):
+        def fake_oracle(config, oracle_n, n_oracles):
             seen.append(oracle_n)
-            zeros = [0.0]
-            return {
-                "x_grid": zeros, "empirical_tail": zeros, "bound": zeros, "violations": 0
-            }
+            return np.zeros(3)
 
-        monkeypatch.setattr(diag, "bernstein_check", fake_check)
+        def fake_check(config, reps, theta_star):
+            return {"reps": reps, "passed": True}
+
+        monkeypatch.setattr(diag, "averaged_theta_star", fake_oracle)
+        monkeypatch.setattr(diag, "clt_check", fake_check)
         out = tmp_path / "chk"
         code = main(
-            ["check", "--suite", "bernstein", "--oracle-n", "20000", "--out", str(out)]
+            ["check", "--suite", "clt", "--oracle-n", "20000", "--out", str(out)]
         )
         assert code == 0
         assert seen == [20000]
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["oracle_n"] == 20000
+
+    def test_removed_bernstein_suite_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "chk"
+        assert main(["check", "--suite", "bernstein", "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "argument --suite: invalid choice: 'bernstein'" in capsys.readouterr().err
+
+    def test_suite_choices_are_the_diagnostics_suites(self):
+        from pooltrial.diagnostics import SUITES
+
+        commands = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        suite = next(a for a in commands.choices["check"]._actions if a.dest == "suite")
+        assert suite.choices == [*SUITES, "all"]
 
     def test_failure_exits_3(self, monkeypatch, tmp_path):
         import pooltrial.diagnostics as diag

@@ -5,15 +5,7 @@ import pytest
 
 from pooltrial import EnvConfig, PolicySpec, SeedPlan, TrialConfig, estimate_theta_star
 from pooltrial import diagnostics
-from pooltrial.diagnostics import (
-    _target_policy_oracle,
-    bernstein_check,
-    clt_check,
-    inverse_prob_products,
-    invariance_scan,
-    run_suite,
-)
-from pooltrial import montecarlo
+from pooltrial.diagnostics import clt_check, invariance_scan, run_suite
 from pooltrial.cli import main
 from pooltrial.core import TrajectorySet
 from pooltrial.errors import ConfigError, DegenerateDesignError
@@ -32,48 +24,6 @@ def tiny_config():
         policy=PolicySpec(kind="boltzmann", rho=1.0),
         env=EnvConfig(kappa1=1.0),
     )
-
-
-class TestBernstein:
-    def test_constant_functional_reduces_to_weight_average(self, tiny_config):
-        # E[rho*] telescopes to 2^{T-1} in the binary-action setting
-        frozen = _target_policy_oracle(tiny_config, 20_000)
-        assert np.mean(inverse_prob_products(frozen)) == pytest.approx(
-            2 ** (tiny_config.horizon_T - 1), rel=0.02
-        )
-
-    def test_clipped_reward_zero_violations(self, tiny_config):
-        entry = bernstein_check(tiny_config, reps=200, oracle_n=20_000)
-        assert entry["violations"] == 0
-
-    def test_bound_formula(self, tiny_config):
-        entry = bernstein_check(tiny_config, reps=30, oracle_n=5_000)
-        x = np.array(entry["x_grid"])
-        # the grid is sqrt(variance proxy) times powers of two, and the sup
-        # norm of the clipped reward is 3
-        powers = np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 64.0])
-        assert np.array_equal(x, x[2] * powers)
-        pi_min, T, n = 0.1, tiny_config.horizon_T, tiny_config.n_users
-        expected = 2 * np.exp(
-            -(pi_min ** (T - 1) / 4) * x**2 / (x[2] ** 2 + x * 3.0 / np.sqrt(n))
-        )
-        assert entry["bound"] == pytest.approx(expected, rel=1e-12)
-
-    @pytest.mark.parametrize("batch_users", [5, 15, montecarlo.BATCH_USERS])
-    def test_raises_earliest_abort(self, batch_users, monkeypatch):
-        # at n = 5 replications 2 and 4 abort at t = 1; batches of 1, 3 and
-        # all 6 replications raise replication 2's error
-        monkeypatch.setattr(montecarlo, "BATCH_USERS", batch_users)
-        config = TrialConfig(
-            n_users=5,
-            horizon_T=6,
-            master_seed=29,
-            policy=PolicySpec(kind="boltzmann", rho=5.0),
-            env=EnvConfig(kappa1=1.0),
-        )
-        with pytest.raises(DegenerateDesignError) as err:
-            bernstein_check(config, reps=6, oracle_n=2_000)
-        assert (err.value.t, err.value.cond) == (1, 1.8711197366972168e18)
 
 
 class TestClt:
@@ -164,29 +114,6 @@ class TestInvarianceScan:
 
 class TestRunSuite:
     """Each suite's check.json entry and verdict, its statistics faked."""
-
-    @pytest.mark.parametrize("violations", [0, 2])
-    def test_bernstein(self, violations, monkeypatch):
-        seen = []
-
-        faked = {
-            "x_grid": [0.5, 1.0],
-            "empirical_tail": [0.125, 0.25],
-            "bound": [0.25, 0.5],
-            "violations": violations,
-        }
-
-        def fake_check(config, reps, oracle_n):
-            seen.append(
-                (config.n_users, config.horizon_T, config.master_seed, reps, oracle_n)
-            )
-            return dict(faked)
-
-        monkeypatch.setattr(diagnostics, "bernstein_check", fake_check)
-        entry, passed = run_suite("bernstein", 11, 40, 3_000)
-        assert entry == faked
-        assert passed is (violations == 0)
-        assert seen == [(100, 5, 11, 40, 3_000)]
 
     @pytest.mark.parametrize("ok", [True, False])
     def test_clt(self, ok, monkeypatch):

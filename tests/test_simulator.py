@@ -22,7 +22,13 @@ from pooltrial.estimators import conditioning_errors, psi_matrix
 from pooltrial.policies import policy_path
 from pooltrial.simulator import replay_action_probs, run_trials
 
-from oracles import fit_policy_params, refit_grams, sample_action, weight_product_at
+from oracles import (
+    fit_policy_params,
+    refit_grams,
+    sample_action,
+    target_policy_oracle,
+    weight_product_at,
+)
 
 FIELDS = ("states", "actions", "rewards", "action_probs", "beta_hats")
 KINDS = {
@@ -385,12 +391,24 @@ class TestFitPolicyParams:
 
 
 class TestWeightedWlln:
+    def test_constant_functional_reduces_to_weight_average(self):
+        # E[1 / prod_{t>=2} P(realised action at t)] telescopes to 2^{T-1}
+        # in the binary-action setting, under the frozen target policies
+        config = TrialConfig(
+            n_users=50,
+            horizon_T=4,
+            master_seed=92,
+            policy=PolicySpec(kind="boltzmann", rho=1.0),
+            env=EnvConfig(kappa1=1.0),
+        )
+        frozen = target_policy_oracle(config, 20_000)
+        weights = 1.0 / np.prod(frozen.action_probs[:, 1:], axis=1)
+        assert np.mean(weights) == pytest.approx(2 ** (config.horizon_T - 1), rel=0.02)
+
     def test_weighted_mean_matches_target_policy(self):
         # psi (at theta = 0) of an adaptive trial, reweighted by
         # W_{2:T}(beta*, beta_hat), has the mean of a run under the target
         # policies beta* (the fits of an n = 100k run), within 4 SE
-        from pooltrial.diagnostics import _target_policy_oracle
-
         config = TrialConfig(
             n_users=10_000,
             horizon_T=8,
@@ -399,7 +417,7 @@ class TestWeightedWlln:
             env=EnvConfig(kappa1=1.0),
         )
         theta_probe = np.zeros(config.theta_dim)
-        frozen = _target_policy_oracle(config, 100_000)
+        frozen = target_policy_oracle(config, 100_000)
         beta_star = frozen.beta_hats
         target = psi_matrix(frozen, theta_probe)[:, 0]
         check = run_trial(config, SeedPlan(config.master_seed, 0))
