@@ -19,7 +19,7 @@ import scipy
 
 from . import __version__
 from .config import config_to_raw, load_config, manifest_config
-from .core import SeedPlan, TrajectorySet, write_json
+from .core import SeedPlan, TrajectorySet, check_out_dir, write_json
 from .errors import DiagnosticFailure, PoolTrialError
 from .estimators import fit_theta
 from .montecarlo import emit_table, run_grid
@@ -219,6 +219,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.out is not None:  # before any work, so a bad path loses no run
+            check_out_dir(args.out)
         return args.func(args)
     except PoolTrialError as err:
         print(f"error: {err}", file=sys.stderr)

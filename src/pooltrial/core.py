@@ -9,6 +9,7 @@ be shared freely across worker processes.
 from __future__ import annotations
 
 import dataclasses
+import errno
 import json
 import os
 import warnings
@@ -313,15 +314,28 @@ def write_csv(path, header, columns) -> None:
         f.writelines(",".join(row) + "\n" for row in zip(*fields))
 
 
+def _out_dir_error(out_dir, strerror) -> ConfigError:
+    return ConfigError(f"cannot create output directory {out_dir}: {strerror}")
+
+
+def check_out_dir(out_dir) -> None:
+    """Raise the ConfigError ``_make_out_dir`` would for ``out_dir``, without
+    creating anything: a file, or a path under one, cannot be a directory."""
+    target = path = os.path.abspath(out_dir)
+    while not os.path.isdir(path):
+        if os.path.exists(path):
+            code = errno.EEXIST if path == target else errno.ENOTDIR
+            raise _out_dir_error(out_dir, os.strerror(code))
+        path = os.path.dirname(path)
+
+
 def _make_out_dir(out_dir) -> None:
     """Create ``out_dir`` and its parents where missing; a path that cannot
     be a directory (a file, or a path under one) is a ConfigError naming it."""
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as err:
-        raise ConfigError(
-            f"cannot create output directory {out_dir}: {err.strerror}"
-        ) from err
+        raise _out_dir_error(out_dir, err.strerror) from err
 
 
 def write_json(out_dir, name: str, payload) -> str:

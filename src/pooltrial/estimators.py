@@ -30,6 +30,11 @@ from .errors import DegenerateDesignError
 # a design is treated as degenerate rather than silently pseudo-inverted.
 COND_LIMIT = 1e12
 
+# A matrix with ||A||_F ||A^-1||_F at most this is cleared without an SVD:
+# cond_2(A) <= ||A||_F ||A^-1||_F, and the factor 1e3 below COND_LIMIT covers
+# the rounding of the computed inverse and of the SVD
+SCREEN_LIMIT = COND_LIMIT / 1e3
+
 # Users per block of fit_theta's Gram product: about 3 MB of rows at T = 50
 GRAM_BLOCK_USERS = 2048
 
@@ -72,7 +77,18 @@ def solve_or_nan(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.stack([solve_or_nan(g, b) for g, b in zip(gram, rhs)])
 
 
-def conditioning_errors(mats, error, what: str, first_t=None, solutions=None) -> list:
+def inverse_or_none(mats):
+    """``np.linalg.inv`` of a (..., d, d) stack, or None when it raises: one
+    exactly singular matrix fails the whole stack."""
+    try:
+        return np.linalg.inv(mats)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def conditioning_errors(
+    mats, error, what: str, first_t=None, solutions=None, inverses=None
+) -> list:
     """For each (k, d, d) stack of a (..., k, d, d) array, flattened over the
     leading axes: ``error`` for its earliest ill-posed matrix, or None.
 
@@ -82,36 +98,50 @@ def conditioning_errors(mats, error, what: str, first_t=None, solutions=None) ->
     earliest index wins whichever flags it.  The error carries t = first_t + i
     (None without ``first_t``) and the cond of matrix i (None for a non-finite
     matrix, whose SVD is never taken).
+
+    The condition numbers are screened with one batched inverse of ``mats``
+    (``inverses``, taken here when not given): a finite matrix with
+    ||A||_F ||A^-1||_F <= SCREEN_LIMIT is well posed.  An SVD is taken only
+    for a matrix that bound cannot clear (every finite one when the batched
+    inverse raises), or for the one matrix an error reports.
     """
     mats = np.asarray(mats, dtype=float)
     finite = np.isfinite(mats).all(axis=(-2, -1))
-    conds = np.full(finite.shape, np.inf)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        conds[finite] = np.linalg.cond(mats[finite])
-    conds[np.isnan(conds)] = np.inf
-    bad = ~finite | (conds > COND_LIMIT)
+    if inverses is None:
+        inverses = inverse_or_none(mats)
+    doubt = finite
+    if inverses is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq = [np.einsum("...ij,...ij->...", a, a) for a in (mats, inverses)]
+            doubt = finite & ~(sq[0] * sq[1] <= SCREEN_LIMIT**2)  # squared bound
+    conds = np.where(finite, 0.0, np.inf)  # 0 where cleared: cond not taken
+    if doubt.any():
+        conds[doubt] = np.linalg.cond(mats[doubt])
+    bad = conds > COND_LIMIT
     if solutions is not None:
         bad |= ~np.isfinite(solutions).all(axis=-1)
     k = bad.shape[-1]
-    bad, finite, conds = (a.reshape(-1, k) for a in (bad, finite, conds))
+    bad, finite, doubt, conds = (a.reshape(-1, k) for a in (bad, finite, doubt, conds))
+    mats = mats.reshape(-1, *mats.shape[-3:])
     errors = [None] * len(bad)
     for s in np.flatnonzero(bad.any(axis=1)):
         i = int(np.argmax(bad[s]))
         t = None if first_t is None else first_t + i
         at = "" if t is None else f" at t={t}"
-        cond = float(conds[s, i])
         if not finite[s, i]:
             errors[s] = error(f"non-finite {what}", t=t)
-        elif cond > COND_LIMIT:
+            continue
+        cond = float(conds[s, i] if doubt[s, i] else np.linalg.cond(mats[s, i]))
+        if cond > COND_LIMIT:
             errors[s] = error(f"singular {what}{at} (cond={cond:.3e})", t=t, cond=cond)
         else:
             errors[s] = error(f"non-finite solution for the {what}{at}", t=t, cond=cond)
     return errors
 
 
-def check_conditioned(mats, error, what: str, first_t=None, solutions=None):
+def check_conditioned(mats, error, what: str, first_t=None, solutions=None, inverses=None):
     """Raise the first of ``conditioning_errors``, if any."""
-    for err in conditioning_errors(mats, error, what, first_t, solutions):
+    for err in conditioning_errors(mats, error, what, first_t, solutions, inverses):
         if err is not None:
             raise err
 

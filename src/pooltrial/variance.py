@@ -43,7 +43,7 @@ from scipy.special import ndtri
 
 from .core import TrajectorySet
 from .errors import DegenerateDesignError, SingularBreadError, SingularPolicyBreadError
-from .estimators import EstimationResult, check_conditioned
+from .estimators import EstimationResult, check_conditioned, inverse_or_none
 from .policies import policy_path, prob_slope
 
 
@@ -180,16 +180,19 @@ def adaptive_sandwich(trajset, est: EstimationResult) -> AdaptiveResult:
     Returns the lower-right d_theta block of bread^{-1} meat bread^{-T}, the
     sandwich of the corrected scores, together with the M_t = Psi_dot^{-1} K_t
     blocks (the lower-left blocks of the stacked inverse).  Psi_dot, then the
-    policy blocks (earliest time first), are checked before any arithmetic; a
+    policy blocks (earliest time first), are checked before the recursion; a
     batch keeps its leading axis.
     """
     blocks = est.blocks
     check_conditioned(blocks.psi_dot[..., None, :, :], SingularBreadError, "bread")
+    # the recursion's inverses screen the check; a block they find exactly
+    # singular has cond ~ 1/eps, so past the check they exist
+    phi_dot_invs = inverse_or_none(blocks.phi_dots)   # (..., T-1, d_t, d_t)
     check_conditioned(
-        blocks.phi_dots, SingularPolicyBreadError, "policy bread", first_t=1
+        blocks.phi_dots, SingularPolicyBreadError, "policy bread", first_t=1,
+        inverses=phi_dot_invs,
     )
     grads = weight_products(trajset)                  # (..., n, T-1, d_t)
-    phi_dot_invs = np.linalg.inv(blocks.phi_dots)     # (..., T-1, d_t, d_t)
     *batch, n, n_blocks, d_t = grads.shape
     gains = np.empty((n_blocks, *batch, trajset.config.theta_dim, d_t))  # K_1..K_{T-1}
     corrected = blocks.psi_mat

@@ -247,6 +247,41 @@ def _cond(mat):
     return float(cond) if np.isfinite(cond) else float("inf")
 
 
+def svd_conditioning_errors(mats, error, what: str, first_t=None, solutions=None) -> list:
+    """``estimators.conditioning_errors`` with an SVD of every finite matrix.
+
+    For each (k, d, d) stack of a (..., k, d, d) array, flattened over the
+    leading axes: ``error`` for its earliest matrix that is non-finite, has a
+    2-norm condition number above COND_LIMIT, or has a non-finite row of
+    ``solutions``; or None.  The package screens with a norm bound first and
+    must return the same list.
+    """
+    mats = np.asarray(mats, dtype=float)
+    finite = np.isfinite(mats).all(axis=(-2, -1))
+    conds = np.full(finite.shape, np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        conds[finite] = np.linalg.cond(mats[finite])
+    conds[np.isnan(conds)] = np.inf
+    bad = ~finite | (conds > COND_LIMIT)
+    if solutions is not None:
+        bad |= ~np.isfinite(solutions).all(axis=-1)
+    k = bad.shape[-1]
+    bad, finite, conds = (a.reshape(-1, k) for a in (bad, finite, conds))
+    errors = [None] * len(bad)
+    for s in np.flatnonzero(bad.any(axis=1)):
+        i = int(np.argmax(bad[s]))
+        t = None if first_t is None else first_t + i
+        at = "" if t is None else f" at t={t}"
+        cond = float(conds[s, i])
+        if not finite[s, i]:
+            errors[s] = error(f"non-finite {what}", t=t)
+        elif cond > COND_LIMIT:
+            errors[s] = error(f"singular {what}{at} (cond={cond:.3e})", t=t, cond=cond)
+        else:
+            errors[s] = error(f"non-finite solution for the {what}{at}", t=t, cond=cond)
+    return errors
+
+
 def fit_policy_params(states, actions, rewards):
     """Pooled least-squares root of the policy estimating equation.
 

@@ -382,19 +382,36 @@ class TestBadPaths:
         [
             ["simulate", "--config", "paper_table1"],
             ["check", "--suite", "invariance", "--reps", "3"],
+            ["mc", "--config", "paper_table1", "--reps", "3"],
+            ["estimate", "--in", "missing"],
         ],
-        ids=["simulate", "check"],
+        ids=["simulate", "check", "mc", "estimate"],
     )
     def test_out_that_cannot_be_a_directory_exits_1(
-        self, command, under_file, tmp_path, capsys
+        self, command, under_file, tmp_path, monkeypatch, capsys
     ):
+        # checked before any work: the commands' work functions never run
+        import pooltrial.cli as cli
+        import pooltrial.diagnostics as diagnostics
+
+        calls = []
+        for module, name in [(cli, "run_trial"), (cli, "fit_theta"),
+                             (cli, "run_grid"), (diagnostics, "run_suite")]:
+            monkeypatch.setattr(module, name, lambda *args, **kw: calls.append(args))
         blocker = tmp_path / "taken"
         blocker.write_text("kept\n")
         out = blocker / "out" if under_file else blocker
         assert main([*command, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot create output directory {out}: "), err
+        assert calls == []
         assert blocker.read_text() == "kept\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+    def test_out_under_a_missing_directory_is_created(self, tmp_path):
+        out = tmp_path / "a" / "b"
+        assert main(["simulate", "--config", "paper_table1", "--out", str(out)]) == 0
+        assert (out / "manifest.json").exists()
 
 
 class TestCheck:

@@ -7,9 +7,12 @@ from pooltrial import EnvConfig, PolicySpec, SeedPlan, TrialConfig, fit_theta, r
 from pooltrial.core import TrajectorySet
 from pooltrial.errors import DegenerateDesignError
 from pooltrial.estimators import (
+    COND_LIMIT,
     GRAM_BLOCK_USERS,
     check_conditioned,
+    conditioning_errors,
     inference_design,
+    inverse_or_none,
     psi_matrix,
     solve_or_nan,
 )
@@ -360,3 +363,112 @@ class TestJacobians:
         )
         with pytest.raises(DegenerateDesignError):
             fit_theta(ts)
+
+
+def _with_singular_values(rng, values):
+    """U diag(values) V' for random orthogonal U and V."""
+    d = len(values)
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    v, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    return (u * values) @ v.T
+
+
+# 1e9 is SCREEN_LIMIT; the two around 1e12 straddle COND_LIMIT
+SCREEN_CONDS = [1.0, 1e3, 1e8, 1e9, 0.999e12, 1.001e12, 1e16]
+# 1e-300 and 1e-150 underflow the squared norms, 1e150 and 1e308 overflow them
+SCREEN_SCALES = [1.0, 1e-300, 1e-150, 1e150, 1e308]
+
+
+def _screen_cases(rng, d):
+    """Finite matrices of prescribed 2-norm condition number and scale, then
+    the non-finite ones."""
+    cases = [
+        scale * _with_singular_values(rng, np.geomspace(1.0, 1.0 / cond, d))
+        for cond in SCREEN_CONDS
+        for scale in SCREEN_SCALES
+    ]
+    nan, inf, ninf = np.eye(d), np.eye(d), np.eye(d)
+    nan[0, -1], inf[-1, 0], ninf[0, 0] = np.nan, np.inf, -np.inf
+    return cases + [nan, inf, ninf, np.full((d, d), np.nan)]
+
+
+def _exactly_singular(rng, d):
+    mat = _with_singular_values(rng, np.ones(d))
+    mat[:, 1] = 0.0  # a zero column: the LU finds an exact zero pivot
+    return mat
+
+
+def _error_bits(errors):
+    """(class, t, cond's bits, message) of each error, or None."""
+    return [
+        None if e is None else (
+            type(e), e.t, None if e.cond is None else np.float64(e.cond).tobytes(), str(e)
+        )
+        for e in errors
+    ]
+
+
+class TestConditionScreen:
+    """conditioning_errors' norm screen against an SVD of every matrix."""
+
+    def _assert_same(self, mats, solutions=None, first_t=1, **kwargs):
+        from oracles import svd_conditioning_errors
+
+        got = conditioning_errors(
+            mats, DegenerateDesignError, "policy design", first_t, solutions, **kwargs
+        )
+        want = svd_conditioning_errors(
+            mats, DegenerateDesignError, "policy design", first_t, solutions
+        )
+        assert _error_bits(got) == _error_bits(want)
+        return got
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_each_case_reported_alone(self, d):
+        # one matrix per stack, so every case is the matrix its error names
+        rng = np.random.default_rng(d)
+        cases = _screen_cases(rng, d)
+        mats = np.stack(cases)[:, None]
+        errors = self._assert_same(mats)
+        conds = [e.cond for e in errors if e is not None and e.cond is not None]
+        assert len(conds) == 2 * len(SCREEN_SCALES)  # 1.001e12 and 1e16 at each scale
+        # a non-finite solution on each: every finite case reports its own cond
+        solutions = np.ones((len(cases), 1, d))
+        solutions[:, 0, -1] = np.nan
+        errors = self._assert_same(mats, solutions, first_t=None)
+        assert all(e is not None for e in errors)
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_exactly_singular_matrix_fails_the_batched_inverse(self, d):
+        rng = np.random.default_rng(10 + d)
+        well = _with_singular_values(rng, np.ones(d))
+        mats = np.stack([[well, well], [well, _exactly_singular(rng, d)]])
+        assert inverse_or_none(mats) is None
+        errors = self._assert_same(mats)
+        assert errors[0] is None and errors[1].t == 2 and errors[1].cond > COND_LIMIT
+
+    def test_non_finite_solution_on_a_cleared_matrix(self):
+        rng = np.random.default_rng(5)
+        mats = np.stack([_with_singular_values(rng, [1.0, 0.5, 0.25])] * 3)[None]
+        solutions = np.ones((1, 3, 3))
+        solutions[0, 1, 0] = np.inf
+        (err,) = self._assert_same(mats, solutions)
+        assert err.t == 2 and 3.99 < err.cond < 4.01
+
+    @pytest.mark.parametrize("singular", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_batches(self, seed, singular):
+        rng = np.random.default_rng(100 + seed)
+        d, reps, k = 4, 12, 6
+        cases = _screen_cases(rng, d)
+        well = [_with_singular_values(rng, rng.uniform(0.5, 2.0, d)) for _ in range(40)]
+        pool = cases + well  # about half the draws well conditioned
+        mats = np.stack([pool[j] for j in rng.integers(len(pool), size=reps * k)])
+        mats = mats.reshape(reps, k, d, d)
+        if singular:
+            mats[rng.integers(reps), rng.integers(k)] = _exactly_singular(rng, d)
+        solutions = rng.standard_normal((reps, k, d))
+        solutions[rng.random((reps, k)) < 0.1, 0] = np.nan
+        self._assert_same(mats, solutions)
+        self._assert_same(mats, solutions, inverses=inverse_or_none(mats))
+        self._assert_same(mats[:, :, None], first_t=None)  # one matrix per stack

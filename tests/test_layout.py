@@ -103,3 +103,34 @@ def test_only_core_writes_files(path):
     modules may read files but write through them."""
     writes = list(_file_writes(path))
     assert not writes, f"{path.name} writes files itself: {writes}"
+
+
+def _condition_number_calls(path):
+    """(line, name) of each use of a linalg ``cond`` or ``svd`` in a file,
+    as an attribute (np.linalg.cond) or imported by name."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute) and node.attr in ("cond", "svd"):
+            if ast.unparse(node.value).endswith("linalg"):
+                yield node.lineno, ast.unparse(node)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+            for alias in node.names:
+                if alias.name in ("cond", "svd"):
+                    yield node.lineno, f"from {node.module} import {alias.name}"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in PACKAGE if p.name != "estimators.py"], ids=lambda p: p.name
+)
+def test_only_estimators_takes_condition_numbers(path):
+    """estimators.conditioning_errors owns the condition checks, with its norm
+    screen in front of the SVD; other modules check through it."""
+    calls = list(_condition_number_calls(path))
+    assert not calls, f"{path.name} takes condition numbers itself: {calls}"
+
+
+def test_condition_number_calls_are_found(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "import numpy as np\nfrom scipy.linalg import svd\nnp.linalg.cond(a)\n"
+    )
+    assert [line for line, _ in _condition_number_calls(source)] == [2, 3]

@@ -354,22 +354,22 @@ class TestRunCell:
         assert np.array_equal(a.se_adaptive, b.se_adaptive)
 
     def test_cond_calls_do_not_grow_with_horizon(self, monkeypatch):
-        # the policy refits are checked in one batch after the step loop
+        # the policy refits are checked in one batch after the step loop, and
+        # each check screens its matrices with one batched inverse
         calls = []
-        cond = np.linalg.cond
+        for name in ("cond", "inv"):
+            def counted(*args, _call=getattr(np.linalg, name), **kwargs):
+                calls.append(1)
+                return _call(*args, **kwargs)
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return cond(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "cond", counted)
+            monkeypatch.setattr(np.linalg, name, counted)
         counts = []
         for horizon in (5, 50):
             calls.clear()
             config = _paper_cell_config(5.0, 5.0, 50).replace(horizon_T=horizon)
             run_replication(config, SeedPlan(config.master_seed, 0))
             counts.append(len(calls))
-        assert counts[0] == counts[1]
+        assert counts[0] == counts[1] > 0
 
     @pytest.mark.parametrize("untreated_upto, error", [
         (6, DegenerateDesignError),       # fit_theta: the treatment column is zero
@@ -473,6 +473,32 @@ class TestRunCell:
             else:
                 assert rep.to_dict() == alone.to_dict()
         assert [r for r, rep in enumerate(got) if isinstance(rep, NumericalError)] == [2, 4]
+
+    def test_healthy_batch_takes_no_svd(self, monkeypatch):
+        # the norm screen clears every checked matrix of a healthy batch: the
+        # 49 policy Grams, the inference Gram, Psi_dot and the 49 policy
+        # breads, 100 per replication when each took an SVD
+        from oracles import svd_conditioning_errors
+
+        seen = []
+        svd = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            a = np.asarray(a)
+            seen.append(a.size // (a.shape[-2] * a.shape[-1]))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        # np.linalg.cond reads svd from its own module
+        monkeypatch.setitem(np.linalg.cond.__wrapped__.__globals__, "svd", counted)
+        config = _paper_cell_config(5.0, 5.0, 50)
+        (report,), errors = montecarlo._replicate((config, range(10), 0.05))
+        assert errors == [None] * 10 and len(report.theta_hat) == 10
+        assert sum(seen) == 0
+        # the wrapper sees an SVD of every matrix the reference checks
+        mats = np.tile(np.eye(4), (10, 49, 1, 1))
+        assert svd_conditioning_errors(mats, DegenerateDesignError, "policy design") == [None] * 10
+        assert sum(seen) == 490
 
     def test_nan_variance_aborts_the_replication(self):
         # with state_dim 1, replication 7 fits its intercept from one
