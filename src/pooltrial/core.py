@@ -320,13 +320,16 @@ def _out_dir_error(out_dir, strerror) -> ConfigError:
 
 def check_out_dir(out_dir) -> None:
     """Raise the ConfigError ``_make_out_dir`` would for ``out_dir``, without
-    creating anything: a file, or a path under one, cannot be a directory."""
+    creating anything: a file, or a path under one, cannot be a directory,
+    and the nearest existing directory must be writable."""
     target = path = os.path.abspath(out_dir)
     while not os.path.isdir(path):
         if os.path.exists(path):
             code = errno.EEXIST if path == target else errno.ENOTDIR
             raise _out_dir_error(out_dir, os.strerror(code))
         path = os.path.dirname(path)
+    if not os.access(path, os.W_OK | os.X_OK):
+        raise _out_dir_error(out_dir, os.strerror(errno.EACCES))
 
 
 def _make_out_dir(out_dir) -> None:

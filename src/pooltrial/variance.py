@@ -52,24 +52,26 @@ from .policies import policy_path, prob_slope
 # ---------------------------------------------------------------------------
 
 def weight_products(trajset) -> np.ndarray:
-    """Parameter gradients of the weight product at beta_hat, (..., n, T-1, d_t).
+    """Parameter gradients of the weight product at beta_hat, (..., n, T-1, d_S).
 
-    Entry [i, s] is the gradient of W_{2:T}(beta, beta_hat) w.r.t. the beta_s
-    block at beta = beta_hat: the gradient of the realised action's
-    probability at decision time s+1 divided by that probability.  The
-    beta0 half of each block is zero.
+    Entry [i, s] is the gradient of W_{2:T}(beta, beta_hat) w.r.t. beta1 of
+    the beta_s block at beta = beta_hat: the gradient of the realised
+    action's probability at decision time s+1 divided by that probability.
+    Every policy reads beta only through beta1' S: the beta0 half is zero.
     """
     policy = trajset.config.policy
-    *batch, n, T, d_S = trajset.states.shape
     _, pre = policy_path(policy, trajset.states, trajset.beta_hats)
-    slope = prob_slope(policy, pre[..., 1:], range(2, T + 1))
+    slope = prob_slope(policy, pre[..., 1:], range(2, trajset.horizon_T + 1))
     sign = np.where(trajset.actions[..., 1:] == 1, 1.0, -1.0)
-    grads = np.zeros((*batch, n, T - 1, 2 * d_S))
-    grads[..., d_S:] = (
+    return (
         (sign * slope)[..., None] * trajset.states[..., 1:, :]
         / trajset.action_probs[..., 1:, None]
     )
-    return grads
+
+
+def _full_width(grads: np.ndarray) -> np.ndarray:
+    """``grads`` with the zero beta0 half of each block put back, (..., 2 d_S)."""
+    return np.concatenate([np.zeros_like(grads), grads], axis=-1)
 
 
 def confidence_interval(center, se, alpha: float) -> np.ndarray:
@@ -130,7 +132,7 @@ def build_stacked_system(
     blocks = est.blocks
 
     scores = np.concatenate(blocks.phi_mats + [blocks.psi_mat], axis=1)
-    grad_stack = grads.reshape(n, (T - 1) * d_t)
+    grad_stack = _full_width(grads).reshape(n, (T - 1) * d_t)
     sizes = [d_t] * (T - 1) + [d_theta]
     offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
     dim = offsets[-1]
@@ -146,17 +148,12 @@ def build_stacked_system(
         bread[lo:hi, lo:hi] = blocks.phi_dots[t]
     bread[offsets[-2]:, offsets[-2]:] = blocks.psi_dot
     v_blocks = bread[offsets[-2]:, : offsets[-2]]
-    return StackedSystem(
-        offsets=offsets,
-        bread=bread,
-        scores=scores,
-        v_blocks=v_blocks,
-    )
+    return StackedSystem(offsets=offsets, bread=bread, scores=scores, v_blocks=v_blocks)
 
 
 @dataclass(eq=False)
 class AdaptiveResult:
-    """Adaptive covariance and the last block row of the stacked inverse.
+    """Adaptive covariance and the gains K_1..K_{T-1} of its recursion.
 
     ``system`` is the dense stacked system behind the same numbers.  It is
     built on first access, for the dense cross-check, and never on the
@@ -164,7 +161,7 @@ class AdaptiveResult:
     """
 
     cov: np.ndarray
-    m_blocks: np.ndarray                  # (d_theta, sum d_t), M_1..M_{T-1}
+    gains: np.ndarray                     # (..., T-1, d_theta, d_t)
     trajset: TrajectorySet = field(repr=False)
     est: EstimationResult = field(repr=False)
     grads: np.ndarray = field(repr=False)   # weight_products(trajset)
@@ -178,10 +175,9 @@ def adaptive_sandwich(trajset, est: EstimationResult) -> AdaptiveResult:
     """Adaptive sandwich covariance via the backward corrected-score recursion.
 
     Returns the lower-right d_theta block of bread^{-1} meat bread^{-T}, the
-    sandwich of the corrected scores, together with the M_t = Psi_dot^{-1} K_t
-    blocks (the lower-left blocks of the stacked inverse).  Psi_dot, then the
-    policy blocks (earliest time first), are checked before the recursion; a
-    batch keeps its leading axis.
+    sandwich of the corrected scores, together with the gains K_t.  Psi_dot,
+    then the policy blocks (earliest time first), are checked before the
+    recursion; a batch keeps its leading axis.
     """
     blocks = est.blocks
     check_conditioned(blocks.psi_dot[..., None, :, :], SingularBreadError, "bread")
@@ -192,17 +188,18 @@ def adaptive_sandwich(trajset, est: EstimationResult) -> AdaptiveResult:
         blocks.phi_dots, SingularPolicyBreadError, "policy bread", first_t=1,
         inverses=phi_dot_invs,
     )
-    grads = weight_products(trajset)                  # (..., n, T-1, d_t)
-    *batch, n, n_blocks, d_t = grads.shape
-    gains = np.empty((n_blocks, *batch, trajset.config.theta_dim, d_t))  # K_1..K_{T-1}
+    grads = weight_products(trajset)                  # (..., n, T-1, d_S)
+    *batch, n, n_blocks, d_S = grads.shape
+    gains = np.empty((n_blocks, *batch, trajset.config.theta_dim, 2 * d_S))
     corrected = blocks.psi_mat
+    # a gradient's beta0 half is zero, so it meets only the beta1 rows of Phi_dot^-1
     for c in range(n_blocks - 1, -1, -1):
         cross = -(corrected.swapaxes(-1, -2) @ grads[..., c, :] / n)
-        gains[c] = cross @ phi_dot_invs[..., c, :, :]
+        gains[c] = cross @ phi_dot_invs[..., c, d_S:, :]
         corrected = corrected + blocks.phi_mats[c] @ gains[c].swapaxes(-1, -2)
     return AdaptiveResult(
         cov=sandwich_covariance(corrected, blocks.psi_dot),
-        m_blocks=np.linalg.solve(blocks.psi_dot, np.concatenate(gains, axis=-1)),
+        gains=np.moveaxis(gains, 0, -3),
         trajset=trajset,
         est=est,
         grads=grads,
@@ -211,7 +208,8 @@ def adaptive_sandwich(trajset, est: EstimationResult) -> AdaptiveResult:
 
 def invariance_norms(trajset, est: EstimationResult) -> np.ndarray:
     """Per-time ||V_hat_{T,t}||_F, (..., T-1): a policy diagnostic no sandwich reads."""
-    v_hat = np.einsum("...nk,...ntl->...tkl", est.blocks.psi_mat, weight_products(trajset))
+    grads = _full_width(weight_products(trajset))
+    v_hat = np.einsum("...nk,...ntl->...tkl", est.blocks.psi_mat, grads)
     return np.linalg.norm(v_hat / trajset.n_users, axis=(-2, -1))
 
 

@@ -11,6 +11,10 @@ sweeps.  The exception is the policy map at alternative fits
 per decision time, with that time's stored fit replaced.  A large-n run under
 the target policies (``target_policy_oracle``) is the package's simulator
 with its policies frozen at the fits of an adaptive large-n run.
+``full_width_adaptive`` and ``full_width_invariance_norms`` are the package's
+earlier variance forms, which stored the zero beta0 half of each weight
+gradient and read it in every product: the bit-for-bit reference of the
+forms that carry only the beta1 half.
 
 Policy parameters are stacked vectors [beta0, beta1], each half of length d_S.
 """
@@ -24,17 +28,21 @@ from pooltrial.core import SeedPlan, TrialConfig
 from pooltrial.errors import (
     ConfigError,
     DegenerateDesignError,
+    SingularBreadError,
     SingularPolicyBreadError,
 )
 from pooltrial.estimators import (
     COND_LIMIT,
+    check_conditioned,
     inference_design,
+    inverse_or_none,
     policy_design,
     psi_matrix,
 )
 from pooltrial.montecarlo import ORACLE_REP_BASE
-from pooltrial.policies import policy_path, realized_from_p1
+from pooltrial.policies import policy_path, prob_slope, realized_from_p1
 from pooltrial.simulator import run_trial
+from pooltrial.variance import sandwich_covariance
 
 
 def _beta1(beta, state):
@@ -432,3 +440,52 @@ def dense_stacked_oracle(ts, est) -> DenseStacked:
     return DenseStacked(
         cov=full[-d_th:, -d_th:], m_blocks=binv[-d_th:, :-d_th], v_hat=v_hat
     )
+
+
+def full_width_weight_products(trajset) -> np.ndarray:
+    """``variance.weight_products`` with the zero beta0 half of each block
+    stored: (..., n, T-1, 2 d_S), the beta1 half last."""
+    policy = trajset.config.policy
+    *batch, n, T, d_S = trajset.states.shape
+    _, pre = policy_path(policy, trajset.states, trajset.beta_hats)
+    slope = prob_slope(policy, pre[..., 1:], range(2, T + 1))
+    sign = np.where(trajset.actions[..., 1:] == 1, 1.0, -1.0)
+    grads = np.zeros((*batch, n, T - 1, 2 * d_S))
+    grads[..., d_S:] = (
+        (sign * slope)[..., None] * trajset.states[..., 1:, :]
+        / trajset.action_probs[..., 1:, None]
+    )
+    return grads
+
+
+def full_width_adaptive(trajset, est):
+    """(cov, M blocks) of the adaptive sandwich's backward recursion over
+    ``full_width_weight_products``, with the package's checks of Psi_dot and
+    the policy blocks.  The M blocks M_t = Psi_dot^{-1} K_t come from one
+    solve, as (..., d_theta, (T-1) d_t)."""
+    blocks = est.blocks
+    check_conditioned(blocks.psi_dot[..., None, :, :], SingularBreadError, "bread")
+    phi_dot_invs = inverse_or_none(blocks.phi_dots)
+    check_conditioned(
+        blocks.phi_dots, SingularPolicyBreadError, "policy bread", first_t=1,
+        inverses=phi_dot_invs,
+    )
+    grads = full_width_weight_products(trajset)
+    *batch, n, n_blocks, d_t = grads.shape
+    gains = np.empty((n_blocks, *batch, trajset.config.theta_dim, d_t))
+    corrected = blocks.psi_mat
+    for c in range(n_blocks - 1, -1, -1):
+        cross = -(corrected.swapaxes(-1, -2) @ grads[..., c, :] / n)
+        gains[c] = cross @ phi_dot_invs[..., c, :, :]
+        corrected = corrected + blocks.phi_mats[c] @ gains[c].swapaxes(-1, -2)
+    return (
+        sandwich_covariance(corrected, blocks.psi_dot),
+        np.linalg.solve(blocks.psi_dot, np.concatenate(gains, axis=-1)),
+    )
+
+
+def full_width_invariance_norms(trajset, est) -> np.ndarray:
+    """Per-time ||V_hat_{T,t}||_F, (..., T-1), over ``full_width_weight_products``."""
+    grads = full_width_weight_products(trajset)
+    v_hat = np.einsum("...nk,...ntl->...tkl", est.blocks.psi_mat, grads)
+    return np.linalg.norm(v_hat / trajset.n_users, axis=(-2, -1))

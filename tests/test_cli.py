@@ -408,6 +408,30 @@ class TestBadPaths:
         assert blocker.read_text() == "kept\n"
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
+    def test_out_under_an_unwritable_directory_exits_1(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # root passes every permission bit, so os.access stands in for a
+        # directory the user cannot write
+        import pooltrial.diagnostics as diagnostics
+
+        calls = []
+        monkeypatch.setattr(
+            diagnostics, "run_suite", lambda *args, **kw: calls.append(args)
+        )
+        real_access = os.access
+        monkeypatch.setattr(
+            os, "access",
+            lambda path, mode: path != str(tmp_path) and real_access(path, mode),
+        )
+        out = tmp_path / "new"
+        command = ["check", "--suite", "invariance", "--reps", "3", "--out", str(out)]
+        assert main(command) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot create output directory {out}: "), err
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
     def test_out_under_a_missing_directory_is_created(self, tmp_path):
         out = tmp_path / "a" / "b"
         assert main(["simulate", "--config", "paper_table1", "--out", str(out)]) == 0

@@ -14,8 +14,10 @@ the same trials.  ``TRIAL_ABORTS``
 and ``ESTIMATION_ABORTS`` pin the error class, decision time and condition
 number that degenerate trials and estimation inputs raise, to the same bits.
 ``COMMAND_DIGESTS`` pins the bytes of ``check.json`` from every ``check``
-suite and of the coverage tables ``mc`` writes for a grid of two (kappa1,
-rho) families at two sample sizes.
+suite, of the coverage tables ``mc`` writes for a grid of two (kappa1,
+rho) families at two sample sizes, and of the ``estimate.json`` that
+``estimate --variance both`` writes for one mirror-descent trial with a
+per-time eta (its adaptive covariance and V_hat norms).
 """
 
 import hashlib
@@ -295,6 +297,9 @@ COMMAND_DIGESTS = {
     "check": {
         "check.json": "5fa830a5da2b743032b62d843fc181bee3268b0540564c0ba30c4afeb8e95728",
     },
+    "estimate": {
+        "estimate.json": "113303a196df51e95955f3fda1eebb81efbe712cc07de44a8c9932e3a80d052d",
+    },
     "mc": {
         "table.csv": "9139073bd64ddcc9bb9e97b6847ecf8cb5793ed03f532980330d922fca215ec7",
         "table.json": "3036884429cdd0b958451455f0a146b6c4ae639d2e8786802bce5239591f3fc1",
@@ -308,14 +313,27 @@ MC_CONFIG = {
     "env": {"kappa1": 2},
     "grid": {"rho": [0.5, 5.0], "n_users": [40, 60]},
 }
+# the trial ``estimate`` reads, written by ``simulate``
+ESTIMATE_CONFIG = {
+    "trial": {"n_users": 40, "horizon_T": 8, "master_seed": 5},
+    "policy": {"kind": "mirror_descent", "pi_min": 0.1,
+               "eta": [0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]},
+    "env": {"kappa1": 2.0},
+}
 
 
 @pytest.mark.parametrize("command", sorted(COMMAND_DIGESTS))
 def test_command_output_digests(command, tmp_path):
     config = tmp_path / "grid.yaml"
-    config.write_text(yaml.safe_dump(MC_CONFIG))
+    config.write_text(
+        yaml.safe_dump(ESTIMATE_CONFIG if command == "estimate" else MC_CONFIG)
+    )
+    trial = tmp_path / "trial"
+    if command == "estimate":
+        assert main(["simulate", "--config", str(config), "--out", str(trial)]) == 0
     args = {
         "check": ["--suite", "all", "--reps", "40", "--oracle-n", "3000"],
+        "estimate": ["--in", str(trial), "--variance", "both"],
         "mc": ["--config", str(config), "--reps", "30", "--oracle-n", "3000"],
     }[command]
     out = tmp_path / command

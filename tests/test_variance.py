@@ -15,7 +15,7 @@ from pooltrial import (
     weight_products,
 )
 from pooltrial.core import TrajectorySet
-from pooltrial.errors import SingularBreadError, SingularPolicyBreadError
+from pooltrial.errors import NumericalError, SingularBreadError, SingularPolicyBreadError
 from pooltrial.policies import realized_from_p1
 from pooltrial.simulator import run_trials
 from pooltrial.variance import check_equivalence, invariance_norms, sandwich_covariance
@@ -23,6 +23,8 @@ from pooltrial.variance import check_equivalence, invariance_norms, sandwich_cov
 from oracles import (
     block_lower_triangular_inverse,
     dense_stacked_oracle,
+    full_width_adaptive,
+    full_width_invariance_norms,
     policy_path_at,
     prob_realized,
     weight_product_at,
@@ -70,8 +72,12 @@ class TestWeights:
         assert np.all(prod == 1.0)
 
     def test_finite_difference_gradient(self, small_trajset, rng):
+        # a beta1 coordinate j against column j - d_S of the stored half; a
+        # beta0 coordinate moves no weight product
         w = weight_products(small_trajset)
         h, T = 1e-6, small_trajset.horizon_T
+        d_S = small_trajset.config.state_dim
+        assert w.shape == (small_trajset.n_users, T - 1, d_S)
         for _ in range(15):
             s = int(rng.integers(1, T))
             j = int(rng.integers(0, 4))
@@ -83,7 +89,8 @@ class TestWeights:
                 weight_product_at(small_trajset, bp)
                 - weight_product_at(small_trajset, bm)
             ) / (2 * h)
-            assert np.abs(fd - w[:, s - 1, j]).max() < 1e-6
+            want = w[:, s - 1, j - d_S] if j >= d_S else 0.0
+            assert np.abs(fd - want).max() < 1e-6
 
     def test_per_time_ratio_range(self, small_trajset, rng):
         # W_t is a ratio of two clipped probabilities
@@ -162,6 +169,13 @@ class TestSandwich:
         assert np.linalg.eigvalsh(cov).min() >= -1e-10 * np.trace(cov)
 
 
+def m_blocks(result):
+    """M_1..M_{T-1} = Psi_dot^{-1} K_t, the last block row of the stacked
+    inverse without its theta block, as (..., d_theta, (T-1) d_t)."""
+    gains = np.moveaxis(result.gains, -3, 0)
+    return np.linalg.solve(result.est.blocks.psi_dot, np.concatenate(gains, axis=-1))
+
+
 class TestAdaptiveSandwich:
     def test_dense_oracle_hand_instance(self, hand_instance):
         est = fit_theta(hand_instance)
@@ -204,7 +218,7 @@ class TestAdaptiveSandwich:
         assert np.abs(oracle.m_blocks).max() > 0.0
         for got, want in (
             (result.cov, oracle.cov),
-            (result.m_blocks, oracle.m_blocks),
+            (m_blocks(result), oracle.m_blocks),
             (invariance_norms(ts, est), np.linalg.norm(oracle.v_hat, axis=(1, 2))),
         ):
             assert got.shape == want.shape
@@ -257,7 +271,7 @@ class TestAdaptiveSandwich:
         est = fit_theta(uniform_trajset)
         result = adaptive_sandwich(uniform_trajset, est)
         assert np.array_equal(result.cov, sandwich(uniform_trajset, est))
-        assert np.all(result.m_blocks == 0.0)
+        assert np.all(result.gains == 0.0)
         assert np.all(invariance_norms(uniform_trajset, est) == 0.0)
 
     def test_scale_invariance(self, small_trajset):
@@ -500,7 +514,7 @@ class TestBatchedEstimation:
                 (np.stack(est.blocks.phi_mats)[:, r], np.stack(one.blocks.phi_mats)),
                 (weight_products(batch)[r], weight_products(ts)),
                 (adaptive.cov[r], one_adaptive.cov),
-                (adaptive.m_blocks[r], one_adaptive.m_blocks),
+                (adaptive.gains[r], one_adaptive.gains),
                 (norms[r], invariance_norms(ts, one)),
             ]
             assert all(same_bits(got, want) for got, want in pairs)
@@ -516,3 +530,60 @@ class TestBatchedEstimation:
             arr = getattr(small_trajset, name)
             assert arr.base.shape == (1, *arr.shape)
             assert arr.base.flags.owndata
+
+
+def raised_or(call):
+    """``call()``, or the (class, t, cond) of the NumericalError it raises."""
+    try:
+        return call()
+    except NumericalError as err:
+        return type(err), getattr(err, "t", None), err.cond
+
+
+def beta1_half_forms(ts, est):
+    result = adaptive_sandwich(ts, est)
+    return result.cov, m_blocks(result)
+
+
+class TestFullWidthReference:
+    """The beta1-half forms equal, bit for bit, the recursion and norms over
+    gradients that store their zero beta0 half."""
+
+    @pytest.mark.parametrize("state_dim", [1, 2])
+    @pytest.mark.parametrize(
+        "name", ["boltzmann", "mirror_scalar", "mirror_sequence", "constant_uniform"]
+    )
+    def test_tiny_designs_match_full_width(self, name, state_dim):
+        # n = 3..8 at T = 6, with fitted policies and with policies frozen at
+        # a fixed beta (whose tiny policy Grams the simulator never checks):
+        # the batch and each of its trajectories
+        outcomes = {"aborted": 0, "completed": 0}
+        frozen = np.full((5, 2 * state_dim), 0.2)
+        for n in range(3, 9):
+            config = TrialConfig(
+                n_users=n,
+                horizon_T=6,
+                state_dim=state_dim,
+                master_seed=43,
+                policy=PolicySpec(**BATCH_POLICIES[name][0]),
+                env=EnvConfig(kappa1=2.0),
+            )
+            for betas in (None, frozen):
+                batch, _ = run_trials(
+                    config, [SeedPlan(43, r) for r in range(4)], frozen_betas=betas
+                )
+                for ts in [batch, *(batch[r] for r in range(len(batch.states)))]:
+                    est = raised_or(lambda: fit_theta(ts))
+                    if isinstance(est, tuple):
+                        continue
+                    norms = invariance_norms(ts, est)
+                    assert same_bits(norms, full_width_invariance_norms(ts, est))
+                    got = raised_or(lambda: beta1_half_forms(ts, est))
+                    want = raised_or(lambda: full_width_adaptive(ts, est))
+                    if isinstance(want[0], type):
+                        assert isinstance(got[0], type) and got == want
+                        outcomes["aborted"] += 1
+                    else:
+                        assert all(same_bits(g, w) for g, w in zip(got, want))
+                        outcomes["completed"] += 1
+        assert outcomes["aborted"] > 0 and outcomes["completed"] > 0
