@@ -130,7 +130,7 @@ def load_config(path_or_preset: str):
         with open(path, "rb") as f:
             raw = yaml.safe_load(f)
     except OSError as err:
-        raise ConfigError(f"cannot read config {path}: {err}") from err
+        raise ConfigError(f"cannot read config {path}: {err.strerror}") from err
     except yaml.YAMLError as err:
         raise ConfigError(f"malformed config {path}: {err}") from err
     if raw is None:  # an empty file
@@ -145,7 +145,9 @@ def manifest_config(directory: str) -> TrialConfig:
     try:
         with open(path) as f:
             manifest = json.load(f)
-    except (OSError, ValueError) as err:  # ValueError: not JSON, or not UTF-8
+    except OSError as err:  # its own message would repeat the path
+        raise ConfigError(f"cannot read manifest {path}: {err.strerror}") from err
+    except ValueError as err:  # not JSON, or not UTF-8
         raise ConfigError(f"cannot read manifest {path}: {err}") from err
     if not isinstance(manifest, dict) or "config" not in manifest:
         raise ConfigError(f"manifest {path} records no config")

@@ -182,7 +182,7 @@ class EstimationBlocks:
         for t in range(1, T):
             xt = x[..., t - 1, :]
             rx_run = rx_run + ts.rewards[..., t - 1, None] * xt
-            gram_run = gram_run + xt[..., :, None] * xt[..., None, :]
+            gram_run = gram_run + np.einsum("...i,...j->...ij", xt, xt)
             beta = ts.beta_hats[..., t - 1, None, :, None]
             mats.append(rx_run - (gram_run @ beta)[..., 0])
             dots[..., t - 1, :, :] = -gram_run.sum(axis=-3) / n

@@ -69,8 +69,10 @@ class PolicySpec:
 
 
 def clip_prob(x, pi_min: float):
-    """Clip(x) = min(max(x, pi_min), 1 - pi_min)."""
-    return np.clip(x, pi_min, 1.0 - pi_min)
+    """Clip(x) = min(max(x, pi_min), 1 - pi_min), np.clip's bits (NaN kept); the
+    min is taken in place, so an array costs one temporary, as np.clip's does."""
+    low = np.maximum(x, pi_min)
+    return np.minimum(low, 1.0 - pi_min, out=low if low.ndim else None)
 
 
 def _linear(states, beta1):
@@ -111,12 +113,15 @@ def policy_path(spec: PolicySpec, states, beta_hats):
             f"policy_path: {m} decision times of {d_S}-dim states do not fit "
             f"beta_hats {beta_hats.shape}"
         )
-    pre = np.full((*batch, n, m), 0.5)
     if spec.kind == "boltzmann":
         lo = max(2 - first, 0)  # first column with a decision time >= 2
         beta1 = beta_hats[..., None, first + lo - 2 :, d_S:]
-        pre[..., lo:] = expit(spec.rho * _linear(states[..., lo:, :], beta1))
-    elif spec.kind == "mirror_descent":
+        pre = expit(spec.rho * _linear(states[..., lo:, :], beta1))
+        if lo:  # a column at decision time 1
+            pre = np.concatenate([np.full((*batch, n, lo), 0.5), pre], axis=-1)
+        return clip_prob(pre, spec.pi_min), pre
+    pre = np.full((*batch, n, m), 0.5)
+    if spec.kind == "mirror_descent":
         chain = np.full((*batch, n, m), 0.5)  # pi_{t-1}(1, s), columns of time >= t
         for t in range(2, k + 2):
             j = t - first  # the column whose decision time is t
@@ -156,4 +161,4 @@ def realized_from_p1(p1, action, pi_min: float):
     exploration interval exactly.
     """
     out = np.where(np.asarray(action) == 1, p1, 1.0 - np.asarray(p1))
-    return np.clip(out, pi_min, 1.0 - pi_min)
+    return clip_prob(out, pi_min)

@@ -95,11 +95,11 @@ def run_trials(config: TrialConfig, plans, frozen_betas=None) -> tuple:
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, T + 1):
             s_t[:, 1:] = r_prev[:, None]
-            # with no fit yet (t = 1) the policy gives the pre-specified 0.5
-            p1 = policy_path(policy, states_t, beta_hats[:, : t - 1])[0][..., 0]
+            # the policy's p1 (0.5 at t = 1, with no fit yet), realised after the loop
+            p1 = action_probs[:, t - 1]
+            p1[:] = policy_path(policy, states_t, beta_hats[:, : t - 1])[0][..., 0]
             a_t = actions[:, t - 1]
             a_t[:] = uniforms[:, t - 1] < p1
-            action_probs[:, t - 1] = realized_from_p1(p1, a_t, policy.pi_min)
             r_prev = rewards[:, t - 1]
             r_prev[:] = reward(env, dosage / c_gamma, a_t, eps[:, t])
             dosage = env.gamma * dosage + a_t
@@ -112,8 +112,10 @@ def run_trials(config: TrialConfig, plans, frozen_betas=None) -> tuple:
                 rhs += (x_t @ r_prev[..., None])[..., 0]
                 grams[:, t - 1] = gram
                 beta_hats[:, t - 1] = solve_or_nan(gram, rhs)
-    # free the loop's buffers (r_prev and a_t are views) before the copies
-    del eps, uniforms, r_prev, a_t
+    # free the loop's buffers before the copies (r_prev, a_t and p1 are views:
+    # p1 would keep the unrealised buffer alive)
+    del eps, uniforms, r_prev, a_t, p1
+    action_probs = realized_from_p1(action_probs, actions, policy.pi_min)
 
     errors = [None] * R
     if frozen_betas is None:  # one call for the refit Grams of the whole batch

@@ -14,7 +14,9 @@ with its policies frozen at the fits of an adaptive large-n run.
 ``full_width_adaptive`` and ``full_width_invariance_norms`` are the package's
 earlier variance forms, which stored the zero beta0 half of each weight
 gradient and read it in every product: the bit-for-bit reference of the
-forms that carry only the beta1 half.
+forms that carry only the beta1 half.  ``broadcast_phi_pieces`` is the
+package's earlier phi sweep, which formed each per-user outer product by a
+broadcast multiply: the bit-for-bit reference of the einsum sweep.
 
 Policy parameters are stacked vectors [beta0, beta1], each half of length d_S.
 """
@@ -489,3 +491,21 @@ def full_width_invariance_norms(trajset, est) -> np.ndarray:
     grads = full_width_weight_products(trajset)
     v_hat = np.einsum("...nk,...ntl->...tkl", est.blocks.psi_mat, grads)
     return np.linalg.norm(v_hat / trajset.n_users, axis=(-2, -1))
+
+
+def broadcast_phi_pieces(trajset):
+    """(phi_mats, phi_dots) of ``EstimationBlocks``' running-cumulant sweep,
+    with each per-user outer product x_t x_t' a broadcast multiply."""
+    x = policy_design(trajset)
+    *batch, n, T, d = x.shape
+    rx_run = np.zeros((*batch, n, d))
+    gram_run = np.zeros((*batch, n, d, d))
+    mats, dots = [], np.empty((*batch, T - 1, d, d))
+    for t in range(1, T):
+        xt = x[..., t - 1, :]
+        rx_run = rx_run + trajset.rewards[..., t - 1, None] * xt
+        gram_run = gram_run + xt[..., :, None] * xt[..., None, :]
+        beta = trajset.beta_hats[..., t - 1, None, :, None]
+        mats.append(rx_run - (gram_run @ beta)[..., 0])
+        dots[..., t - 1, :, :] = -gram_run.sum(axis=-3) / n
+    return mats, dots

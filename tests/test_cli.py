@@ -376,6 +376,24 @@ class TestBadPaths:
         assert lines[0].startswith(f"error: malformed config {path}: "), lines
         assert not out.exists()
 
+    def test_unreadable_config_names_its_path_once(self, tmp_path, capsys):
+        path = tmp_path / "config.yaml"
+        path.mkdir()  # exists, but cannot be read as a file
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot read config {path}: Is a directory\n"
+        assert not out.exists()
+
+    def test_unreadable_manifest_names_its_path_once(self, tmp_path, capsys):
+        missing = tmp_path / "no_such_dir"
+        out = tmp_path / "o"
+        assert main(["estimate", "--in", str(missing), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        path = missing / "manifest.json"
+        assert err == f"error: cannot read manifest {path}: No such file or directory\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("under_file", [False, True], ids=["file", "under_file"])
     @pytest.mark.parametrize(
         "command",

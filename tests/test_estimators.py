@@ -19,7 +19,7 @@ from pooltrial.estimators import (
 from pooltrial.simulator import run_trials
 from pooltrial.variance import sandwich
 
-from oracles import inference_gram, phi, phi_matrix, psi
+from oracles import broadcast_phi_pieces, inference_gram, phi, phi_matrix, psi
 
 KINDS = {
     "boltzmann": dict(kind="boltzmann", rho=5.0),
@@ -231,6 +231,28 @@ class TestInferenceGram:
             one = fit_theta(batch[r])
             assert np.array_equal(one.theta_hat, theta[r])
             assert np.array_equal(one.blocks.psi_dot, psi_dot[r])
+
+
+class TestPhiSweepReference:
+    """The einsum phi sweep equals, bit for bit, the broadcast-product sweep."""
+
+    @pytest.mark.parametrize("state_dim", [1, 2])
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_matches_broadcast_sweep(self, kind, state_dim):
+        config = TrialConfig(
+            n_users=23, horizon_T=9, state_dim=state_dim, master_seed=47,
+            policy=PolicySpec(**KINDS[kind]), env=EnvConfig(kappa1=2.0),
+        )
+        batch, errors = run_trials(config, [SeedPlan(47, r) for r in range(3)])
+        assert errors == [None] * 3
+        # the batch along its leading axis, and each trajectory without one
+        for ts in [batch, *(batch[r] for r in range(3))]:
+            blocks = fit_theta(ts).blocks
+            want_mats, want_dots = broadcast_phi_pieces(ts)
+            assert len(blocks.phi_mats) == len(want_mats) == config.horizon_T - 1
+            pairs = [*zip(blocks.phi_mats, want_mats), (blocks.phi_dots, want_dots)]
+            for got, want in pairs:
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestJacobians:

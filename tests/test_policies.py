@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from pooltrial import PolicySpec, SeedPlan, derive_stream
 from pooltrial.errors import ConfigError
 from pooltrial.policies import (
+    clip_prob,
     policy_path,
     prob_slope,
     realized_from_p1,
@@ -250,6 +251,37 @@ def random_path_inputs(seed, d_S=2):
 # The oracles take beta1's through a matmul, whose summation order (and so
 # its last bit) can depend on the batch size; the sweep sums term by term.
 ORACLE_TOL = dict(rtol=1e-13, atol=1e-13)
+
+
+class TestClipProb:
+    """clip_prob's two ufuncs against np.clip, bit for bit."""
+
+    @pytest.mark.parametrize("pi_min", [0.1, 0.05, 1e-3])
+    def test_matches_np_clip(self, pi_min):
+        rng = np.random.default_rng(17)
+        hi = 1.0 - pi_min
+        # random values inside, across and far beyond the interval, then the
+        # bounds themselves, their neighbours, +-inf, NaN and signed zeros
+        x = rng.normal(0.5, 0.6, size=(3, 4, 50)) * rng.choice([1.0, 1e3], (3, 4, 50))
+        edges = [pi_min, hi, np.nextafter(pi_min, 0), np.nextafter(pi_min, 1),
+                 np.nextafter(hi, 0), np.nextafter(hi, 1), np.inf, -np.inf,
+                 np.nan, 0.0, -0.0, 1.0]
+        x.reshape(-1)[: len(edges)] = edges
+        x[2, 3, -len(edges):] = edges[::-1]
+        strided = x[..., ::3].swapaxes(0, 2)
+        for arg in (x, x[1], x[1, 2], strided, x[0, 0, 0], 1.0 - pi_min):
+            got, want = clip_prob(arg, pi_min), np.clip(arg, pi_min, hi)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert np.isnan(clip_prob(x, pi_min).reshape(-1)[edges.index(np.nan)])
+
+    def test_realized_from_p1_keeps_its_bits(self):
+        rng = np.random.default_rng(18)
+        p1 = np.clip(rng.uniform(0.0, 1.0, size=(2, 7, 40)), 0.1, 0.9)
+        p1[0, 0, :3] = [0.1, 0.9, 0.5]
+        actions = rng.integers(0, 2, size=p1.shape).astype(np.int8)
+        want = np.clip(np.where(actions == 1, p1, 1.0 - p1), 0.1, 0.9)
+        assert realized_from_p1(p1, actions, 0.1).tobytes() == want.tobytes()
 
 
 class TestPolicyPath:

@@ -306,6 +306,41 @@ class TestRefitGrams:
             assert np.array_equal(seen[-1][0], grams[r])
 
 
+class TestStepLoopCalls:
+    """What the step loop calls: the policy once per step, and the realised
+    probabilities once for the whole batch, after the loop."""
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_one_realisation_per_batch(self, kind, frozen, monkeypatch):
+        calls = {"policy_path": 0, "realized_from_p1": 0}
+
+        def counted(name):
+            real = getattr(simulator, name)
+
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return spy
+
+        for name in calls:
+            monkeypatch.setattr(simulator, name, counted(name))
+        T = 7
+        config = TrialConfig(
+            n_users=37, horizon_T=T, master_seed=29,
+            policy=PolicySpec(**KINDS[kind]), env=EnvConfig(kappa1=2.0),
+        )
+        betas = np.full((T - 1, 4), 0.2) if frozen else None
+        batch, errors = run_trials(
+            config, [SeedPlan(29, rep) for rep in range(3)], frozen_betas=betas
+        )
+        assert errors == [None] * 3
+        assert calls == {"policy_path": T, "realized_from_p1": 1}
+        # the hoisted realisation is the one a replay recomputes
+        assert np.array_equal(replay_action_probs(batch), batch.action_probs)
+
+
 # One batch of 2 replications of n T = 1M rows each, simulated and fitted;
 # prints the digests of the fields the BLAS products feed
 BLAS_THREADS_SCRIPT = """
