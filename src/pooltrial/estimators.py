@@ -49,8 +49,12 @@ def inference_design(trajset) -> np.ndarray:
 
 def policy_design(trajset) -> np.ndarray:
     """Regressor [S_t; A_t * S_t] for phi, shape (..., n, T, 2 * d_S)."""
-    a = trajset.actions[..., None].astype(float)
-    return np.concatenate([trajset.states, a * trajset.states], axis=-1)
+    s = trajset.states
+    d_S = s.shape[-1]
+    x = np.empty((*s.shape[:-1], 2 * d_S))
+    x[..., :d_S] = s
+    np.multiply(trajset.actions[..., None], s, out=x[..., d_S:])  # no float copy
+    return x
 
 
 def psi_matrix(trajset, theta) -> np.ndarray:
@@ -178,14 +182,18 @@ class EstimationBlocks:
         *batch, n, T, d = x.shape
         rx_run = np.zeros((*batch, n, d))
         gram_run = np.zeros((*batch, n, d, d))
+        # the running Grams as one (n d, d) matrix per replication: each step's
+        # product with beta_hat is one BLAS gemv per replication, not one per user
+        rows = gram_run.reshape(*batch, n * d, d)
         mats, dots = [], np.empty((*batch, T - 1, d, d))
         for t in range(1, T):
             xt = x[..., t - 1, :]
-            rx_run = rx_run + ts.rewards[..., t - 1, None] * xt
-            gram_run = gram_run + np.einsum("...i,...j->...ij", xt, xt)
-            beta = ts.beta_hats[..., t - 1, None, :, None]
-            mats.append(rx_run - (gram_run @ beta)[..., 0])
-            dots[..., t - 1, :, :] = -gram_run.sum(axis=-3) / n
+            rx_run += ts.rewards[..., t - 1, None] * xt
+            gram_run += np.einsum("...i,...j->...ij", xt, xt)
+            beta = ts.beta_hats[..., t - 1, :, None]
+            mats.append(rx_run - (rows @ beta).reshape(rx_run.shape))
+            gram_run.sum(axis=-3, out=dots[..., t - 1, :, :])
+        dots /= -n  # x / (-n) has the bits of (-x) / n
         return mats, dots
 
     @cached_property

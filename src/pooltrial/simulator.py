@@ -18,6 +18,10 @@ from .errors import ConfigError, DegenerateDesignError
 from .estimators import conditioning_errors, solve_or_nan
 from .policies import policy_path, realized_from_p1
 
+# Values per call of the post-loop realisation of action_probs, in whole
+# decision times: one call for a cell's batch, cache-sized calls at oracle n
+REALIZE_BLOCK = 65_536
+
 
 def run_trial(config: TrialConfig, plan: SeedPlan, frozen_betas=None) -> TrajectorySet:
     """Simulate one replication; all randomness derives from ``plan``.
@@ -112,10 +116,17 @@ def run_trials(config: TrialConfig, plans, frozen_betas=None) -> tuple:
                 rhs += (x_t @ r_prev[..., None])[..., 0]
                 grams[:, t - 1] = gram
                 beta_hats[:, t - 1] = solve_or_nan(gram, rhs)
-    # free the loop's buffers before the copies (r_prev, a_t and p1 are views:
-    # p1 would keep the unrealised buffer alive)
+    # free the loop's buffers before the copies (r_prev, a_t and p1 are views,
+    # which would keep the time-major buffers alive)
     del eps, uniforms, r_prev, a_t, p1
-    action_probs = realized_from_p1(action_probs, actions, policy.pi_min)
+    step = max(1, REALIZE_BLOCK // max(1, R * n))  # an empty batch has R = 0
+    # in place and through no named view, which would outlive the loop and
+    # keep the time-major buffer alive through its user-major copy below
+    for lo in range(0, T, step):
+        steps = slice(lo, lo + step)
+        action_probs[:, steps] = realized_from_p1(
+            action_probs[:, steps], actions[:, steps], policy.pi_min
+        )
 
     errors = [None] * R
     if frozen_betas is None:  # one call for the refit Grams of the whole batch

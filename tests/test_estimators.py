@@ -9,10 +9,12 @@ from pooltrial.errors import DegenerateDesignError
 from pooltrial.estimators import (
     COND_LIMIT,
     GRAM_BLOCK_USERS,
+    EstimationBlocks,
     check_conditioned,
     conditioning_errors,
     inference_design,
     inverse_or_none,
+    policy_design,
     psi_matrix,
     solve_or_nan,
 )
@@ -234,7 +236,9 @@ class TestInferenceGram:
 
 
 class TestPhiSweepReference:
-    """The einsum phi sweep equals, bit for bit, the broadcast-product sweep."""
+    """The phi sweep (an einsum outer product per user, and one (n d, d) gemv
+    per replication for the products with beta) equals, bit for bit, the
+    sweep with broadcast outer products and one 4 x 4 gemv per user."""
 
     @pytest.mark.parametrize("state_dim", [1, 2])
     @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -251,6 +255,34 @@ class TestPhiSweepReference:
             want_mats, want_dots = broadcast_phi_pieces(ts)
             assert len(blocks.phi_mats) == len(want_mats) == config.horizon_T - 1
             pairs = [*zip(blocks.phi_mats, want_mats), (blocks.phi_dots, want_dots)]
+            for got, want in pairs:
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    # one user and two (n d = d and 2 d rows), and 513 users (n d = 2,052 rows
+    # at d_S = 2), where a BLAS gemv may take another kernel or split its rows
+    @pytest.mark.parametrize("state_dim", [1, 2])
+    @pytest.mark.parametrize("n, reps", [(1, 3), (2, 1), (513, 2)])
+    def test_gemv_sizes(self, n, reps, state_dim):
+        config = TrialConfig(
+            n_users=max(n, 13), horizon_T=9, state_dim=state_dim, master_seed=53,
+            policy=PolicySpec(kind="boltzmann", rho=1.0), env=EnvConfig(kappa1=2.0),
+        )
+        batch, errors = run_trials(config, [SeedPlan(53, r) for r in range(reps)])
+        assert errors == [None] * reps
+        # n = 1 and 2 are the first users of a 13-user trial, with its policy
+        # fits: a config needs 2 users, and a well-posed policy fit more
+        fields = ("states", "actions", "rewards", "action_probs")
+        users = [getattr(batch, f)[:, :n] for f in fields]
+        batch = TrajectorySet(*users, batch.beta_hats, config)
+        for ts in [batch, *(batch[r] for r in range(reps))]:
+            a = ts.actions[..., None].astype(float)
+            x = np.concatenate([ts.states, a * ts.states], axis=-1)
+            assert policy_design(ts).tobytes() == x.tobytes()
+            # the sweep reads only the trajectories, not theta or psi_dot
+            blocks = EstimationBlocks(ts, np.zeros(config.theta_dim), None)
+            want_mats, want_dots = broadcast_phi_pieces(ts)
+            pairs = [*zip(blocks.phi_mats, want_mats), (blocks.phi_dots, want_dots)]
+            assert len(pairs) == config.horizon_T
             for got, want in pairs:
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
 

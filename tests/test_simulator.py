@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -341,12 +342,66 @@ class TestStepLoopCalls:
         assert np.array_equal(replay_action_probs(batch), batch.action_probs)
 
 
-# One batch of 2 replications of n T = 1M rows each, simulated and fitted;
-# prints the digests of the fields the BLAS products feed
+class TestBlockedRealisation:
+    """The post-loop realisation, in blocks of whole decision times, has the
+    bits of one call over the whole batch."""
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_blocks_match_one_call(self, kind, monkeypatch):
+        T, n, reps = 7, 37, 3
+        # 2 decision times per block: 4 blocks, the last one short
+        monkeypatch.setattr(simulator, "REALIZE_BLOCK", 2 * reps * n + 1)
+        real = simulator.realized_from_p1
+        blocks = []
+
+        def spy(p1, action, pi_min):
+            blocks.append((p1.copy(), action.copy()))
+            return real(p1, action, pi_min)
+
+        monkeypatch.setattr(simulator, "realized_from_p1", spy)
+        config = TrialConfig(
+            n_users=n, horizon_T=T, master_seed=31,
+            policy=PolicySpec(**KINDS[kind]), env=EnvConfig(kappa1=2.0),
+        )
+        batch, errors = run_trials(config, [SeedPlan(31, rep) for rep in range(reps)])
+        assert errors == [None] * reps
+        assert [b[0].shape for b in blocks] == [(reps, k, n) for k in (2, 2, 2, 1)]
+        p1, actions = (np.concatenate(arrays, axis=1) for arrays in zip(*blocks))
+        one_call = real(p1, actions, config.policy.pi_min).swapaxes(1, 2)
+        assert batch.action_probs.tobytes() == np.ascontiguousarray(one_call).tobytes()
+        assert replay_action_probs(batch).tobytes() == batch.action_probs.tobytes()
+
+
+def test_run_trial_peak_memory():
+    # the returned arrays hold 4.125 (T, n) float buffers (two state columns,
+    # rewards, action_probs, and the int8 actions at 1/8); each time-major
+    # buffer of the loop is freed once its user-major copy is made, so the
+    # traced peak stays within a quarter buffer of that (4.35 at n = 20,000),
+    # while a view of one left over from the loop makes it 5.25
+    n, T = 20_000, 50
+    config = TrialConfig(
+        n_users=n, horizon_T=T, master_seed=1,
+        policy=PolicySpec(kind="boltzmann", rho=5.0), env=EnvConfig(kappa1=5.0),
+    )
+    tracemalloc.start()
+    try:
+        run_trial(config, SeedPlan(1, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.75 * T * n * 8
+
+
+# One batch of 2 replications of n T = 1M rows each, simulated and fitted, and
+# the phi sweep and adaptive sandwich of the first: its (n d, d) = (80,000, 4)
+# product per step is large enough that OpenBLAS splits it over threads.
+# Prints the digests of the fields the BLAS products feed
 BLAS_THREADS_SCRIPT = """
 import hashlib, json
+import numpy as np
 from pooltrial import EnvConfig, PolicySpec, SeedPlan, TrialConfig, fit_theta
 from pooltrial.simulator import run_trials
+from pooltrial.variance import adaptive_sandwich
 config = TrialConfig(
     n_users=20_000, horizon_T=50, master_seed=3,
     policy=PolicySpec(kind="boltzmann", rho=5.0), env=EnvConfig(kappa1=5.0),
@@ -354,6 +409,9 @@ config = TrialConfig(
 batch, errors = run_trials(config, [SeedPlan(3, 0), SeedPlan(3, 1)])
 assert errors == [None, None]
 arrays = [batch.beta_hats, batch.action_probs, fit_theta(batch).theta_hat]
+est = fit_theta(batch[0])
+arrays += [np.stack(est.blocks.phi_mats), est.blocks.phi_dots]
+arrays.append(adaptive_sandwich(batch[0], est).cov)
 print(json.dumps([hashlib.sha256(a.tobytes()).hexdigest() for a in arrays]))
 """
 
