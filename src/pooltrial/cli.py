@@ -22,7 +22,7 @@ from .config import config_to_raw, load_config, manifest_config
 from .core import SeedPlan, TrajectorySet, check_out_dir, write_json
 from .errors import DiagnosticFailure, PoolTrialError
 from .estimators import fit_theta
-from .montecarlo import emit_table, run_grid
+from .montecarlo import ORACLE_REP_BASE, emit_table, run_grid
 from .simulator import run_trial
 from .variance import invariance_norms, variance_report
 
@@ -44,7 +44,7 @@ def _checked(cast, ok, rule):
     return parse
 
 
-_REPS = _checked(int, lambda v: v >= 1, ">= 1")
+_REPS = _checked(int, lambda v: 1 <= v <= ORACLE_REP_BASE, f"in [1, {ORACLE_REP_BASE}]")
 _ORACLE_N = _checked(int, lambda v: v >= 2, ">= 2")
 _JOBS = _checked(int, lambda v: v >= 0, ">= 0 (0 = every CPU)")
 _ALPHA = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")

@@ -12,7 +12,7 @@ absent or null for all its defaults):
       kind: boltzmann          # boltzmann | mirror_descent | constant_uniform
       rho: 1.0
       pi_min: 0.1
-      eta: null                # scalar or per-time list, mirror_descent only
+      eta: null                # scalar or T-1 list (times 2..T), mirror_descent only
     env:
       kappa0: 0.0
       kappa1: 1.0

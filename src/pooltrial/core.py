@@ -129,7 +129,7 @@ class TrialConfig:
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError(f"master_seed must be a u64, got {self.master_seed}")
         eta = self.policy.eta
-        if eta is not None and 1 < len(eta) < self.horizon_T - 1:
+        if eta is not None and len(eta) not in (1, self.horizon_T - 1):
             raise ConfigError(
                 f"per-time eta has {len(eta)} entries; decision times "
                 f"2..{self.horizon_T} need {self.horizon_T - 1}"

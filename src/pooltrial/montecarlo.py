@@ -25,7 +25,7 @@ from .simulator import run_trial, run_trials
 from .variance import VarianceReport, variance_report
 
 # Oracle runs live in a disjoint rep-index range so their draws never overlap
-# with coverage replications (which use rep_index 0..reps-1).
+# with coverage replications (which use rep_index 0..reps-1, reps at most this).
 ORACLE_REP_BASE = 1_000_000
 
 # Users simulated side by side in one step loop (see rep_batches); results do
@@ -81,8 +81,11 @@ def replicate(
     ``jobs`` > 1 spreads the batches over a process pool of at most one worker
     per batch, 0 over every CPU.  The results depend on neither.
     """
-    if reps < 1 or jobs < 0:
-        raise ConfigError(f"replicate needs reps >= 1 and jobs >= 0, got {reps}, {jobs}")
+    if not 1 <= reps <= ORACLE_REP_BASE or jobs < 0:
+        raise ConfigError(
+            f"replicate needs 1 <= reps <= {ORACLE_REP_BASE} (the oracles' "
+            f"seed plans start there) and jobs >= 0, got {reps}, {jobs}"
+        )
     if jobs == 0:
         jobs = os.cpu_count() or 1
     tasks = [(config, batch, alpha) for batch in rep_batches(config.n_users, reps, jobs)]

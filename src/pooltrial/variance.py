@@ -25,8 +25,8 @@ So ``sandwich_covariance`` is the one kernel behind both estimators, and with
 parameter-free policies (every g = 0) the adaptive covariance is the standard
 sandwich bit for bit.  The last block row of bread^{-1} is
 Psi_dot^{-1} [K_1 .. K_{T-1}, I].  This path (``adaptive_sandwich``) costs
-O(n T d^2) and builds no D x D matrix; the dense stacked system
-(``build_stacked_system``) is the cross-check of ``check_equivalence``.
+O(n T d^2) and builds no D x D matrix; ``check_equivalence`` computes the
+stacked block densely (``build_stacked_system``) as its cross-check.
 
 All covariances are scaled as the variance of sqrt(n) (theta_hat - theta*),
 so standard errors are sqrt(diag / n).
@@ -114,41 +114,29 @@ def sandwich(trajset: TrajectorySet, est: EstimationResult) -> np.ndarray:
 class StackedSystem:
     """Dense stacked bread and scores for one replication (cross-check)."""
 
-    offsets: np.ndarray
     bread: np.ndarray        # (D, D) block lower triangular
     scores: np.ndarray       # (n, D) per-user stacked [phi_1..phi_{T-1}, psi]
-    v_blocks: np.ndarray     # (d_theta, D - d_theta) == V_hat_{T,1:T-1}
 
     @property
     def dim(self) -> int:
-        return int(self.offsets[-1])
+        return len(self.bread)
 
 
 def build_stacked_system(
     trajset: TrajectorySet, est: EstimationResult, grads: np.ndarray
 ) -> StackedSystem:
-    n, T = trajset.n_users, trajset.horizon_T
-    d_t, d_theta = trajset.config.policy_dim, trajset.config.theta_dim
+    n, d_t = trajset.n_users, trajset.config.policy_dim
     blocks = est.blocks
-
     scores = np.concatenate(blocks.phi_mats + [blocks.psi_mat], axis=1)
-    grad_stack = _full_width(grads).reshape(n, (T - 1) * d_t)
-    sizes = [d_t] * (T - 1) + [d_theta]
-    offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-    dim = offsets[-1]
-
-    cross = scores.T @ grad_stack / n
+    cross = scores.T @ _full_width(grads).reshape(n, -1) / n
+    dim = scores.shape[1]
     bread = np.zeros((dim, dim))
-    # strict block-lower part: row block r only keeps gradient columns < r
-    for r in range(len(sizes)):
-        rlo, rhi = offsets[r], offsets[r + 1]
-        bread[rlo:rhi, : offsets[r]] = cross[rlo:rhi, : offsets[r]]
-    for t in range(T - 1):
-        lo, hi = offsets[t], offsets[t + 1]
-        bread[lo:hi, lo:hi] = blocks.phi_dots[t]
-    bread[offsets[-2]:, offsets[-2]:] = blocks.psi_dot
-    v_blocks = bread[offsets[-2]:, : offsets[-2]]
-    return StackedSystem(offsets=offsets, bread=bread, scores=scores, v_blocks=v_blocks)
+    # each row block: the gradient columns of the blocks before it, its Jacobian
+    for lo, jac in zip(range(0, dim, d_t), [*blocks.phi_dots, blocks.psi_dot]):
+        hi = lo + len(jac)
+        bread[lo:hi, :lo] = cross[lo:hi, :lo]
+        bread[lo:hi, lo:hi] = jac
+    return StackedSystem(bread=bread, scores=scores)
 
 
 @dataclass(eq=False)
@@ -218,21 +206,22 @@ def check_equivalence(
     est: EstimationResult,
     adaptive: Optional[AdaptiveResult] = None,
 ):
-    """Gap between the recursion's covariance and the dense corrected-score form.
+    """Gap between the recursion's covariance and the dense stacked definition.
 
-    The dense form reads the stacked system, computes all gains at once,
-    K = -V_hat Phi_dot^{-1}, with one dense solve, and sandwiches the
-    corrected scores psi_i + sum_t K_t phi_{t,i}; algebraically this equals
-    the stacked lower-right block exactly, so the max-abs elementwise gap is
-    pure floating-point noise.  Returns (gap, scale).
+    The dense form is the lower-right d_theta block of bread^{-1} meat
+    bread^{-T} itself: one solve of bread' against the last d_theta identity
+    columns gives the last rows of bread^{-1}, which map the stacked scores to
+    q_i, and the block is (1/n) sum_i q_i q_i'.  It shares no step with the
+    recursion or ``sandwich_covariance``, so the max-abs elementwise gap is
+    pure floating-point noise only while both are right.  Returns (gap, scale).
     """
     if adaptive is None:
         adaptive = adaptive_sandwich(trajset, est)
     sys = adaptive.system
-    beta_dim = sys.offsets[-2]
-    gains = -np.linalg.solve(sys.bread[:beta_dim, :beta_dim].T, sys.v_blocks.T).T
-    corrected = sys.scores[:, beta_dim:] + sys.scores[:, :beta_dim] @ gains.T
-    alt = sandwich_covariance(corrected, sys.bread[beta_dim:, beta_dim:])
+    dim, d = sys.dim, trajset.config.theta_dim
+    rows = np.linalg.solve(sys.bread.T, np.eye(dim, d, d - dim)).T
+    q = rows @ sys.scores.T
+    alt = q @ q.T / len(sys.scores)
     gap = float(np.abs(adaptive.cov - alt).max())
     scale = max(float(np.abs(adaptive.cov).max()), np.finfo(float).tiny)
     return gap, scale

@@ -310,7 +310,7 @@ class TestCriterion05Equivalence:
             worst = max(worst, gap / (1e-8 * scale))
         ok = worst <= 1.0
         record(
-            "05 stacked-vs-corrected equivalence",
+            "05 stacked-vs-recursion equivalence",
             f"worst gap / (1e-8 * scale) = {worst:.3e}",
             ok,
         )

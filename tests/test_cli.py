@@ -98,6 +98,7 @@ class TestSimulate:
             "policy: {kind: mirror_descent, eta: .nan}",
             "policy: {kind: mirror_descent, eta: abc}",
             "trial: {horizon_T: 6}\npolicy: {kind: mirror_descent, eta: [0.5, 0.5]}",
+            "trial: {horizon_T: 3}\npolicy: {kind: mirror_descent, eta: [0.5, 0.5, 0.5]}",
             "trial: 5",
             "grid: {n_users: [50, abc]}",
             "[]",
@@ -340,6 +341,7 @@ class TestFlagsRejected:
             ("check", ["--reps", "-3"]),
             ("mc", ["--oracle-n", "1"]),
             ("check", ["--oracle-n", "-5"]),
+            ("check", ["--reps", "1000001"]),
         ],
     )
     def test_exits_1_without_output(self, command, flags, tiny_config_file, tmp_path, capsys):
@@ -554,11 +556,10 @@ class TestCheck:
 
 def test_cli_import_leaves_out_diagnostics():
     # every CLI start pays for this import; scipy.stats alone would about
-    # double its time and memory, so only `check` loads the suites
-    code = (
-        "import sys, pooltrial.cli; "
-        "print([m for m in ('scipy.stats', 'pooltrial.diagnostics') if m in sys.modules])"
-    )
+    # double its time and memory, so only `check` loads the suites; the
+    # package's solves are numpy's, so nothing loads scipy.linalg
+    absent = ("scipy.stats", "scipy.linalg", "pooltrial.diagnostics")
+    code = f"import sys, pooltrial.cli; print([m for m in {absent} if m in sys.modules])"
     src = Path(__file__).resolve().parents[1] / "src"
     result = subprocess.run(
         [sys.executable, "-c", code],

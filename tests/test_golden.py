@@ -145,12 +145,15 @@ def digest(arr) -> str:
 
 
 def golden_trial(name, horizon):
+    policy = dict(POLICIES[name])
+    if name == "mirror_sequence":  # one eta for each decision time 2..T
+        policy["eta"] = ETA_SEQUENCE[: horizon - 1]
     config = TrialConfig(
         n_users=30,
         horizon_T=horizon,
         master_seed=17,
         state_dim=1 if name.endswith("dim1") else 2,
-        policy=PolicySpec(pi_min=0.1, **POLICIES[name]),
+        policy=PolicySpec(pi_min=0.1, **policy),
         env=EnvConfig(kappa1=2.0),
     )
     return run_trial(config, SeedPlan(17, 3))

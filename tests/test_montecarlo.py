@@ -298,7 +298,9 @@ class TestRunCell:
         cell = run_cell(config, 3, np.zeros(3))
         assert (cell.reps_completed, cell.reps_aborted) == (0, 3)
 
-    @pytest.mark.parametrize("reps, jobs", [(0, 1), (-5, 1), (3, -3)])
+    @pytest.mark.parametrize(
+        "reps, jobs", [(0, 1), (-5, 1), (3, -3), (ORACLE_REP_BASE + 1, 1)]
+    )
     def test_replicate_rejects_bad_counts(self, reps, jobs):
         config = _paper_cell_config(1.0, 1.0, 50)
         with pytest.raises(ConfigError):

@@ -14,6 +14,7 @@ from pooltrial import (
     variance_report,
     weight_products,
 )
+from pooltrial import variance
 from pooltrial.core import TrajectorySet
 from pooltrial.errors import NumericalError, SingularBreadError, SingularPolicyBreadError
 from pooltrial.policies import realized_from_p1
@@ -331,6 +332,15 @@ class TestEquivalence:
         gap, _ = check_equivalence(uniform_trajset, est, adaptive=result)
         assert gap <= 1e-12 * np.abs(sand).max()
 
+    def test_kernel_defect_opens_gap(self, small_trajset, monkeypatch):
+        # the dense form does not go through the recursion's kernel, so a 1%
+        # error there shows as a gap far above the tolerance
+        est = fit_theta(small_trajset)
+        kernel = variance.sandwich_covariance
+        monkeypatch.setattr(variance, "sandwich_covariance", lambda *a: 1.01 * kernel(*a))
+        gap, scale = check_equivalence(small_trajset, est)
+        assert gap > 1e-8 * scale
+
 
 class TestBlockInverse:
     def test_bordered_identity_blocks(self):
@@ -559,13 +569,16 @@ class TestFullWidthReference:
         # the batch and each of its trajectories
         outcomes = {"aborted": 0, "completed": 0}
         frozen = np.full((5, 2 * state_dim), 0.2)
+        policy = dict(BATCH_POLICIES[name][0])
+        if name == "mirror_sequence":  # one eta for each decision time 2..6
+            policy["eta"] = ETA_SEQUENCE[:5]
         for n in range(3, 9):
             config = TrialConfig(
                 n_users=n,
                 horizon_T=6,
                 state_dim=state_dim,
                 master_seed=43,
-                policy=PolicySpec(**BATCH_POLICIES[name][0]),
+                policy=PolicySpec(**policy),
                 env=EnvConfig(kappa1=2.0),
             )
             for betas in (None, frozen):
