@@ -31,6 +31,10 @@ _LABEL_CODES = {label: i for i, label in enumerate(STREAM_LABELS)}
 # their agreement with a policy replay when loaded from disk.
 PROB_TOL = 1e-12
 
+# Rows that write_csv formats together: repeats inside a block share one
+# repr, and a file's strings never all live at once.
+CSV_BLOCK_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class SeedPlan:
@@ -247,7 +251,7 @@ class TrajectorySet:
             ),
         }
         for name, (header, columns) in tables.items():
-            write_csv(os.path.join(out_dir, name), header, [c.tolist() for c in columns])
+            write_csv(os.path.join(out_dir, name), header, columns)
 
     @classmethod
     def load(cls, in_dir, config: TrialConfig) -> "TrajectorySet":
@@ -305,13 +309,38 @@ class TrajectorySet:
 
 
 def write_csv(path, header, columns) -> None:
-    """Write ``columns`` (equal-length sequences of Python numbers) under
-    ``header``, each value by its repr: for a float, the shortest string that
-    reads back to the same float."""
-    fields = [map(repr, col) for col in columns]
+    """Write ``columns`` (equal-length numpy arrays or sequences of Python
+    numbers) under ``header``, each value by the repr of its Python number:
+    for a float, the shortest string that reads back to the same float."""
+    lengths = {len(col) for col in columns}
+    if len(header) != len(columns) or len(lengths) > 1:
+        raise ValueError(f"{path}: {len(header)} header names for {len(columns)} "
+                         f"columns of lengths {sorted(lengths)}")
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
-        f.writelines(",".join(row) + "\n" for row in zip(*fields))
+        for start in range(0, max(lengths, default=0), CSV_BLOCK_ROWS):
+            fields = _block_fields([col[start : start + CSV_BLOCK_ROWS] for col in columns])
+            f.write("\n".join(map(",".join, zip(*fields))) + "\n")
+
+
+def _block_fields(block) -> list:
+    """Each column of one row block as its values' reprs: one repr per
+    distinct value of a numeric numpy column, floats keyed by their bits (so
+    -0.0 is not 0.0), shared by the float64 columns; any other column's
+    (a list, as ``emit_table`` passes) are per value."""
+    arrays = [i for i, col in enumerate(block)
+              if isinstance(col, np.ndarray) and col.dtype.kind in "biuf"]
+    floats = [i for i in arrays if block[i].dtype == np.float64]
+    groups = ([floats] if floats else []) + [[i] for i in arrays if i not in floats]
+    fields = [map(repr, col) for col in block]  # kept for the other columns
+    for group in groups:
+        values = np.concatenate([block[i] for i in group])
+        keys = values.view(f"i{values.itemsize}") if values.dtype.kind == "f" else values
+        uniq, inverse = np.unique(keys, return_inverse=True)
+        strs = np.array(list(map(repr, uniq.view(values.dtype).tolist())), dtype=object)
+        for i, part in zip(group, np.split(strs[inverse], len(group))):
+            fields[i] = part
+    return fields
 
 
 def _out_dir_error(out_dir, strerror) -> ConfigError:

@@ -17,6 +17,9 @@ gradient and read it in every product: the bit-for-bit reference of the
 forms that carry only the beta1 half.  ``broadcast_phi_pieces`` is the
 package's earlier phi sweep, which formed each per-user outer product by a
 broadcast multiply: the bit-for-bit reference of the einsum sweep.
+``repr_csv_oracle`` is the package's earlier CSV writer, which called
+``repr`` on every value one by one: the byte-for-byte reference of the
+writer that formats each distinct value of a row block once.
 
 Policy parameters are stacked vectors [beta0, beta1], each half of length d_S.
 """
@@ -509,3 +512,12 @@ def broadcast_phi_pieces(trajset):
         mats.append(rx_run - (gram_run @ beta)[..., 0])
         dots[..., t - 1, :, :] = -gram_run.sum(axis=-3) / n
     return mats, dots
+
+
+def repr_csv_oracle(path, header, columns) -> None:
+    """Write ``columns`` (equal-length sequences of Python numbers) under
+    ``header``, each value by its repr, one value at a time."""
+    fields = [map(repr, col) for col in columns]
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        f.writelines(",".join(row) + "\n" for row in zip(*fields))

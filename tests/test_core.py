@@ -1,5 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import repr_csv_oracle
 
 from pooltrial import (
     EnvConfig,
@@ -10,6 +15,8 @@ from pooltrial import (
     derive_stream,
     run_trial,
 )
+from pooltrial import core
+from pooltrial.core import write_csv
 from pooltrial.errors import ConfigError, DataIntegrityError
 from pooltrial.simulator import replay_action_probs, run_trials
 
@@ -201,6 +208,45 @@ class TestTrajectorySet:
             batch.rewards[1].tobytes()
         )
 
+    def test_edge_values_round_trip_bit_for_bit(self, tmp_path):
+        # constant_uniform replays 0.5 whatever the states and fits, so the
+        # load's replay check holds for hand-picked rewards
+        n, T = 2, 3
+        config = TrialConfig(
+            n_users=n, horizon_T=T, policy=PolicySpec(kind="constant_uniform")
+        )
+        rewards = np.array([[-0.0, 5e-324, 1e-05], [1e16, 0.0, -5e-324]])
+        states = np.ones((n, T, 2))
+        states[:, 1:, 1] = rewards[:, :-1]
+        ts = TrajectorySet(
+            states=states, actions=np.array([[0, 1, 1], [1, 0, 0]], dtype=np.int8),
+            rewards=rewards, action_probs=np.full((n, T), 0.5),
+            beta_hats=np.array([[-0.0, 1e16, 5e-324, 1e-05]] * (T - 1)), config=config,
+        )
+        ts.save(tmp_path)
+        loaded = TrajectorySet.load(tmp_path, config)
+        for f in FIELDS:
+            assert getattr(loaded, f).tobytes() == getattr(ts, f).tobytes(), f
+
+    def test_save_peak_memory(self, tmp_path):
+        # save formats CSV_BLOCK_ROWS rows at a time, so its traced peak is
+        # the ~12 (n T) float buffers of its columns and one block's strings
+        # (n T = 25,000 rows here); formatting the whole file at once takes
+        # ~50, and a list of every value, as the per-value writer made, ~23
+        n, T = 500, 50
+        config = TrialConfig(
+            n_users=n, horizon_T=T, master_seed=1,
+            policy=PolicySpec(kind="boltzmann", rho=5.0), env=EnvConfig(kappa1=5.0),
+        )
+        ts = run_trial(config, SeedPlan(1, 0))
+        tracemalloc.start()
+        try:
+            ts.save(tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n * T * 8
+
     def test_seed_plan_validation(self):
         with pytest.raises(ConfigError):
             SeedPlan(-1, 0)
@@ -286,3 +332,101 @@ class TestLoadIntegrity:
         _edit_csv(saved, lambda h, rows: rows[::-1])
         loaded = self.load(saved, small_trajset)
         assert np.array_equal(loaded.action_probs, small_trajset.action_probs)
+
+
+def _csv_pair(tmp_path, header, columns):
+    """Bytes of ``write_csv`` and of the per-value oracle on ``columns``
+    (numpy columns go to the oracle as their lists, as save once passed them)."""
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_csv(got, header, columns)
+    repr_csv_oracle(
+        want, header, [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    )
+    return got.read_bytes(), want.read_bytes()
+
+
+def _nan(bits):
+    return np.array([bits], dtype=np.uint64).view(np.float64)[0]
+
+
+class TestWriteCsv:
+    """write_csv writes the bytes of one repr per value, the oracle's form."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0.0, -0.0, 1.0, -0.0, 0.0],
+            [np.nan, np.inf, -np.inf, -np.nan, _nan(0x7FF8000000000001), 2.0],
+            [5e-324, 1.7976931348623157e308, -5e-324, -1.7976931348623157e308],
+            [1e-05, 0.0001, 1e16, 9999999999999998.0, 1e-05, 1e16],
+        ],
+        ids=["signed_zeros", "nan_inf", "extremes", "repr_switch_points"],
+    )
+    def test_float_column(self, tmp_path, values):
+        col = np.array(values)
+        got, want = _csv_pair(tmp_path, ["x", "y"], [col, col[::-1].copy()])
+        assert got == want
+
+    def test_signed_zeros_stay_apart(self, tmp_path):
+        got, _ = _csv_pair(tmp_path, ["x"], [np.array([0.0, -0.0, 0.0])])
+        assert got == b"x\n0.0\n-0.0\n0.0\n"
+
+    def test_value_shared_by_two_float_columns(self, tmp_path):
+        a, b = np.array([0.1, 2.5, 0.1]), np.array([2.5, 0.1, -0.1])
+        got, want = _csv_pair(tmp_path, ["a", "b"], [a, b])
+        assert got == want == b"a,b\n0.1,2.5\n2.5,0.1\n0.1,-0.1\n"
+
+    def test_integer_and_bool_columns(self, tmp_path):
+        columns = [
+            np.array([1, 0, -128, 127, 1], dtype=np.int8),
+            np.array([2**63 - 1, -(2**63), 0, 7, 7], dtype=np.int64),
+            np.array([True, False, False, True, True]),
+            np.array([0.5, -0.0, 1.0, 0.5, 3.0]),
+        ]
+        got, want = _csv_pair(tmp_path, ["i8", "i64", "b", "f"], columns)
+        assert got == want
+
+    def test_list_column_keeps_its_values(self, tmp_path):
+        got, want = _csv_pair(tmp_path, ["x", "y"], [[1, 2.5], np.array([1.0, 2.5])])
+        assert got == want == b"x,y\n1,1.0\n2.5,2.5\n"
+
+    def test_zero_rows(self, tmp_path):
+        got, want = _csv_pair(tmp_path, ["x", "y"], [np.empty(0), []])
+        assert got == want == b"x,y\n"
+
+    def test_block_boundary(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(core, "CSV_BLOCK_ROWS", 3)
+        rewards = np.array([0.25, -0.0, 0.0, 1e16, 0.25, 0.25, -0.0, 1e-05, 0.0, 7.5])
+        columns = [np.arange(10), np.ones(10), np.roll(rewards, 1), rewards, [0.5] * 10]
+        got, want = _csv_pair(tmp_path, ["t", "s0", "s1", "r", "p"], columns)
+        assert got == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        bits=st.lists(st.integers(0, 2**64 - 1), max_size=40),
+        block_rows=st.integers(1, 8),
+    )
+    def test_random_bit_patterns(self, tmp_path_factory, bits, block_rows):
+        col = np.array(bits, dtype=np.uint64).view(np.float64)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "CSV_BLOCK_ROWS", block_rows)
+            got, want = _csv_pair(
+                tmp_path_factory.mktemp("csv"), ["x", "y"], [col, col[::-1].copy()]
+            )
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "header, columns",
+        [
+            (["x", "y"], [np.zeros(3), np.zeros(2)]),
+            (["x", "y"], [[1.0, 2.0], [1.0]]),
+            (["x"], [np.zeros(3), np.zeros(3)]),
+            (["x", "y", "z"], [np.zeros(3), np.zeros(3)]),
+        ],
+        ids=["unequal_arrays", "unequal_lists", "too_few_names", "too_many_names"],
+    )
+    def test_misaligned_input_rejected_before_writing(self, tmp_path, header, columns):
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match="header names"):
+            write_csv(path, header, columns)
+        assert not path.exists()
