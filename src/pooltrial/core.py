@@ -14,12 +14,13 @@ import json
 import os
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from numbers import Integral
 
 import numpy as np
 
 from .errors import ConfigError, DataIntegrityError, real_number
-from .policies import PolicySpec
+from .policies import PolicySpec, policy_path
 
 # Substream labels recognised by derive_stream.  "errors" drives reward-noise
 # generation, "actions" drives Bernoulli action sampling.
@@ -172,7 +173,8 @@ class TrajectorySet:
     1-based decision times).  ``beta_hats[t-1]`` is the pooled least-squares
     fit on data through decision time t; the policy at decision time t+1 was
     evaluated with it.  Shapes are checked on the trailing axes; ``ts[r]`` is
-    replication r of a batch, as read-only views.
+    replication r of a batch, as read-only views.  ``policy_pre`` is the one
+    policy sweep that the load's replay check and the weight gradients share.
     """
 
     states: np.ndarray        # (..., n, T, d_S)
@@ -218,6 +220,12 @@ class TrajectorySet:
             object.__setattr__(row, name, _freeze(getattr(self, name)[r]))
         object.__setattr__(row, "config", self.config)
         return row
+
+    @cached_property
+    def policy_pre(self) -> np.ndarray:
+        """The policy's pre-clip action-1 values, (..., n, T), read-only: one
+        ``policy_path`` sweep on first read, whose p1 is their clip."""
+        return _freeze(policy_path(self.config.policy, self.states, self.beta_hats)[1])
 
     @property
     def n_users(self) -> int:
@@ -385,7 +393,8 @@ def _read_rows(path, n_cols: int) -> np.ndarray:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)  # an empty body only warns
-            rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            # no comment syntax: a "#" line or trailing "#junk" fails the parse
+            rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
     except OSError as err:  # numpy's own messages here repeat the path
         raise DataIntegrityError(f"{path}: {err.strerror or 'not found'}") from err
     except UserWarning as err:

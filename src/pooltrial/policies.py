@@ -29,6 +29,10 @@ from .errors import ConfigError, real_number
 
 POLICY_KINDS = ("boltzmann", "mirror_descent", "constant_uniform")
 
+# Values per broadcast product of mirror-descent chain terms: all earlier fits
+# at once for a cell's batch or an n = 500 trial, one a product at oracle n
+CHAIN_BLOCK = 65_536
+
 
 @dataclass(frozen=True)
 class PolicySpec:
@@ -68,10 +72,10 @@ class PolicySpec:
         return eta[t - 2]
 
 
-def clip_prob(x, pi_min: float):
-    """Clip(x) = min(max(x, pi_min), 1 - pi_min), np.clip's bits (NaN kept); the
-    min is taken in place, so an array costs one temporary, as np.clip's does."""
-    low = np.maximum(x, pi_min)
+def clip_prob(x, pi_min: float, out=None):
+    """Clip(x) = min(max(x, pi_min), 1 - pi_min), np.clip's bits (NaN kept), the
+    min in place: an array costs np.clip's one temporary, or none into ``out``."""
+    low = np.maximum(x, pi_min, out=out)
     return np.minimum(low, 1.0 - pi_min, out=low if low.ndim else None)
 
 
@@ -84,7 +88,7 @@ def _linear(states, beta1):
     """
     lin = states[..., 0] * beta1[..., 0]
     for j in range(1, states.shape[-1]):
-        lin = lin + states[..., j] * beta1[..., j]
+        lin += states[..., j] * beta1[..., j]
     return lin
 
 
@@ -98,7 +102,8 @@ def policy_path(spec: PolicySpec, states, beta_hats):
     (m = k + 1) starts at time 1, which gets the pre-specified 0.5.  The step
     at decision time t uses ``beta_hats[..., t - 2, :]``; a mirror-descent
     step starts from the chain pi_{t-1}(1, s) through the earlier fits at the
-    same state s, swept over all columns at once in k vectorised steps.
+    same state s: one product for the fits before column 0's time, which
+    reach every column, then each later fit from its own column on.
 
     Returns (p1, pre), both (..., n, m): the clipped probability of action 1
     and its value before the clip (0.5 where no parameter enters).
@@ -120,17 +125,32 @@ def policy_path(spec: PolicySpec, states, beta_hats):
         if lo:  # a column at decision time 1
             pre = np.concatenate([np.full((*batch, n, lo), 0.5), pre], axis=-1)
         return clip_prob(pre, spec.pi_min), pre
-    pre = np.full((*batch, n, m), 0.5)
+    pre = np.full((m, *batch, n), 0.5)  # time-major, so that tails are contiguous
     if spec.kind == "mirror_descent":
-        chain = np.full((*batch, n, m), 0.5)  # pi_{t-1}(1, s), columns of time >= t
-        for t in range(2, k + 2):
-            j = t - first  # the column whose decision time is t
-            lo = max(j, 0)
-            lin = _linear(states[..., lo:, :], beta_hats[..., None, None, t - 2, d_S:])
-            step = chain[..., lo:] + 0.5 * spec.eta_at(t) * lin
-            if j >= 0:
-                pre[..., j] = step[..., 0]
-            chain[..., lo:] = clip_prob(step, spec.pi_min)
+        gain = [0.5 * spec.eta_at(t) for t in range(2, k + 2)]
+        gain = np.reshape(gain, (-1,) + (1,) * (states.ndim - 1))  # fit-major
+        chain = np.full(pre.shape, 0.5)  # pi_{t-1}(1, s), columns of time >= t
+        # (m, *batch, n, d_S) with each state coordinate one contiguous plane
+        planes = np.ascontiguousarray(states.transpose(-1, -2, *range(states.ndim - 2)))
+        states = planes.transpose(*range(1, planes.ndim), 0)
+        # the fits of times t <= first reach every column: their terms in
+        # fit-major products of CHAIN_BLOCK values, then add and clip in place;
+        # the last sum is column 0's pre (later columns are overwritten below)
+        h, per = first - 1, max(1, CHAIN_BLOCK // max(1, chain.size))
+        for lo in range(0, h, per):
+            hi = min(lo + per, h)
+            fits = np.moveaxis(beta_hats[..., lo:hi, None, d_S:], -3, 0)[:, None]
+            terms = _linear(states, fits)
+            terms *= gain[lo:hi]
+            for term in terms:
+                clip_prob(np.add(chain, term, out=pre), spec.pi_min, out=chain)
+        # each later fit, of time first + j, updates the tail from column j on
+        for t in range(first + 1, k + 2):
+            j = t - first
+            lin = _linear(states[j:], beta_hats[..., None, t - 2, d_S:])
+            step = np.add(chain[j:], gain[t - 2] * lin, out=pre[j:])
+            clip_prob(step, spec.pi_min, out=chain[j:])
+    pre = np.ascontiguousarray(pre.transpose(*range(1, pre.ndim), 0))
     return clip_prob(pre, spec.pi_min), pre
 
 

@@ -16,7 +16,7 @@ from .core import SeedPlan, TrajectorySet, TrialConfig, derive_stream
 from .environment import correlate_errors, dosage_normalizer, reward
 from .errors import ConfigError, DegenerateDesignError
 from .estimators import conditioning_errors, solve_or_nan
-from .policies import policy_path, realized_from_p1
+from .policies import clip_prob, policy_path, realized_from_p1
 
 # Values per call of the post-loop realisation of action_probs, in whole
 # decision times: one call for a cell's batch, cache-sized calls at oracle n
@@ -151,8 +151,8 @@ def replay_action_probs(trajset: TrajectorySet) -> np.ndarray:
     """Recompute action_probs from stored states/actions/beta_hats.
 
     Simulator output satisfies ``replay_action_probs(ts) == ts.action_probs``
-    bit for bit; ``TrajectorySet.load`` checks stored files against it.
+    bit for bit; ``TrajectorySet.load`` checks stored files against it.  It
+    reads the trajectory's one policy sweep, ``ts.policy_pre``.
     """
-    policy = trajset.config.policy
-    p1, _ = policy_path(policy, trajset.states, trajset.beta_hats)
-    return realized_from_p1(p1, trajset.actions, policy.pi_min)
+    pi_min = trajset.config.policy.pi_min
+    return realized_from_p1(clip_prob(trajset.policy_pre, pi_min), trajset.actions, pi_min)

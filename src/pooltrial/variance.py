@@ -44,7 +44,7 @@ from scipy.special import ndtri
 from .core import TrajectorySet
 from .errors import DegenerateDesignError, SingularBreadError, SingularPolicyBreadError
 from .estimators import EstimationResult, check_conditioned, inverse_or_none
-from .policies import policy_path, prob_slope
+from .policies import prob_slope
 
 
 # ---------------------------------------------------------------------------
@@ -58,10 +58,10 @@ def weight_products(trajset) -> np.ndarray:
     the beta_s block at beta = beta_hat: the gradient of the realised
     action's probability at decision time s+1 divided by that probability.
     Every policy reads beta only through beta1' S: the beta0 half is zero.
+    The slopes come from the trajectory's one policy sweep, ``policy_pre``.
     """
-    policy = trajset.config.policy
-    _, pre = policy_path(policy, trajset.states, trajset.beta_hats)
-    slope = prob_slope(policy, pre[..., 1:], range(2, trajset.horizon_T + 1))
+    pre = trajset.policy_pre[..., 1:]
+    slope = prob_slope(trajset.config.policy, pre, range(2, trajset.horizon_T + 1))
     sign = np.where(trajset.actions[..., 1:] == 1, 1.0, -1.0)
     return (
         (sign * slope)[..., None] * trajset.states[..., 1:, :]

@@ -621,6 +621,21 @@ class TestEstimateRejectsBadInput:
         assert len(lines) == 1 and lines[0].startswith(f"error: {path}: "), lines
         assert lines[0].count("trajectories.csv") == 1, lines
 
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda lines: lines[:1] + ["# edited by hand"] + lines[1:],
+         lambda lines: lines[:-1] + [lines[-1] + "#junk"]],
+        ids=["comment_line", "trailing_comment"],
+    )
+    def test_hash_in_csv_exits_1(self, edit, sim_dir, tmp_path, capsys):
+        path = sim_dir / "trajectories.csv"
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        code = main(["estimate", "--in", str(sim_dir), "--out", str(tmp_path / "e")])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith(f"error: {path}: "), lines
+        assert not (tmp_path / "e" / "estimate.json").exists()
+
     def test_tampered_action_prob_exits_1(self, sim_dir, tmp_path):
         path = sim_dir / "trajectories.csv"
         header, *lines = path.read_text().splitlines()

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -13,12 +14,17 @@ from pooltrial import (
     TrajectorySet,
     TrialConfig,
     derive_stream,
+    fit_theta,
     run_trial,
+    variance_report,
+    weight_products,
 )
 from pooltrial import core
 from pooltrial.core import write_csv
 from pooltrial.errors import ConfigError, DataIntegrityError
+from pooltrial.policies import policy_path
 from pooltrial.simulator import replay_action_probs, run_trials
+from pooltrial.variance import invariance_norms
 
 FIELDS = ("states", "actions", "rewards", "action_probs", "beta_hats")
 
@@ -332,6 +338,82 @@ class TestLoadIntegrity:
         _edit_csv(saved, lambda h, rows: rows[::-1])
         loaded = self.load(saved, small_trajset)
         assert np.array_equal(loaded.action_probs, small_trajset.action_probs)
+
+    def test_comment_line_rejected(self, saved, small_trajset):
+        _edit_csv(saved, lambda h, rows: [["# edited by hand"]] + rows)
+        with pytest.raises(DataIntegrityError, match="trajectories.csv"):
+            self.load(saved, small_trajset)
+
+    def test_trailing_comment_rejected(self, saved, small_trajset):
+        def edit(header, rows):
+            rows[-1][-1] += "#junk"
+            return rows
+
+        _edit_csv(saved, edit)
+        with pytest.raises(DataIntegrityError, match="trajectories.csv"):
+            self.load(saved, small_trajset)
+
+
+MIRROR = TrialConfig(
+    n_users=40, horizon_T=6, master_seed=7, env=EnvConfig(kappa1=2.0),
+    policy=PolicySpec(kind="mirror_descent", eta=0.5, pi_min=0.1),
+)
+KINDS = {
+    "boltzmann": PolicySpec(kind="boltzmann", rho=5.0),
+    "mirror_descent": MIRROR.policy,
+    "constant_uniform": PolicySpec(kind="constant_uniform"),
+}
+
+
+class TestOnePolicySweep:
+    """``TrajectorySet.policy_pre`` is a trajectory's one policy sweep: the
+    load's replay check and the weight gradients both read it."""
+
+    @pytest.fixture()
+    def whole_sweeps(self, monkeypatch):
+        """The policy_path calls over all T decision times, through any module."""
+        calls = []
+
+        def spy(spec, states, beta_hats):
+            if np.shape(states)[-2] == MIRROR.horizon_T:
+                calls.append(spec)
+            return policy_path(spec, states, beta_hats)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("pooltrial") and hasattr(module, "policy_path"):
+                monkeypatch.setattr(module, "policy_path", spy)
+        return calls
+
+    def test_load_and_estimate_sweep_once(self, tmp_path, whole_sweeps):
+        ts = run_trial(MIRROR, SeedPlan(7, 0))
+        ts.save(tmp_path)
+        assert whole_sweeps == []  # the step loop evaluates one column per call
+        loaded = TrajectorySet.load(tmp_path, MIRROR)
+        est = fit_theta(loaded)
+        variance_report(loaded, est, which="both")
+        invariance_norms(loaded, est)
+        assert whole_sweeps == [MIRROR.policy]
+
+    def test_loaded_weight_products_bit_identical(self, tmp_path):
+        ts = run_trial(MIRROR, SeedPlan(7, 1))
+        ts.save(tmp_path)
+        loaded = TrajectorySet.load(tmp_path, MIRROR)
+        assert weight_products(loaded).tobytes() == weight_products(ts).tobytes()
+
+    def test_cached_sweep_is_read_only(self):
+        ts = run_trial(MIRROR, SeedPlan(7, 2))
+        with pytest.raises(ValueError):
+            ts.policy_pre[..., 0] = 0.0
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_batch_rows_sweep_to_their_own_path(self, kind):
+        config = MIRROR.replace(policy=KINDS[kind])
+        batch, _ = run_trials(config, [SeedPlan(7, rep) for rep in range(3)])
+        for r in range(3):
+            row = batch[r]
+            _, want = policy_path(config.policy, row.states, row.beta_hats)
+            assert row.policy_pre.tobytes() == want.tobytes()
+            assert batch.policy_pre[r].tobytes() == want.tobytes()
 
 
 def _csv_pair(tmp_path, header, columns):

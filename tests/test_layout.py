@@ -134,3 +134,61 @@ def test_condition_number_calls_are_found(tmp_path):
         "import numpy as np\nfrom scipy.linalg import svd\nnp.linalg.cond(a)\n"
     )
     assert [line for line, _ in _condition_number_calls(source)] == [2, 3]
+
+
+# Outside policies.py, the places that may evaluate the policy map: the one
+# sweep of a trajectory, kept on it, and the step loop's one new column a step
+SWEEP_CALLERS = {
+    ("core.py", "TrajectorySet.policy_pre"),
+    ("simulator.py", "run_trials/loop"),
+}
+
+
+def _policy_path_uses(path):
+    """(line, scope) of each use of ``policy_path`` in a file, by name or as an
+    attribute (imports aside); scope is the dotted enclosing definition, with
+    "/loop" when the use sits in a for or while loop inside it."""
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif isinstance(child, (ast.For, ast.While)) and scope:
+                inner = scope if scope.endswith("/loop") else scope + "/loop"
+            elif "policy_path" in (getattr(child, "id", None), getattr(child, "attr", None)):
+                yield child.lineno, scope
+            yield from visit(child, inner)
+
+    yield from visit(ast.parse(path.read_text()), "")
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in PACKAGE if p.name != "policies.py"], ids=lambda p: p.name
+)
+def test_policy_sweeps_go_through_the_trajectory(path):
+    """A whole-trajectory policy evaluation reads ``TrajectorySet.policy_pre``,
+    computed once per trajectory; only the simulator's step loop calls
+    ``policy_path`` besides it."""
+    uses = [
+        (line, scope) for line, scope in _policy_path_uses(path)
+        if (path.name, scope) not in SWEEP_CALLERS
+    ]
+    assert not uses, f"{path.name} calls policy_path outside the shared sweep: {uses}"
+
+
+def test_policy_path_uses_are_found(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "from .policies import policy_path\n"
+        "def run_trials(spec):\n"
+        "    policy_path(spec)\n"
+        "    for t in range(3):\n"
+        "        while True:\n"
+        "            f = policies.policy_path\n"
+        "class TrajectorySet:\n"
+        "    def policy_pre(self):\n"
+        "        return [policy_path(s) for s in self]\n"
+    )
+    assert list(_policy_path_uses(source)) == [
+        (3, "run_trials"), (6, "run_trials/loop"), (9, "TrajectorySet.policy_pre"),
+    ]

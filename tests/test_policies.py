@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from pooltrial import PolicySpec, SeedPlan, derive_stream
 from pooltrial.errors import ConfigError
+from pooltrial import policies
 from pooltrial.policies import (
     clip_prob,
     policy_path,
@@ -303,27 +304,41 @@ class TestPolicyPath:
             np.testing.assert_allclose(got[1], want_pre, **ORACLE_TOL)
 
     @pytest.mark.parametrize("name", sorted(PATH_SPECS))
-    @given(seed=st.integers(0, 2**32 - 1))
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d_S=st.sampled_from([1, 2]),
+        batch=st.sampled_from([(), (2,), (2, 3)]),
+        intercept=st.booleans(),
+    )
     @settings(max_examples=40, deadline=None)
-    def test_trailing_columns_match_full_path(self, name, seed):
+    def test_trailing_columns_match_full_path(self, name, seed, d_S, batch, intercept):
+        # a few trailing columns take the chain's one-product path for the
+        # fits before their first time, the full path takes none of it
         spec = PATH_SPECS[name]
-        rng, states, beta_hats, _ = random_path_inputs(seed)
+        rng, states, beta_hats, _ = random_path_inputs(seed, d_S)
+        if not intercept:  # a first state coordinate other than 1
+            states[..., 0] = rng.normal(size=states.shape[:-1]) * 2.0
+        scale = rng.uniform(0.5, 2.0, size=(*batch, 1, 1, 1))
+        states, beta_hats = states * scale, beta_hats * scale[..., 0]
         full, full_pre = policy_path(spec, states, beta_hats)
-        k = len(beta_hats)
+        k = beta_hats.shape[-2]
         # the single new column the simulator evaluates at decision time k + 1
-        p1, pre = policy_path(spec, states[:, -1:], beta_hats)
-        assert np.array_equal(p1, full[:, -1:])
-        assert np.array_equal(pre, full_pre[:, -1:])
+        p1, pre = policy_path(spec, states[..., -1:, :], beta_hats)
+        assert np.array_equal(p1, full[..., -1:])
+        assert np.array_equal(pre, full_pre[..., -1:])
         # any trailing block of m columns, and an earlier time by truncating
         m = int(rng.integers(1, k + 2))
-        p1, _ = policy_path(spec, states[:, k + 1 - m :], beta_hats)
-        assert np.array_equal(p1, full[:, k + 1 - m :])
-        p1, _ = policy_path(spec, states[:, -2:-1], beta_hats[:-1])
-        assert np.array_equal(p1, full[:, -2:-1])
+        p1, pre = policy_path(spec, states[..., k + 1 - m :, :], beta_hats)
+        assert np.array_equal(p1, full[..., k + 1 - m :])
+        assert np.array_equal(pre, full_pre[..., k + 1 - m :])
+        p1, pre = policy_path(spec, states[..., -2:-1, :], beta_hats[..., :-1, :])
+        assert np.array_equal(p1, full[..., -2:-1])
+        assert np.array_equal(pre, full_pre[..., -2:-1])
         # one call per decision time, each with its own fit, is the full path
-        p1, pre = policy_path_at(spec, states, beta_hats, beta_hats)
-        assert np.array_equal(p1, full)
-        assert np.array_equal(pre, full_pre)
+        for idx in np.ndindex(*batch):
+            p1, pre = policy_path_at(spec, states[idx], beta_hats[idx], beta_hats[idx])
+            assert np.array_equal(p1, full[idx])
+            assert np.array_equal(pre, full_pre[idx])
 
     @pytest.mark.parametrize("name", sorted(PATH_SPECS))
     @given(seed=st.integers(0, 2**32 - 1))
@@ -364,6 +379,22 @@ class TestPolicyPath:
             assert np.array_equal(p1[i, j], want)
             assert np.array_equal(pre[i, j], want_pre)
             assert np.array_equal(tail[i, j], want[:, -m:])
+
+    @pytest.mark.parametrize("block", [1, 7, 40])
+    @pytest.mark.parametrize("name", ["mirror_scalar", "mirror_sequence"])
+    def test_chain_blocks_match_one_product(self, name, block, monkeypatch):
+        # blocks of fits smaller than a whole chain, as at oracle n, give the
+        # bits of one product over every earlier fit
+        spec, calls = PATH_SPECS[name], []
+        for seed in range(20):
+            _, states, beta_hats, _ = random_path_inputs(seed)
+            for m in range(1, len(beta_hats) + 2):
+                calls.append((spec, states[:, -m:], beta_hats))
+        want = [policy_path(*call) for call in calls]
+        monkeypatch.setattr(policies, "CHAIN_BLOCK", block)
+        for call, (p1, pre) in zip(calls, want):
+            got_p1, got_pre = policy_path(*call)
+            assert np.array_equal(got_p1, p1) and np.array_equal(got_pre, pre)
 
     def test_rejects_inconsistent_shapes(self):
         states = np.ones((2, 4, 2))
