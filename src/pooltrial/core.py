@@ -224,8 +224,8 @@ class TrajectorySet:
     @cached_property
     def policy_pre(self) -> np.ndarray:
         """The policy's pre-clip action-1 values, (..., n, T), read-only: one
-        ``policy_path`` sweep on first read, whose p1 is their clip."""
-        return _freeze(policy_path(self.config.policy, self.states, self.beta_hats)[1])
+        ``policy_path`` sweep on first read."""
+        return _freeze(policy_path(self.config.policy, self.states, self.beta_hats))
 
     @property
     def n_users(self) -> int:

@@ -12,9 +12,9 @@ Three kinds are supported:
   serves as the exact policy-invariance control (all parameter gradients are
   identically zero).
 
-``policy_path`` evaluates the policy map of any kind at every user and
-decision time of a trial in one sweep; ``prob_slope`` turns its pre-clip
-values into the derivatives behind the ratio gradients.
+``policy_path`` evaluates the pre-clip policy map of any kind at every user
+and decision time of a trial in one sweep; ``clip_prob`` of its values is the
+probability, and ``prob_slope`` turns them into the ratio gradients' slopes.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ def _linear(states, beta1):
 
 
 def policy_path(spec: PolicySpec, states, beta_hats):
-    """Action-1 probabilities at the trailing decision times of one trial.
+    """Pre-clip action-1 values at the trailing decision times of one trial.
 
     ``states`` is (..., n, m, d_S) and ``beta_hats`` holds the k stored
     policy fits, (..., k, 2 d_S); the leading axes, if any, index trials
@@ -105,8 +105,8 @@ def policy_path(spec: PolicySpec, states, beta_hats):
     same state s: one product for the fits before column 0's time, which
     reach every column, then each later fit from its own column on.
 
-    Returns (p1, pre), both (..., n, m): the clipped probability of action 1
-    and its value before the clip (0.5 where no parameter enters).
+    Returns the values before the clip, (..., n, m), 0.5 where no parameter
+    enters: ``clip_prob`` of them is the probability of action 1.
     """
     states = np.asarray(states, dtype=float)
     beta_hats = np.asarray(beta_hats, dtype=float)
@@ -124,7 +124,7 @@ def policy_path(spec: PolicySpec, states, beta_hats):
         pre = expit(spec.rho * _linear(states[..., lo:, :], beta1))
         if lo:  # a column at decision time 1
             pre = np.concatenate([np.full((*batch, n, lo), 0.5), pre], axis=-1)
-        return clip_prob(pre, spec.pi_min), pre
+        return pre
     pre = np.full((m, *batch, n), 0.5)  # time-major, so that tails are contiguous
     if spec.kind == "mirror_descent":
         gain = [0.5 * spec.eta_at(t) for t in range(2, k + 2)]
@@ -150,8 +150,7 @@ def policy_path(spec: PolicySpec, states, beta_hats):
             lin = _linear(states[j:], beta_hats[..., None, t - 2, d_S:])
             step = np.add(chain[j:], gain[t - 2] * lin, out=pre[j:])
             clip_prob(step, spec.pi_min, out=chain[j:])
-    pre = np.ascontiguousarray(pre.transpose(*range(1, pre.ndim), 0))
-    return clip_prob(pre, spec.pi_min), pre
+    return np.ascontiguousarray(pre.transpose(*range(1, pre.ndim), 0))
 
 
 def prob_slope(spec: PolicySpec, pre, times):

@@ -99,9 +99,9 @@ def run_trials(config: TrialConfig, plans, frozen_betas=None) -> tuple:
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, T + 1):
             s_t[:, 1:] = r_prev[:, None]
-            # the policy's p1 (0.5 at t = 1, with no fit yet), realised after the loop
-            p1 = action_probs[:, t - 1]
-            p1[:] = policy_path(policy, states_t, beta_hats[:, : t - 1])[0][..., 0]
+            # p1 (0.5 at t = 1) is clipped into action_probs, realised after the loop
+            p1 = policy_path(policy, states_t, beta_hats[:, : t - 1])[..., 0]
+            p1 = clip_prob(p1, policy.pi_min, out=action_probs[:, t - 1])
             a_t = actions[:, t - 1]
             a_t[:] = uniforms[:, t - 1] < p1
             r_prev = rewards[:, t - 1]

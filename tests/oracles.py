@@ -8,9 +8,11 @@ explicit design matrices, and build and invert the full stacked system: slow
 (O(D^3) for D = (T-1) d_t + d_theta), but independent of the package's
 sweeps.  The exception is the policy map at alternative fits
 (``policy_path_at``, ``weight_product_at``): it calls the package's sweep once
-per decision time, with that time's stored fit replaced.  A large-n run under
-the target policies (``target_policy_oracle``) is the package's simulator
-with its policies frozen at the fits of an adaptive large-n run.
+per decision time, with that time's stored fit replaced; ``lipschitz_scan``
+holds the package's policy map to the paper's constant, ``lipschitz_bound``.
+A large-n run under the target policies (``target_policy_oracle``) is the
+package's simulator with its policies frozen at the fits of an adaptive
+large-n run.
 ``full_width_adaptive`` and ``full_width_invariance_norms`` are the package's
 earlier variance forms, which stored the zero beta0 half of each weight
 gradient and read it in every product: the bit-for-bit reference of the
@@ -45,7 +47,7 @@ from pooltrial.estimators import (
     psi_matrix,
 )
 from pooltrial.montecarlo import ORACLE_REP_BASE
-from pooltrial.policies import policy_path, prob_slope, realized_from_p1
+from pooltrial.policies import clip_prob, policy_path, prob_slope, realized_from_p1
 from pooltrial.simulator import run_trial
 from pooltrial.variance import sandwich_covariance
 
@@ -126,20 +128,19 @@ def policy_path_at(spec, states, beta_hats, betas):
     One ``policy_path`` call per column: the column of decision time t sees
     the stored fits before t with the fit at t - 1 replaced by
     ``betas[t - 2]``, so a mirror-descent step at ``betas`` starts from the
-    chain through the stored fits.  Returns (p1, pre) like ``policy_path``.
+    chain through the stored fits.  Returns the pre-clip values, like
+    ``policy_path``.
     """
     k = len(beta_hats)
     n, m, _ = states.shape
     first = k - m + 2
-    p1, pre = np.full((n, m), 0.5), np.full((n, m), 0.5)
+    pre = np.full((n, m), 0.5)
     for j in range(max(2 - first, 0), m):
         t = first + j
         fits = np.array(beta_hats[: t - 1], dtype=float)
         fits[t - 2] = betas[t - 2]
-        p1[:, j : j + 1], pre[:, j : j + 1] = policy_path(
-            spec, states[:, j : j + 1], fits
-        )
-    return p1, pre
+        pre[:, j : j + 1] = policy_path(spec, states[:, j : j + 1], fits)
+    return pre
 
 
 def weight_product_at(trajset, betas):
@@ -151,7 +152,8 @@ def weight_product_at(trajset, betas):
     realised previous policy.
     """
     spec = trajset.config.policy
-    p1, _ = policy_path_at(spec, trajset.states, trajset.beta_hats, betas)
+    pre = policy_path_at(spec, trajset.states, trajset.beta_hats, betas)
+    p1 = clip_prob(pre, spec.pi_min)
     num = realized_from_p1(p1[:, 1:], trajset.actions[:, 1:], spec.pi_min)
     return np.prod(num / trajset.action_probs[:, 1:], axis=1)
 
@@ -171,11 +173,11 @@ def target_policy_oracle(config: TrialConfig, oracle_n: int):
 
 
 def path_oracle(spec, states, beta_hats, betas=None):
-    """policy_path's (p1, pre) column by column: chain, then one step."""
+    """policy_path's pre-clip values column by column: chain, then one step."""
     betas = beta_hats if betas is None else betas
     n, m, _ = states.shape
     first = len(beta_hats) - m + 2
-    p1, pre = np.full((n, m), 0.5), np.full((n, m), 0.5)
+    pre = np.full((n, m), 0.5)
     for j in range(m):
         t = first + j
         if t == 1 or spec.kind == "constant_uniform":
@@ -184,8 +186,7 @@ def path_oracle(spec, states, beta_hats, betas=None):
         if spec.kind == "mirror_descent":
             prev = mirror_prob_chain(spec, beta_hats, states[:, j], t - 1)
         pre[:, j] = _pre_clip(spec, betas[t - 2], states[:, j], prev, t)
-        p1[:, j] = prob_action1(spec, betas[t - 2], states[:, j], prev, t)
-    return p1, pre
+    return pre
 
 
 def lipschitz_bound(spec, state, t=None):
@@ -201,6 +202,46 @@ def lipschitz_bound(spec, state, t=None):
     if spec.kind == "mirror_descent":
         return 0.5 * spec.eta_at(t) * norm
     return np.zeros_like(norm)
+
+
+def lipschitz_scan(spec, rng, draws, n=10, T=6):
+    """The package's policy map, clip_prob(policy_path(...)), against
+    ``lipschitz_bound``.
+
+    Each draw takes random states and fits and moves the fit of one decision
+    time u by a small step delta in beta1 (a far pair stays under the bound
+    whatever the slope, as the clip caps the difference).  Column t may move
+    by at most lipschitz_bound(s_t, u) ||delta||: not at all before u, and
+    after u only through the mirror-descent chain, which carries the step at
+    u to later times at the same state through 1-Lipschitz clips.  Returns
+    (columns that moved too far, live ``prob_slope`` values whose product
+    with ||s|| exceeds the bound, columns after u that moved).
+    """
+    too_far = too_steep = chained = 0
+    times = range(2, T + 1)
+    for _ in range(draws):
+        states = rng.normal(size=(n, T, 2)) * rng.uniform(0.2, 3.0)
+        beta_hats = rng.normal(size=(T - 1, 4)) * rng.uniform(0.02, 0.5)
+        u = int(rng.integers(2, T + 1))
+        moved = beta_hats.copy()
+        delta = rng.normal(size=2) * 10.0 ** rng.uniform(-4, -2)
+        moved[u - 2, 2:] += delta
+        pre = policy_path(spec, states, beta_hats)
+        diff = np.abs(
+            clip_prob(policy_path(spec, states, moved), spec.pi_min)
+            - clip_prob(pre, spec.pi_min)
+        )
+        bound = np.zeros((n, T))
+        bound[:, u - 1 :] = lipschitz_bound(spec, states[:, u - 1 :], t=u)
+        too_far += np.count_nonzero(diff > bound * np.linalg.norm(delta) + 1e-12)
+        chained += np.count_nonzero(diff[:, u:])
+        slope = prob_slope(spec, pre[:, 1:], times)
+        for t in times:
+            steep = slope[:, t - 2] * np.linalg.norm(states[:, t - 1], axis=-1)
+            too_steep += np.count_nonzero(
+                steep > lipschitz_bound(spec, states[:, t - 1], t=t) + 1e-12
+            )
+    return too_far, too_steep, chained
 
 
 def psi(states, actions, rewards, theta, scale: float = 1.0) -> np.ndarray:
@@ -363,37 +404,6 @@ def dosage_update(d_prev, a_prev, gamma):
     return gamma * np.asarray(d_prev, dtype=float) + np.asarray(a_prev, dtype=float)
 
 
-def block_lower_triangular_inverse(mat: np.ndarray, block_sizes) -> np.ndarray:
-    """Invert a block lower-triangular matrix by the bordered recursion.
-
-    Repeatedly applies [[A, 0], [C, D]]^{-1} = [[A^{-1}, 0],
-    [-D^{-1} C A^{-1}, D^{-1}]] down the block diagonal, which is forward
-    substitution at block granularity.  A diagonal block whose condition
-    number exceeds COND_LIMIT raises SingularPolicyBreadError with its
-    0-based block index as ``t``.
-    """
-    sizes = list(block_sizes)
-    offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-    dim = offsets[-1]
-    if mat.shape != (dim, dim):
-        raise ValueError(f"matrix shape {mat.shape} does not match blocks {sizes}")
-    inv = np.zeros_like(mat, dtype=float)
-    for r, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
-        block = mat[lo:hi, lo:hi]
-        cond = _cond(block)
-        if cond > COND_LIMIT:
-            raise SingularPolicyBreadError(
-                f"singular diagonal block {r} (cond={cond:.3e})", t=r, cond=cond
-            )
-        diag_inv = np.linalg.inv(block)
-        inv[lo:hi, lo:hi] = diag_inv
-        if lo > 0:
-            # inv[k, c] vanishes for k < c, so one slice product collects
-            # sum_k C[r, k] inv[k, c] for every c < r at once
-            inv[lo:hi, :lo] = -diag_inv @ (mat[lo:hi, :lo] @ inv[:lo, :lo])
-    return inv
-
-
 @dataclass
 class DenseStacked:
     cov: np.ndarray        # lower-right d_theta block of bread^-1 meat bread^-T
@@ -452,7 +462,7 @@ def full_width_weight_products(trajset) -> np.ndarray:
     stored: (..., n, T-1, 2 d_S), the beta1 half last."""
     policy = trajset.config.policy
     *batch, n, T, d_S = trajset.states.shape
-    _, pre = policy_path(policy, trajset.states, trajset.beta_hats)
+    pre = policy_path(policy, trajset.states, trajset.beta_hats)
     slope = prob_slope(policy, pre[..., 1:], range(2, T + 1))
     sign = np.where(trajset.actions[..., 1:] == 1, 1.0, -1.0)
     grads = np.zeros((*batch, n, T - 1, 2 * d_S))

@@ -405,13 +405,33 @@ class TestOnePolicySweep:
         with pytest.raises(ValueError):
             ts.policy_pre[..., 0] = 0.0
 
+    def test_sweep_peak_memory(self):
+        # a fresh Boltzmann batch of the cell_n50_T50 shape: the sweep's traced
+        # peak is ~2.56 (R n T) float buffers (beta1' s, its rho multiple, then
+        # expit's output and the time-1 concatenate); writing expit into a
+        # pre allocated before beta1' s makes it ~3.56
+        R, n, T = 10, 50, 50
+        config = TrialConfig(
+            n_users=n, horizon_T=T, master_seed=3,
+            policy=PolicySpec(kind="boltzmann", rho=5.0), env=EnvConfig(kappa1=5.0),
+        )
+        batch, errors = run_trials(config, [SeedPlan(3, rep) for rep in range(R)])
+        assert errors == [None] * R
+        tracemalloc.start()
+        try:
+            batch.policy_pre
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * R * n * T * 8
+
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_batch_rows_sweep_to_their_own_path(self, kind):
         config = MIRROR.replace(policy=KINDS[kind])
         batch, _ = run_trials(config, [SeedPlan(7, rep) for rep in range(3)])
         for r in range(3):
             row = batch[r]
-            _, want = policy_path(config.policy, row.states, row.beta_hats)
+            want = policy_path(config.policy, row.states, row.beta_hats)
             assert row.policy_pre.tobytes() == want.tobytes()
             assert batch.policy_pre[r].tobytes() == want.tobytes()
 

@@ -136,6 +136,41 @@ def test_condition_number_calls_are_found(tmp_path):
     assert [line for line, _ in _condition_number_calls(source)] == [2, 3]
 
 
+CLIPS = ("clip", "minimum", "maximum")
+
+
+def _clip_calls(path):
+    """(line, name) of each use of np.clip, np.minimum or np.maximum in a file,
+    as an attribute (an array's .clip too) or imported from numpy by name."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute) and node.attr in CLIPS:
+            if node.attr == "clip" or ast.unparse(node.value) in ("np", "numpy"):
+                yield node.lineno, ast.unparse(node)
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            for alias in node.names:
+                if alias.name in CLIPS:
+                    yield node.lineno, f"from numpy import {alias.name}"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in PACKAGE if p.name != "policies.py"], ids=lambda p: p.name
+)
+def test_only_policies_clips(path):
+    """policies.clip_prob is the package's one clip, which keeps np.clip's
+    bits; other modules clip through it."""
+    calls = list(_clip_calls(path))
+    assert not calls, f"{path.name} clips itself: {calls}"
+
+
+def test_clip_calls_are_found(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "import numpy as np\nfrom numpy import maximum\nnp.clip(a, 0, 1)\n"
+        "b = a.clip(0, 1)\nnp.minimum(a, b, out=a)\nc = math.maximum(a)\n"
+    )
+    assert [line for line, _ in _clip_calls(source)] == [2, 3, 4, 5]
+
+
 # Outside policies.py, the places that may evaluate the policy map: the one
 # sweep of a trajectory, kept on it, and the step loop's one new column a step
 SWEEP_CALLERS = {

@@ -16,6 +16,7 @@ from pooltrial.policies import (
 
 from oracles import (
     lipschitz_bound,
+    lipschitz_scan,
     mirror_prob_chain,
     path_oracle,
     policy_path_at,
@@ -42,8 +43,8 @@ def params(b0, b1):
 def p1_at(spec, beta, state):
     """policy_path's action-1 probability for one state at decision time 2."""
     state = np.asarray(state, dtype=float)[None, None]
-    p1, _ = policy_path(spec, state, np.asarray(beta, dtype=float)[None])
-    return p1[0, 0]
+    pre = policy_path(spec, state, np.asarray(beta, dtype=float)[None])
+    return clip_prob(pre, spec.pi_min)[0, 0]
 
 
 class TestProbAction1:
@@ -76,8 +77,8 @@ class TestProbAction1:
         spec = PolicySpec(kind="boltzmann", rho=0.0, pi_min=0.1)
         rng = np.random.default_rng(0)
         states = rng.normal(size=(3, 51, 2))
-        p1, _ = policy_path(spec, states, rng.normal(size=(50, 4)))
-        assert np.all(p1 == 0.5)
+        pre = policy_path(spec, states, rng.normal(size=(50, 4)))
+        assert np.all(clip_prob(pre, spec.pi_min) == 0.5)
 
     @given(s=finite_vec, b1=finite_vec)
     @settings(max_examples=200)
@@ -110,7 +111,7 @@ class TestProbGrad:
         g = prob_grad(BOLTZ, params([0, 0], [10.0, 0.0]), [1.0, 0.0], 1)
         assert np.all(g == 0.0)
         state, beta = np.array([[[1.0, 0.0]]]), params([0, 0], [10.0, 0.0])
-        _, pre = policy_path(BOLTZ, state, beta[None])
+        pre = policy_path(BOLTZ, state, beta[None])
         assert np.all(prob_slope(BOLTZ, pre, [2]) == 0.0)
 
     def test_constant_uniform_zero(self):
@@ -191,23 +192,15 @@ class TestLipschitz:
 
     @pytest.mark.parametrize("kind", ["boltzmann", "mirror_descent"])
     def test_bound_dominates_differences(self, kind, rng):
+        # the package's map at two nearby fits, one decision time apart
         if kind == "boltzmann":
             spec = PolicySpec(kind=kind, rho=3.0, pi_min=0.1)
         else:
             spec = PolicySpec(kind=kind, pi_min=0.1, eta=2.0)
-        violations = 0
-        for _ in range(1000):
-            s = rng.normal(size=2) * rng.uniform(0.5, 3)
-            b1 = rng.normal(size=2)
-            b1p = rng.normal(size=2)
-            prev = rng.uniform(0.1, 0.9) if kind == "mirror_descent" else None
-            kw = dict(prev_prob1=np.clip(prev, 0.1, 0.9), t=2) if prev else {}
-            pa = prob_action1(spec, params([0, 0], b1), s, **kw)
-            pb = prob_action1(spec, params([0, 0], b1p), s, **kw)
-            bound = lipschitz_bound(spec, s, t=2)
-            if abs(pa - pb) > bound * np.linalg.norm(b1 - b1p) + 1e-12:
-                violations += 1
-        assert violations == 0
+        too_far, too_steep, chained = lipschitz_scan(spec, rng, 1000)
+        assert too_far == 0 and too_steep == 0
+        # a mirror-descent fit moves the later columns through the chain
+        assert (chained > 0) == (kind == "mirror_descent")
 
 
 class TestMirrorChain:
@@ -215,8 +208,8 @@ class TestMirrorChain:
         spec = PolicySpec(kind="mirror_descent", pi_min=0.1, eta=2.0)
         betas = np.array([[0, 0, 10.0, 0.0], [0, 0, 10.0, 0.0]])
         state = np.array([[1.0, 0.0]])
-        p1, pre = policy_path(spec, state[:, None], betas)  # decision time 3
-        assert p1[0, 0] == 0.9  # two big positive steps, clipped
+        pre = policy_path(spec, state[:, None], betas)  # decision time 3
+        assert clip_prob(pre, spec.pi_min)[0, 0] == 0.9  # two big positive steps
         assert pre[0, 0] == pytest.approx(0.9 + 10.0)  # the chain is clipped first
         assert mirror_prob_chain(spec, betas, state, 3)[0] == 0.9
 
@@ -299,9 +292,8 @@ class TestPolicyPath:
             (policy_path(spec, states, beta_hats), None),
             (policy_path_at(spec, states, beta_hats, betas), betas),
         ):
-            want_p1, want_pre = path_oracle(spec, states, beta_hats, alt)
-            np.testing.assert_allclose(got[0], want_p1, **ORACLE_TOL)
-            np.testing.assert_allclose(got[1], want_pre, **ORACLE_TOL)
+            want = path_oracle(spec, states, beta_hats, alt)
+            np.testing.assert_allclose(got, want, **ORACLE_TOL)
 
     @pytest.mark.parametrize("name", sorted(PATH_SPECS))
     @given(
@@ -320,25 +312,21 @@ class TestPolicyPath:
             states[..., 0] = rng.normal(size=states.shape[:-1]) * 2.0
         scale = rng.uniform(0.5, 2.0, size=(*batch, 1, 1, 1))
         states, beta_hats = states * scale, beta_hats * scale[..., 0]
-        full, full_pre = policy_path(spec, states, beta_hats)
+        full = policy_path(spec, states, beta_hats)
         k = beta_hats.shape[-2]
         # the single new column the simulator evaluates at decision time k + 1
-        p1, pre = policy_path(spec, states[..., -1:, :], beta_hats)
-        assert np.array_equal(p1, full[..., -1:])
-        assert np.array_equal(pre, full_pre[..., -1:])
+        pre = policy_path(spec, states[..., -1:, :], beta_hats)
+        assert np.array_equal(pre, full[..., -1:])
         # any trailing block of m columns, and an earlier time by truncating
         m = int(rng.integers(1, k + 2))
-        p1, pre = policy_path(spec, states[..., k + 1 - m :, :], beta_hats)
-        assert np.array_equal(p1, full[..., k + 1 - m :])
-        assert np.array_equal(pre, full_pre[..., k + 1 - m :])
-        p1, pre = policy_path(spec, states[..., -2:-1, :], beta_hats[..., :-1, :])
-        assert np.array_equal(p1, full[..., -2:-1])
-        assert np.array_equal(pre, full_pre[..., -2:-1])
+        pre = policy_path(spec, states[..., k + 1 - m :, :], beta_hats)
+        assert np.array_equal(pre, full[..., k + 1 - m :])
+        pre = policy_path(spec, states[..., -2:-1, :], beta_hats[..., :-1, :])
+        assert np.array_equal(pre, full[..., -2:-1])
         # one call per decision time, each with its own fit, is the full path
         for idx in np.ndindex(*batch):
-            p1, pre = policy_path_at(spec, states[idx], beta_hats[idx], beta_hats[idx])
-            assert np.array_equal(p1, full[idx])
-            assert np.array_equal(pre, full_pre[idx])
+            pre = policy_path_at(spec, states[idx], beta_hats[idx], beta_hats[idx])
+            assert np.array_equal(pre, full[idx])
 
     @pytest.mark.parametrize("name", sorted(PATH_SPECS))
     @given(seed=st.integers(0, 2**32 - 1))
@@ -348,7 +336,7 @@ class TestPolicyPath:
         rng, states, beta_hats, _ = random_path_inputs(seed)
         n, T, d_S = states.shape
         actions = rng.integers(0, 2, size=(n, T))
-        _, pre = policy_path(spec, states, beta_hats)
+        pre = policy_path(spec, states, beta_hats)
         slope = prob_slope(spec, pre[:, 1:], range(2, T + 1))
         sign = np.where(actions[:, 1:] == 1, 1.0, -1.0)
         for t in range(2, T + 1):
@@ -371,13 +359,12 @@ class TestPolicyPath:
         rng, states, beta_hats, _ = random_path_inputs(seed, d_S)
         scale = rng.uniform(0.5, 2.0, size=(2, 3, 1, 1, 1))
         batch = [states * scale, beta_hats * scale[..., 0]]
-        p1, pre = policy_path(spec, *batch)
+        pre = policy_path(spec, *batch)
         m = int(rng.integers(1, len(beta_hats) + 2))
-        tail, _ = policy_path(spec, batch[0][..., -m:, :], *batch[1:])
+        tail = policy_path(spec, batch[0][..., -m:, :], *batch[1:])
         for i, j in np.ndindex(2, 3):
-            want, want_pre = policy_path(spec, *(arr[i, j] for arr in batch))
-            assert np.array_equal(p1[i, j], want)
-            assert np.array_equal(pre[i, j], want_pre)
+            want = policy_path(spec, *(arr[i, j] for arr in batch))
+            assert np.array_equal(pre[i, j], want)
             assert np.array_equal(tail[i, j], want[:, -m:])
 
     @pytest.mark.parametrize("block", [1, 7, 40])
@@ -392,9 +379,8 @@ class TestPolicyPath:
                 calls.append((spec, states[:, -m:], beta_hats))
         want = [policy_path(*call) for call in calls]
         monkeypatch.setattr(policies, "CHAIN_BLOCK", block)
-        for call, (p1, pre) in zip(calls, want):
-            got_p1, got_pre = policy_path(*call)
-            assert np.array_equal(got_p1, p1) and np.array_equal(got_pre, pre)
+        for call, pre in zip(calls, want):
+            assert np.array_equal(policy_path(*call), pre)
 
     def test_rejects_inconsistent_shapes(self):
         states = np.ones((2, 4, 2))

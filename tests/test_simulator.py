@@ -20,7 +20,7 @@ from pooltrial import (
 )
 from pooltrial.errors import ConfigError, DegenerateDesignError, NumericalError
 from pooltrial.estimators import conditioning_errors, psi_matrix
-from pooltrial.policies import policy_path
+from pooltrial.policies import clip_prob, policy_path
 from pooltrial.simulator import replay_action_probs, run_trials
 
 from oracles import (
@@ -266,7 +266,8 @@ class TestRunTrials:
         batch, errors = run_trials(config, plans)
         assert errors == [None] * len(plans)
         for plan, ts in zip(plans, [batch[r] for r in range(len(plans))]):
-            p1, _ = policy_path(config.policy, ts.states, ts.beta_hats)
+            pre = policy_path(config.policy, ts.states, ts.beta_hats)
+            p1 = clip_prob(pre, config.policy.pi_min)
             stream = derive_stream(plan, "actions")
             steps = [sample_action(stream, p1[:, t]) for t in range(ts.horizon_T)]
             assert np.array_equal(np.stack(steps, axis=1), ts.actions)

@@ -17,12 +17,11 @@ from pooltrial import (
 from pooltrial import variance
 from pooltrial.core import TrajectorySet
 from pooltrial.errors import NumericalError, SingularBreadError, SingularPolicyBreadError
-from pooltrial.policies import realized_from_p1
+from pooltrial.policies import clip_prob, realized_from_p1
 from pooltrial.simulator import run_trials
 from pooltrial.variance import check_equivalence, invariance_norms, sandwich_covariance
 
 from oracles import (
-    block_lower_triangular_inverse,
     dense_stacked_oracle,
     full_width_adaptive,
     full_width_invariance_norms,
@@ -98,13 +97,13 @@ class TestWeights:
         pmin = small_trajset.config.policy.pi_min
         lo, hi = pmin / (1 - pmin), (1 - pmin) / pmin
         betas = small_trajset.beta_hats + rng.normal(size=small_trajset.beta_hats.shape)
-        p1, _ = policy_path_at(
+        pre = policy_path_at(
             small_trajset.config.policy,
             small_trajset.states,
             small_trajset.beta_hats,
             betas,
         )
-        num = realized_from_p1(p1, small_trajset.actions, pmin)
+        num = realized_from_p1(clip_prob(pre, pmin), small_trajset.actions, pmin)
         ratio = num[:, 1:] / small_trajset.action_probs[:, 1:]
         assert np.all(ratio >= lo - 1e-12)
         assert np.all(ratio <= hi + 1e-12)
@@ -340,52 +339,6 @@ class TestEquivalence:
         monkeypatch.setattr(variance, "sandwich_covariance", lambda *a: 1.01 * kernel(*a))
         gap, scale = check_equivalence(small_trajset, est)
         assert gap > 1e-8 * scale
-
-
-class TestBlockInverse:
-    def test_bordered_identity_blocks(self):
-        c = np.array([[2.0, -1.0], [0.5, 3.0]])
-        mat = np.block([[np.eye(2), np.zeros((2, 2))], [c, np.eye(2)]])
-        inv = block_lower_triangular_inverse(mat, [2, 2])
-        expected = np.block([[np.eye(2), np.zeros((2, 2))], [-c, np.eye(2)]])
-        assert np.allclose(inv, expected, atol=1e-14)
-
-    def test_block_diagonal_case(self, rng):
-        blocks = [rng.normal(size=(3, 3)) + 3 * np.eye(3) for _ in range(3)]
-        mat = np.zeros((9, 9))
-        for k, b in enumerate(blocks):
-            mat[3 * k : 3 * k + 3, 3 * k : 3 * k + 3] = b
-        inv = block_lower_triangular_inverse(mat, [3, 3, 3])
-        for k, b in enumerate(blocks):
-            assert np.allclose(
-                inv[3 * k : 3 * k + 3, 3 * k : 3 * k + 3], np.linalg.inv(b)
-            )
-        assert np.allclose(mat @ inv, np.eye(9), atol=1e-12)
-
-    def test_random_five_blocks_vs_dense(self, rng):
-        sizes = [2, 4, 3, 5, 2]
-        dim = sum(sizes)
-        offs = np.concatenate([[0], np.cumsum(sizes)])
-        mat = rng.normal(size=(dim, dim))
-        for r in range(5):
-            for c in range(r + 1, 5):
-                mat[offs[r] : offs[r + 1], offs[c] : offs[c + 1]] = 0.0
-            mat[offs[r] : offs[r + 1], offs[r] : offs[r + 1]] += 4 * np.eye(sizes[r])
-        inv = block_lower_triangular_inverse(mat, sizes)
-        dense = np.linalg.inv(mat)
-        assert np.abs(inv - dense).max() < 1e-10
-        assert np.abs(mat @ inv - np.eye(dim)).max() < 1e-10 * dim
-
-    def test_singular_block_reports_index(self):
-        mat = np.eye(6)
-        mat[2:4, 2:4] = 0.0
-        with pytest.raises(SingularPolicyBreadError) as err:
-            block_lower_triangular_inverse(mat, [2, 2, 2])
-        assert err.value.t == 1
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            block_lower_triangular_inverse(np.eye(5), [2, 2])
 
 
 class TestConfidenceInterval:
