@@ -14,13 +14,12 @@ import json
 import os
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 from numbers import Integral
 
 import numpy as np
 
 from .errors import ConfigError, DataIntegrityError, real_number
-from .policies import PolicySpec, policy_path
+from .policies import PolicySpec
 
 # Substream labels recognised by derive_stream.  "errors" drives reward-noise
 # generation, "actions" drives Bernoulli action sampling.
@@ -168,13 +167,13 @@ class TrajectorySet:
     """One replication's collected data plus the policy-parameter snapshots,
     or a batch of replications of one config along leading axes.
 
-    ``action_probs[i, t]`` is the probability the sampling policy assigned to
-    the *realised* action of user i at decision time t+1 (0-based storage for
-    1-based decision times).  ``beta_hats[t-1]`` is the pooled least-squares
-    fit on data through decision time t; the policy at decision time t+1 was
-    evaluated with it.  Shapes are checked on the trailing axes; ``ts[r]`` is
-    replication r of a batch, as read-only views.  ``policy_pre`` is the one
-    policy sweep that the load's replay check and the weight gradients share.
+    ``action_probs[i, t]`` is the probability pi_{t+1}(1 | S) of action 1,
+    after the clip, that the sampling policy assigned to user i at decision
+    time t+1 (0-based storage for 1-based decision times; 0.5 at time 1),
+    whichever action was taken.  ``beta_hats[t-1]`` is the pooled
+    least-squares fit on data through decision time t; the policy at decision
+    time t+1 was evaluated with it.  Shapes are checked on the trailing axes;
+    ``ts[r]`` is replication r of a batch, as read-only views.
     """
 
     states: np.ndarray        # (..., n, T, d_S)
@@ -221,12 +220,6 @@ class TrajectorySet:
         object.__setattr__(row, "config", self.config)
         return row
 
-    @cached_property
-    def policy_pre(self) -> np.ndarray:
-        """The policy's pre-clip action-1 values, (..., n, T), read-only: one
-        ``policy_path`` sweep on first read."""
-        return _freeze(policy_path(self.config.policy, self.states, self.beta_hats))
-
     @property
     def n_users(self) -> int:
         return self.actions.shape[-2]
@@ -267,9 +260,9 @@ class TrajectorySet:
 
         Every (user, t) row of the configured n_users x horizon_T grid must
         appear exactly once, actions must be 0 or 1, and each stored
-        action_prob must match its replay through the policy map (stored
-        states, actions and beta_hats) within PROB_TOL; any other input
-        raises DataIntegrityError.
+        action_prob must match its replay, the action-1 probability of the
+        policy map at the stored states and beta_hats, within PROB_TOL; any
+        other input raises DataIntegrityError.
         """
         from .simulator import replay_action_probs
 
@@ -359,6 +352,8 @@ def check_out_dir(out_dir) -> None:
     """Raise the ConfigError ``_make_out_dir`` would for ``out_dir``, without
     creating anything: a file, or a path under one, cannot be a directory,
     and the nearest existing directory must be writable."""
+    if not out_dir:  # abspath("") is the working directory, but makedirs("") fails
+        raise _out_dir_error(out_dir, os.strerror(errno.ENOENT))
     target = path = os.path.abspath(out_dir)
     while not os.path.isdir(path):
         if os.path.exists(path):

@@ -14,7 +14,8 @@ Three kinds are supported:
 
 ``policy_path`` evaluates the pre-clip policy map of any kind at every user
 and decision time of a trial in one sweep; ``clip_prob`` of its values is the
-probability, and ``prob_slope`` turns them into the ratio gradients' slopes.
+probability of action 1, which trajectories store, and ``prob_slope`` turns
+that probability into the ratio gradients' slopes.
 """
 
 from __future__ import annotations
@@ -156,10 +157,11 @@ def policy_path(spec: PolicySpec, states, beta_hats):
 def prob_slope(spec: PolicySpec, pre, times):
     """Derivative of the action-1 probability along beta1' s.
 
-    ``pre`` holds ``policy_path``'s pre-clip values with decision times
-    ``times`` on its last axis.  The slope is rho p (1 - p) for boltzmann
-    (p = pre) and 0.5 eta_t for mirror descent; it is 0 for constant_uniform
-    and wherever the clip saturates (pre outside (pi_min, 1 - pi_min)).
+    ``pre`` holds action-1 values, pre-clip or clipped (the same bits: the
+    clip returns a value unchanged exactly where it is live, strictly inside
+    (pi_min, 1 - pi_min)), with decision times ``times`` on its last axis.
+    The slope is rho p (1 - p) for boltzmann (p = pre) and 0.5 eta_t for
+    mirror descent; it is 0 for constant_uniform and where the clip saturates.
     """
     pre = np.asarray(pre, dtype=float)
     if spec.kind == "boltzmann":
@@ -173,10 +175,11 @@ def prob_slope(spec: PolicySpec, pre, times):
 
 
 def realized_from_p1(p1, action, pi_min: float):
-    """p1 if action is 1 else 1 - p1, snapped back into [pi_min, 1 - pi_min].
+    """p1 if action is 1 else 1 - p1, snapped back into [pi_min, 1 - pi_min]:
+    the realised action's probability, which divides the weight gradients.
 
     The snap only corrects the one-ulp drift of 1 - p1 at a clip boundary
-    (e.g. 1 - 0.9 in binary), keeping every stored probability inside the
+    (e.g. 1 - 0.9 in binary), keeping every realised probability inside the
     exploration interval exactly.
     """
     out = np.where(np.asarray(action) == 1, p1, 1.0 - np.asarray(p1))

@@ -16,11 +16,7 @@ from .core import SeedPlan, TrajectorySet, TrialConfig, derive_stream
 from .environment import correlate_errors, dosage_normalizer, reward
 from .errors import ConfigError, DegenerateDesignError
 from .estimators import conditioning_errors, solve_or_nan
-from .policies import clip_prob, policy_path, realized_from_p1
-
-# Values per call of the post-loop realisation of action_probs, in whole
-# decision times: one call for a cell's batch, cache-sized calls at oracle n
-REALIZE_BLOCK = 65_536
+from .policies import clip_prob, policy_path
 
 
 def run_trial(config: TrialConfig, plan: SeedPlan, frozen_betas=None) -> TrajectorySet:
@@ -99,7 +95,7 @@ def run_trials(config: TrialConfig, plans, frozen_betas=None) -> tuple:
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, T + 1):
             s_t[:, 1:] = r_prev[:, None]
-            # p1 (0.5 at t = 1) is clipped into action_probs, realised after the loop
+            # p1 (0.5 at t = 1) is clipped straight into its action_probs slot
             p1 = policy_path(policy, states_t, beta_hats[:, : t - 1])[..., 0]
             p1 = clip_prob(p1, policy.pi_min, out=action_probs[:, t - 1])
             a_t = actions[:, t - 1]
@@ -119,14 +115,6 @@ def run_trials(config: TrialConfig, plans, frozen_betas=None) -> tuple:
     # free the loop's buffers before the copies (r_prev, a_t and p1 are views,
     # which would keep the time-major buffers alive)
     del eps, uniforms, r_prev, a_t, p1
-    step = max(1, REALIZE_BLOCK // max(1, R * n))  # an empty batch has R = 0
-    # in place and through no named view, which would outlive the loop and
-    # keep the time-major buffer alive through its user-major copy below
-    for lo in range(0, T, step):
-        steps = slice(lo, lo + step)
-        action_probs[:, steps] = realized_from_p1(
-            action_probs[:, steps], actions[:, steps], policy.pi_min
-        )
 
     errors = [None] * R
     if frozen_betas is None:  # one call for the refit Grams of the whole batch
@@ -148,11 +136,12 @@ def run_trials(config: TrialConfig, plans, frozen_betas=None) -> tuple:
 
 
 def replay_action_probs(trajset: TrajectorySet) -> np.ndarray:
-    """Recompute action_probs from stored states/actions/beta_hats.
+    """Recompute action_probs from stored states and beta_hats: one
+    ``policy_path`` sweep of the whole trajectory, clipped in place.
 
     Simulator output satisfies ``replay_action_probs(ts) == ts.action_probs``
-    bit for bit; ``TrajectorySet.load`` checks stored files against it.  It
-    reads the trajectory's one policy sweep, ``ts.policy_pre``.
+    bit for bit; ``TrajectorySet.load`` checks stored files against it.
     """
-    pi_min = trajset.config.policy.pi_min
-    return realized_from_p1(clip_prob(trajset.policy_pre, pi_min), trajset.actions, pi_min)
+    policy = trajset.config.policy
+    pre = policy_path(policy, trajset.states, trajset.beta_hats)
+    return clip_prob(pre, policy.pi_min, out=pre)

@@ -44,7 +44,7 @@ from scipy.special import ndtri
 from .core import TrajectorySet
 from .errors import DegenerateDesignError, SingularBreadError, SingularPolicyBreadError
 from .estimators import EstimationResult, check_conditioned, inverse_or_none
-from .policies import prob_slope
+from .policies import prob_slope, realized_from_p1
 
 
 # ---------------------------------------------------------------------------
@@ -58,14 +58,16 @@ def weight_products(trajset) -> np.ndarray:
     the beta_s block at beta = beta_hat: the gradient of the realised
     action's probability at decision time s+1 divided by that probability.
     Every policy reads beta only through beta1' S: the beta0 half is zero.
-    The slopes come from the trajectory's one policy sweep, ``policy_pre``.
+    Slopes and denominators come from the stored action-1 probabilities, so
+    no policy is evaluated here.
     """
-    pre = trajset.policy_pre[..., 1:]
-    slope = prob_slope(trajset.config.policy, pre, range(2, trajset.horizon_T + 1))
-    sign = np.where(trajset.actions[..., 1:] == 1, 1.0, -1.0)
+    policy = trajset.config.policy
+    p1, actions = trajset.action_probs[..., 1:], trajset.actions[..., 1:]
+    slope = prob_slope(policy, p1, range(2, trajset.horizon_T + 1))
+    sign = np.where(actions == 1, 1.0, -1.0)
     return (
         (sign * slope)[..., None] * trajset.states[..., 1:, :]
-        / trajset.action_probs[..., 1:, None]
+        / realized_from_p1(p1, actions, policy.pi_min)[..., None]
     )
 
 

@@ -22,10 +22,13 @@ broadcast multiply: the bit-for-bit reference of the einsum sweep.
 ``repr_csv_oracle`` is the package's earlier CSV writer, which called
 ``repr`` on every value one by one: the byte-for-byte reference of the
 writer that formats each distinct value of a row block once.
+``realised_format`` rewrites a trajectory's probabilities in the earlier
+stored format, the realised action's probability, which loads must reject.
 
 Policy parameters are stacked vectors [beta0, beta1], each half of length d_S.
 """
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,15 +150,26 @@ def weight_product_at(trajset, betas):
     """Per-user product W_{2:T}(beta_{1:T-1}, beta_hat_{1:T-1}).
 
     ``betas`` is a (T-1, d_t) array (or sequence) of alternative policy
-    parameters; the denominator is the stored sampling probability of the
-    realised action, and a mirror-descent step stays anchored at the
-    realised previous policy.
+    parameters; the denominator is the realised action's probability under
+    the stored action-1 probability, and a mirror-descent step stays anchored
+    at the realised previous policy.
     """
     spec = trajset.config.policy
     pre = policy_path_at(spec, trajset.states, trajset.beta_hats, betas)
-    p1 = clip_prob(pre, spec.pi_min)
-    num = realized_from_p1(p1[:, 1:], trajset.actions[:, 1:], spec.pi_min)
-    return np.prod(num / trajset.action_probs[:, 1:], axis=1)
+    actions = trajset.actions[:, 1:]
+    num = realized_from_p1(clip_prob(pre[:, 1:], spec.pi_min), actions, spec.pi_min)
+    den = realized_from_p1(trajset.action_probs[:, 1:], actions, spec.pi_min)
+    return np.prod(num / den, axis=1)
+
+
+def realised_format(trajset):
+    """``trajset`` with ``action_probs`` holding the realised action's
+    probability, the column that trajectory files once stored in place of
+    the action-1 probability; they differ wherever an action is 0 and p1 is
+    not 0.5."""
+    pi_min = trajset.config.policy.pi_min
+    realised = realized_from_p1(trajset.action_probs, trajset.actions, pi_min)
+    return dataclasses.replace(trajset, action_probs=realised)
 
 
 def target_policy_oracle(config: TrialConfig, oracle_n: int):
@@ -431,7 +445,10 @@ def dense_stacked_oracle(ts, est) -> DenseStacked:
         g = prob_grad(
             spec, ts.beta_hats[s - 1], state, ts.actions[:, u - 1], prev_prob1=prev, t=u
         )
-        G[:, (s - 1) * d_t : s * d_t] = g / ts.action_probs[:, u - 1][:, None]
+        den = realized_from_p1(
+            ts.action_probs[:, u - 1], ts.actions[:, u - 1], spec.pi_min
+        )
+        G[:, (s - 1) * d_t : s * d_t] = g / den[:, None]
     bread = np.zeros((D, D))
     for t in range(1, T):
         sl_t = slice((t - 1) * d_t, t * d_t)
@@ -459,17 +476,17 @@ def dense_stacked_oracle(ts, est) -> DenseStacked:
 
 def full_width_weight_products(trajset) -> np.ndarray:
     """``variance.weight_products`` with the zero beta0 half of each block
-    stored: (..., n, T-1, 2 d_S), the beta1 half last."""
+    stored: (..., n, T-1, 2 d_S), the beta1 half last.  Its slopes come from
+    a fresh ``policy_path`` sweep, not from the stored probabilities."""
     policy = trajset.config.policy
     *batch, n, T, d_S = trajset.states.shape
     pre = policy_path(policy, trajset.states, trajset.beta_hats)
     slope = prob_slope(policy, pre[..., 1:], range(2, T + 1))
-    sign = np.where(trajset.actions[..., 1:] == 1, 1.0, -1.0)
+    actions = trajset.actions[..., 1:]
+    sign = np.where(actions == 1, 1.0, -1.0)
+    den = realized_from_p1(trajset.action_probs[..., 1:], actions, policy.pi_min)
     grads = np.zeros((*batch, n, T - 1, 2 * d_S))
-    grads[..., d_S:] = (
-        (sign * slope)[..., None] * trajset.states[..., 1:, :]
-        / trajset.action_probs[..., 1:, None]
-    )
+    grads[..., d_S:] = (sign * slope)[..., None] * trajset.states[..., 1:, :] / den[..., None]
     return grads
 
 

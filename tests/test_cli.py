@@ -14,10 +14,10 @@ import yaml
 
 from pooltrial import TrajectorySet, fit_theta
 from pooltrial.cli import build_parser, main
-from pooltrial.config import load_config, parse_config
+from pooltrial.config import load_config, manifest_config, parse_config
 from pooltrial.variance import invariance_norms
 
-from oracles import dense_stacked_oracle
+from oracles import dense_stacked_oracle, realised_format
 from test_golden import MC_CONFIG
 
 TINY_CONFIG = {
@@ -396,7 +396,7 @@ class TestBadPaths:
         assert err == f"error: cannot read manifest {path}: No such file or directory\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("under_file", [False, True], ids=["file", "under_file"])
+    @pytest.mark.parametrize("target", ["file", "under_file", "empty"])
     @pytest.mark.parametrize(
         "command",
         [
@@ -408,9 +408,10 @@ class TestBadPaths:
         ids=["simulate", "check", "mc", "estimate"],
     )
     def test_out_that_cannot_be_a_directory_exits_1(
-        self, command, under_file, tmp_path, monkeypatch, capsys
+        self, command, target, tmp_path, monkeypatch, capsys
     ):
-        # checked before any work: the commands' work functions never run
+        # checked before any work: the commands' work functions never run.
+        # "" resolves to the working directory, but makedirs("") fails
         import pooltrial.cli as cli
         import pooltrial.diagnostics as diagnostics
 
@@ -420,7 +421,8 @@ class TestBadPaths:
             monkeypatch.setattr(module, name, lambda *args, **kw: calls.append(args))
         blocker = tmp_path / "taken"
         blocker.write_text("kept\n")
-        out = blocker / "out" if under_file else blocker
+        monkeypatch.chdir(tmp_path)
+        out = {"file": blocker, "under_file": blocker / "out", "empty": ""}[target]
         assert main([*command, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot create output directory {out}: "), err
@@ -635,6 +637,18 @@ class TestEstimateRejectsBadInput:
         assert code == 1
         assert len(lines) == 1 and lines[0].startswith(f"error: {path}: "), lines
         assert not (tmp_path / "e" / "estimate.json").exists()
+
+    def test_realised_action_probability_exits_1(self, sim_dir, tmp_path, capsys):
+        # a file in the earlier format: action_prob held the realised
+        # action's probability, which differs from p1 wherever an action is 0
+        config = manifest_config(sim_dir)
+        realised_format(TrajectorySet.load(sim_dir, config)).save(sim_dir)
+        code = main(["estimate", "--in", str(sim_dir), "--out", str(tmp_path / "e")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: stored action_prob of user "), err
+        assert "does not match its replay" in err
+        assert not (tmp_path / "e").exists()
 
     def test_tampered_action_prob_exits_1(self, sim_dir, tmp_path):
         path = sim_dir / "trajectories.csv"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import repr_csv_oracle
+from oracles import realised_format, repr_csv_oracle
 
 from pooltrial import (
     EnvConfig,
@@ -334,6 +334,15 @@ class TestLoadIntegrity:
         with pytest.raises(DataIntegrityError, match="user 0 at t=4"):
             self.load(saved, small_trajset)
 
+    def test_realised_action_probability_rejected(self, small_trajset, tmp_path):
+        # the earlier column, the realised action's probability, differs from
+        # p1 at the first row whose action is 0 and whose p1 is not 0.5
+        old = realised_format(small_trajset)
+        i, t = np.argwhere(old.action_probs != small_trajset.action_probs)[0]
+        old.save(tmp_path)
+        with pytest.raises(DataIntegrityError, match=f"user {i} at t={t + 1} "):
+            self.load(tmp_path, small_trajset)
+
     def test_order_of_rows_is_free(self, saved, small_trajset):
         _edit_csv(saved, lambda h, rows: rows[::-1])
         loaded = self.load(saved, small_trajset)
@@ -366,17 +375,17 @@ KINDS = {
 
 
 class TestOnePolicySweep:
-    """``TrajectorySet.policy_pre`` is a trajectory's one policy sweep: the
-    load's replay check and the weight gradients both read it."""
+    """A trajectory's policy is swept once after the simulation, by the load's
+    replay check; the weight gradients read the stored action-1 probability
+    and sweep nothing."""
 
     @pytest.fixture()
-    def whole_sweeps(self, monkeypatch):
-        """The policy_path calls over all T decision times, through any module."""
+    def sweeps(self, monkeypatch):
+        """The policy_path calls through any module, as their column counts."""
         calls = []
 
         def spy(spec, states, beta_hats):
-            if np.shape(states)[-2] == MIRROR.horizon_T:
-                calls.append(spec)
+            calls.append(np.shape(states)[-2])
             return policy_path(spec, states, beta_hats)
 
         for name, module in list(sys.modules.items()):
@@ -384,15 +393,27 @@ class TestOnePolicySweep:
                 monkeypatch.setattr(module, "policy_path", spy)
         return calls
 
-    def test_load_and_estimate_sweep_once(self, tmp_path, whole_sweeps):
+    def test_load_and_estimate_sweep_once(self, tmp_path, sweeps):
         ts = run_trial(MIRROR, SeedPlan(7, 0))
+        assert sweeps == [1] * MIRROR.horizon_T  # the step loop's columns
         ts.save(tmp_path)
-        assert whole_sweeps == []  # the step loop evaluates one column per call
+        sweeps.clear()
         loaded = TrajectorySet.load(tmp_path, MIRROR)
         est = fit_theta(loaded)
         variance_report(loaded, est, which="both")
         invariance_norms(loaded, est)
-        assert whole_sweeps == [MIRROR.policy]
+        assert sweeps == [MIRROR.horizon_T]
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_simulated_batch_estimates_without_a_sweep(self, kind, sweeps):
+        config = MIRROR.replace(policy=KINDS[kind])
+        batch, errors = run_trials(config, [SeedPlan(7, rep) for rep in range(3)])
+        assert errors == [None] * 3
+        sweeps.clear()
+        est = fit_theta(batch)
+        variance_report(batch, est, which="both")
+        invariance_norms(batch, est)
+        assert sweeps == []
 
     def test_loaded_weight_products_bit_identical(self, tmp_path):
         ts = run_trial(MIRROR, SeedPlan(7, 1))
@@ -400,16 +421,11 @@ class TestOnePolicySweep:
         loaded = TrajectorySet.load(tmp_path, MIRROR)
         assert weight_products(loaded).tobytes() == weight_products(ts).tobytes()
 
-    def test_cached_sweep_is_read_only(self):
-        ts = run_trial(MIRROR, SeedPlan(7, 2))
-        with pytest.raises(ValueError):
-            ts.policy_pre[..., 0] = 0.0
-
     def test_sweep_peak_memory(self):
-        # a fresh Boltzmann batch of the cell_n50_T50 shape: the sweep's traced
-        # peak is ~2.56 (R n T) float buffers (beta1' s, its rho multiple, then
-        # expit's output and the time-1 concatenate); writing expit into a
-        # pre allocated before beta1' s makes it ~3.56
+        # the load check's replay of a Boltzmann batch of the cell_n50_T50
+        # shape: its traced peak is ~2.56 (R n T) float buffers (beta1' s, its
+        # rho multiple, then expit's output and the time-1 concatenate), and
+        # the clip runs in place; a clip into a new array makes it ~3.56
         R, n, T = 10, 50, 50
         config = TrialConfig(
             n_users=n, horizon_T=T, master_seed=3,
@@ -419,7 +435,7 @@ class TestOnePolicySweep:
         assert errors == [None] * R
         tracemalloc.start()
         try:
-            batch.policy_pre
+            replay_action_probs(batch)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -429,11 +445,12 @@ class TestOnePolicySweep:
     def test_batch_rows_sweep_to_their_own_path(self, kind):
         config = MIRROR.replace(policy=KINDS[kind])
         batch, _ = run_trials(config, [SeedPlan(7, rep) for rep in range(3)])
+        replayed = replay_action_probs(batch)
         for r in range(3):
             row = batch[r]
-            want = policy_path(config.policy, row.states, row.beta_hats)
-            assert row.policy_pre.tobytes() == want.tobytes()
-            assert batch.policy_pre[r].tobytes() == want.tobytes()
+            want = replay_action_probs(row)
+            assert replayed[r].tobytes() == want.tobytes()
+            assert row.action_probs.tobytes() == want.tobytes()
 
 
 def _csv_pair(tmp_path, header, columns):

@@ -10,7 +10,11 @@ change the last bits of the policy fits, the action probabilities, theta-hat
 and the condition numbers; the BLAS thread count does not
 (``tests/test_simulator.py`` runs one batch at 1 and 2 threads).
 ``CSV_DIGESTS`` pins the bytes that ``TrajectorySet.save`` writes for two of
-the same trials.  ``TRIAL_ABORTS``
+the same trials.  The ``action_probs`` and ``trajectories.csv`` digests were
+re-recorded when trajectories began to store the action-1 probability in
+place of the realised action's: ``realized_from_p1`` of each new array has
+the old digest, and the constant_uniform entries (p1 = 0.5) kept theirs.
+``TRIAL_ABORTS``
 and ``ESTIMATION_ABORTS`` pin the error class, decision time and condition
 number that degenerate trials and estimation inputs raise, to the same bits.
 ``COMMAND_DIGESTS`` pins the bytes of ``check.json`` from every ``check``
@@ -59,42 +63,42 @@ DIGESTS = {
         "ae25171b1bf492863e5128ce779e37478da09e101502f6985d89591838205a17",
         "122fcf755d6d3d2b7e689dac1354ca580754adf93700239df26382dc822d2659",
         "6bd92847f967dd07253bb8c0b0b171e07145a1ca3cd2c1151033077b7a073f31",
-        "e73f327344593aae8b9f9719366dddba16518278c6e95155ec641fb39c181324",
+        "d6b99e51e30a7a96b13df3122e0921704a21252eea8d808bd873582d8171ddf6",
         "0746517905a0dbda4f6010e93c4ac013d33d9c2d0061b92eb5dbdf14af463d33",
     ),
     ("boltzmann", 15): (
         "df1759cc94e9aae65396a6cafb35c381953af74b8a89e90acc7fd9064074eae4",
         "23130845c4b4060b5dd38e0aadf7bdff0a20692ee4eda31c869098f96a59606a",
         "a29e1a85bbec8535970f865d1afe59a32fd80510814d36c7672926084a9d3880",
-        "73d6fecc50f4f717b5ba290c840768a0d98425e99585343e440d5b67b868896f",
+        "12d096b18e91f867a09b7c124ff83d71da93ced0090868e0fd278768a12e21ac",
         "9a103aec1e8c408680ddff65fbede3335ab82c681309d234e70760ff47acf365",
     ),
     ("mirror_scalar", 6): (
         "0d30c9b9e228afc06cee36bc9afd5186f371410e63e4cc437dc68ecf19dea41d",
         "139ba1d613d40868d97aefe2825a69633bd96129c6878ca6a1352117804bc362",
         "3637598fe40382a572f6c23206c347bfa5ecf40dfd3ce20ba58a4ccb392e737a",
-        "4734bc791a63c4794e890424a188c955d9682d6d18fc8d2037566528696e7887",
+        "43ba9b351886a38671b94ff9dbf2d1ed86ff0debe332965f1eeca71b03adb078",
         "75829648a62ffdae17bb58d28b5891ae90cfba362ad51c87a190207fb3adcdcc",
     ),
     ("mirror_scalar", 15): (
         "249221965efdec83ff1bff6a95a60a7e89dbfe70824503e5d751f6e2edb22449",
         "99570607db051a1375fb7cda89fcd86f4f933403f232ca522d1d0f870b032ebe",
         "c4baaebd396dfde9b1f094c47abdd460397e231b5e6aa71c212e1985d55f1d9a",
-        "4f711128dfc00837675d8ea47264ea68bde57d7f74dc84a4f9477b4a7bc85336",
+        "8e0a1220c8c33ce1b24fe78e14bbcfd5901a8c3891be8128b656e1d88460b0f6",
         "2041c6bb9e0721411e967d742877df72f4a31a4fc8244cc81668a2f98875b198",
     ),
     ("mirror_sequence", 6): (
         "0d30c9b9e228afc06cee36bc9afd5186f371410e63e4cc437dc68ecf19dea41d",
         "139ba1d613d40868d97aefe2825a69633bd96129c6878ca6a1352117804bc362",
         "3637598fe40382a572f6c23206c347bfa5ecf40dfd3ce20ba58a4ccb392e737a",
-        "24545fae0c102af8b14264446152ecca394999472189946046b74ae387981004",
+        "bff8b1e7f612b6671d5f3b3b15b6eafa9b14e4a526a09aad47ba6fa2b946a7e1",
         "75829648a62ffdae17bb58d28b5891ae90cfba362ad51c87a190207fb3adcdcc",
     ),
     ("mirror_sequence", 15): (
         "494fa1c183feb43e9a4f4430ff9696498dcab9ac04f85a075b55aa4f17682374",
         "b5ed8427a454fe3cb32f299e8820b0347857951a63e98b6cdfb785256ca9a2de",
         "db3eba5ae5b9aa58496669856d037e2c28264fd27315c1cba242fb055ce15be8",
-        "17324820034e8521e2aa3240cf42b3bf0c1607203a357606d39757ef57a64807",
+        "ec2d3a891839a1b83900892479be8a72bfb05ddf5c1b4d53056441845afa86ce",
         "c268944c4e4ab9412643eb5f83a669a672d41878a4bd4d04697b1ff74767a220",
     ),
     ("constant_uniform", 6): (
@@ -115,14 +119,14 @@ DIGESTS = {
         "cacce830c17950b8218346d0ca8b96ad5d69b4924cc64903b74126881e668cf7",
         "b3de91a2a131f2a4ac83f311653fa85c48fc89581e80ce8c161daaff36fe3ed8",
         "4b0d2b3ea0296f6ac7750ccd2d91797300dbc69261dd4a2d4aa32a129d56a34b",
-        "4fc4292ad235ec6dda2276fec99d3165f1380c3c7fb260971a54a1a680b4dc30",
+        "835ef01e8fac81bac97e7ba69cb6983ff1e5625882cb243bf77b919221daad5a",
         "2515ed71277a6e4a787d431b634a5daad1d82eb3a5cf2fd88829ca2ecea89e1e",
     ),
     ("mirror_state_dim1", 15): (
         "9c6073a316508c38b31628d5becf1763b0fb66b3a8dadf07b1e9f01bc134f878",
         "7c51809f81b50675b51a8e136534056ea21e3cedf42412723e501fc1ce8fa008",
         "05eb77c7dd111c509dbeb5a889599f0a1543d9b310a6584bae5cd0c5df3b0343",
-        "5ce454efbc167ef1b1688b89b778c6aad5657879e7ce64dfbcace6dc14a92ea0",
+        "fa0846f087d2760459b0dce4aa5295994ad3274a1bf464861208be6057fd3bd1",
         "be115ca18d51ba5643f9bbb1cb5f8aae9b7473213b7281daaa2df998828a7e7e",
     ),
 }
@@ -130,11 +134,11 @@ DIGESTS = {
 
 CSV_DIGESTS = {
     ("boltzmann", 6): (
-        "2185e4ec90680e7a4c3e774c74d3af8b355175f440c1d495ffef4397b90264ac",
+        "27b1d43d562e508909c876468ee466fdf0ab51c65b309301a48982b97f801de1",
         "18681429cc25550b5be206321cb354767e18aaef743f07dc5e0e8f3ea05822e3",
     ),
     ("mirror_state_dim1", 15): (
-        "2cc2f207f6a22b73c7622ee5ca17e830ce573395a4a74e0faf9cd079d0cad3ca",
+        "9fc1e406de4452e7670999f30bd34f797b22021da582375276e875910a1ed9bb",
         "5fe2014e3cc0d3adb707833a92ce631a2398494871e250be85a86db27c02b049",
     ),
 }

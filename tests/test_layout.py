@@ -171,10 +171,11 @@ def test_clip_calls_are_found(tmp_path):
     assert [line for line, _ in _clip_calls(source)] == [2, 3, 4, 5]
 
 
-# Outside policies.py, the places that may evaluate the policy map: the one
-# sweep of a trajectory, kept on it, and the step loop's one new column a step
+# Outside policies.py, the places that may evaluate the policy map: the step
+# loop's one new column a step, and the one whole-trajectory sweep, the replay
+# that a load checks the stored probabilities against
 SWEEP_CALLERS = {
-    ("core.py", "TrajectorySet.policy_pre"),
+    ("simulator.py", "replay_action_probs"),
     ("simulator.py", "run_trials/loop"),
 }
 
@@ -201,14 +202,14 @@ def _policy_path_uses(path):
     "path", [p for p in PACKAGE if p.name != "policies.py"], ids=lambda p: p.name
 )
 def test_policy_sweeps_go_through_the_trajectory(path):
-    """A whole-trajectory policy evaluation reads ``TrajectorySet.policy_pre``,
-    computed once per trajectory; only the simulator's step loop calls
-    ``policy_path`` besides it."""
+    """A whole-trajectory policy evaluation happens only in
+    ``simulator.replay_action_probs``; only the simulator's step loop calls
+    ``policy_path`` besides it (estimation reads the stored probabilities)."""
     uses = [
         (line, scope) for line, scope in _policy_path_uses(path)
         if (path.name, scope) not in SWEEP_CALLERS
     ]
-    assert not uses, f"{path.name} calls policy_path outside the shared sweep: {uses}"
+    assert not uses, f"{path.name} calls policy_path outside the replay: {uses}"
 
 
 def test_policy_path_uses_are_found(tmp_path):
@@ -220,10 +221,13 @@ def test_policy_path_uses_are_found(tmp_path):
         "    for t in range(3):\n"
         "        while True:\n"
         "            f = policies.policy_path\n"
+        "def replay_action_probs(ts):\n"
+        "    return [policy_path(s) for s in ts]\n"
         "class TrajectorySet:\n"
-        "    def policy_pre(self):\n"
-        "        return [policy_path(s) for s in self]\n"
+        "    def weights(self):\n"
+        "        return policy_path(self)\n"
     )
     assert list(_policy_path_uses(source)) == [
-        (3, "run_trials"), (6, "run_trials/loop"), (9, "TrajectorySet.policy_pre"),
+        (3, "run_trials"), (6, "run_trials/loop"), (8, "replay_action_probs"),
+        (11, "TrajectorySet.weights"),
     ]

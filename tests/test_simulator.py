@@ -20,7 +20,7 @@ from pooltrial import (
 )
 from pooltrial.errors import ConfigError, DegenerateDesignError, NumericalError
 from pooltrial.estimators import conditioning_errors, psi_matrix
-from pooltrial.policies import clip_prob, policy_path
+from pooltrial.policies import clip_prob, policy_path, realized_from_p1
 from pooltrial.simulator import replay_action_probs, run_trials
 
 from oracles import (
@@ -309,25 +309,29 @@ class TestRefitGrams:
 
 
 class TestStepLoopCalls:
-    """What the step loop calls: the policy once per step, and the realised
-    probabilities once for the whole batch, after the loop."""
+    """What the step loop calls: the policy once per step, clipped straight
+    into the stored action_probs, which are the batch's one realisation of
+    its probabilities; no pass after the loop rewrites them."""
 
     @pytest.mark.parametrize("frozen", [False, True])
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_one_realisation_per_batch(self, kind, frozen, monkeypatch):
+        import pooltrial.policies as policies
+
         calls = {"policy_path": 0, "realized_from_p1": 0}
 
-        def counted(name):
-            real = getattr(simulator, name)
+        def counted(module, name):
+            real = getattr(module, name)
 
             def spy(*args, **kwargs):
                 calls[name] += 1
                 return real(*args, **kwargs)
 
-            return spy
+            monkeypatch.setattr(module, name, spy)
 
-        for name in calls:
-            monkeypatch.setattr(simulator, name, counted(name))
+        counted(simulator, "policy_path")
+        counted(policies, "realized_from_p1")
+        assert not hasattr(simulator, "realized_from_p1")
         T = 7
         config = TrialConfig(
             n_users=37, horizon_T=T, master_seed=29,
@@ -338,39 +342,9 @@ class TestStepLoopCalls:
             config, [SeedPlan(29, rep) for rep in range(3)], frozen_betas=betas
         )
         assert errors == [None] * 3
-        assert calls == {"policy_path": T, "realized_from_p1": 1}
-        # the hoisted realisation is the one a replay recomputes
+        assert calls == {"policy_path": T, "realized_from_p1": 0}
+        # the stored probabilities are the ones a replay recomputes
         assert np.array_equal(replay_action_probs(batch), batch.action_probs)
-
-
-class TestBlockedRealisation:
-    """The post-loop realisation, in blocks of whole decision times, has the
-    bits of one call over the whole batch."""
-
-    @pytest.mark.parametrize("kind", sorted(KINDS))
-    def test_blocks_match_one_call(self, kind, monkeypatch):
-        T, n, reps = 7, 37, 3
-        # 2 decision times per block: 4 blocks, the last one short
-        monkeypatch.setattr(simulator, "REALIZE_BLOCK", 2 * reps * n + 1)
-        real = simulator.realized_from_p1
-        blocks = []
-
-        def spy(p1, action, pi_min):
-            blocks.append((p1.copy(), action.copy()))
-            return real(p1, action, pi_min)
-
-        monkeypatch.setattr(simulator, "realized_from_p1", spy)
-        config = TrialConfig(
-            n_users=n, horizon_T=T, master_seed=31,
-            policy=PolicySpec(**KINDS[kind]), env=EnvConfig(kappa1=2.0),
-        )
-        batch, errors = run_trials(config, [SeedPlan(31, rep) for rep in range(reps)])
-        assert errors == [None] * reps
-        assert [b[0].shape for b in blocks] == [(reps, k, n) for k in (2, 2, 2, 1)]
-        p1, actions = (np.concatenate(arrays, axis=1) for arrays in zip(*blocks))
-        one_call = real(p1, actions, config.policy.pi_min).swapaxes(1, 2)
-        assert batch.action_probs.tobytes() == np.ascontiguousarray(one_call).tobytes()
-        assert replay_action_probs(batch).tobytes() == batch.action_probs.tobytes()
 
 
 def test_run_trial_peak_memory():
@@ -496,7 +470,9 @@ class TestWeightedWlln:
             env=EnvConfig(kappa1=1.0),
         )
         frozen = target_policy_oracle(config, 20_000)
-        weights = 1.0 / np.prod(frozen.action_probs[:, 1:], axis=1)
+        pi_min = config.policy.pi_min
+        realised = realized_from_p1(frozen.action_probs, frozen.actions, pi_min)
+        weights = 1.0 / np.prod(realised[:, 1:], axis=1)
         assert np.mean(weights) == pytest.approx(2 ** (config.horizon_T - 1), rel=0.02)
 
     def test_weighted_mean_matches_target_policy(self):

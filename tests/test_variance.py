@@ -25,8 +25,9 @@ from oracles import (
     dense_stacked_oracle,
     full_width_adaptive,
     full_width_invariance_norms,
+    full_width_weight_products,
     policy_path_at,
-    prob_realized,
+    prob_action1,
     weight_product_at,
 )
 
@@ -50,9 +51,7 @@ def hand_instance():
     beta_hats = np.array([[0.1, 0.3]])
     probs = np.empty((2, 2))
     probs[:, 0] = 0.5
-    probs[:, 1] = prob_realized(
-        config.policy, beta_hats[0], states[:, 1], actions[:, 1]
-    )
+    probs[:, 1] = prob_action1(config.policy, beta_hats[0], states[:, 1])
     return TrajectorySet(
         states=states,
         actions=actions,
@@ -103,8 +102,10 @@ class TestWeights:
             small_trajset.beta_hats,
             betas,
         )
-        num = realized_from_p1(clip_prob(pre, pmin), small_trajset.actions, pmin)
-        ratio = num[:, 1:] / small_trajset.action_probs[:, 1:]
+        actions = small_trajset.actions
+        num = realized_from_p1(clip_prob(pre, pmin), actions, pmin)
+        den = realized_from_p1(small_trajset.action_probs, actions, pmin)
+        ratio = num[:, 1:] / den[:, 1:]
         assert np.all(ratio >= lo - 1e-12)
         assert np.all(ratio <= hi + 1e-12)
 
@@ -508,9 +509,35 @@ def beta1_half_forms(ts, est):
     return result.cov, m_blocks(result)
 
 
+# Designs with most stored probabilities on the clip, and some inside it
+CLIPPED_DESIGNS = {
+    "boltzmann_rho20": dict(kind="boltzmann", rho=20.0, pi_min=0.2),
+    "mirror_eta3": dict(kind="mirror_descent", eta=3.0, pi_min=0.05),
+}
+
+
 class TestFullWidthReference:
     """The beta1-half forms equal, bit for bit, the recursion and norms over
     gradients that store their zero beta0 half."""
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["single", "batched"])
+    @pytest.mark.parametrize("state_dim", [1, 2])
+    @pytest.mark.parametrize("design", sorted(CLIPPED_DESIGNS))
+    def test_weight_products_match_the_sweep(self, design, state_dim, batched):
+        # slopes from the stored p1 against slopes from a fresh policy sweep:
+        # a value is live exactly where its clip leaves it unchanged
+        config = TrialConfig(
+            n_users=50, horizon_T=12, state_dim=state_dim, master_seed=47,
+            policy=PolicySpec(**CLIPPED_DESIGNS[design]), env=EnvConfig(kappa1=2.0),
+        )
+        batch, errors = run_trials(config, [SeedPlan(47, r) for r in range(3)])
+        assert errors == [None] * 3
+        pi_min = config.policy.pi_min
+        on_clip = np.isin(batch.action_probs[..., 1:], (pi_min, 1.0 - pi_min)).mean()
+        assert 0.5 < on_clip < 1.0
+        for ts in [batch] if batched else [batch[r] for r in range(3)]:
+            want = full_width_weight_products(ts)[..., state_dim:]
+            assert same_bits(weight_products(ts), want)
 
     @pytest.mark.parametrize("state_dim", [1, 2])
     @pytest.mark.parametrize(
