@@ -24,7 +24,7 @@ from .errors import DiagnosticFailure, PoolTrialError
 from .estimators import fit_theta
 from .montecarlo import ORACLE_REP_BASE, emit_table, run_grid
 from .simulator import run_trial
-from .variance import invariance_norms, variance_report
+from .variance import variance_report
 
 log = logging.getLogger("pooltrial")
 
@@ -92,11 +92,9 @@ def cmd_estimate(args) -> int:
     trajset = TrajectorySet.load(args.input, config)
     est = fit_theta(trajset)
     report = variance_report(trajset, est, alpha=args.alpha, which=args.variance)
-    norms = invariance_norms(trajset, est).tolist() if args.variance == "both" else None
     out = {
         "psi_residual_norm": est.psi_residual_norm,
         "beta_hats": np.asarray(trajset.beta_hats).tolist(),
-        "policy_invariance_norms": norms,
         **report.to_dict(),
     }
     write_json(args.out, "estimate.json", out)
@@ -147,8 +145,7 @@ def cmd_check(args) -> int:
     results = {}
     for name in SUITES if args.suite == "all" else [args.suite]:
         results[name], passed = run_suite(name, args.seed, args.reps, args.oracle_n)
-        scalars = {k: v for k, v in results[name].items() if not isinstance(v, list)}
-        log.info("%s: %s %s", name, "pass" if passed else "FAIL", scalars)
+        log.info("%s: %s %s", name, "pass" if passed else "FAIL", results[name])
         if not passed:
             failures.append(name)
 
@@ -203,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.set_defaults(func=cmd_mc)
 
     p_chk = sub.add_parser("check", help="run diagnostic suites")
-    p_chk.add_argument("--suite", choices=["clt", "invariance", "all"], default="all")
+    p_chk.add_argument("--suite", choices=["clt", "all"], default="all")
     p_chk.add_argument("--reps", type=_REPS, default=2000)
     p_chk.add_argument("--oracle-n", type=_ORACLE_N, default=100_000)
     p_chk.add_argument("--seed", type=int, default=20240601)

@@ -34,12 +34,11 @@ import json
 import os
 from dataclasses import fields
 from importlib import resources
-from numbers import Integral
 
 import yaml
 
 from .core import EnvConfig, TrialConfig
-from .errors import ConfigError, real_number
+from .errors import ConfigError, integer, real_number
 from .policies import PolicySpec
 
 # The integer TrialConfig fields and their YAML defaults; policy and env
@@ -70,9 +69,7 @@ def _integer(value, name: str) -> int:
     """An integral value (20 or 20.0) as an int; anything else is a ConfigError."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    return integer(value, name)
 
 
 def _grid_axis(grid: dict, key: str, default, convert) -> list:

@@ -14,11 +14,10 @@ import json
 import os
 import warnings
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
-from .errors import ConfigError, DataIntegrityError, real_number
+from .errors import ConfigError, DataIntegrityError, integer, real_number
 from .policies import PolicySpec
 
 # Substream labels recognised by derive_stream.  "errors" drives reward-noise
@@ -50,9 +49,11 @@ class SeedPlan:
     rep_index: int = 0
 
     def __post_init__(self):
-        if not 0 <= int(self.master_seed) < 2**64:
+        for name in ("master_seed", "rep_index"):
+            object.__setattr__(self, name, integer(getattr(self, name), name))
+        if not 0 <= self.master_seed < 2**64:
             raise ConfigError(f"master_seed must be a u64, got {self.master_seed}")
-        if int(self.rep_index) < 0:
+        if self.rep_index < 0:
             raise ConfigError(f"rep_index must be >= 0, got {self.rep_index}")
 
 
@@ -69,8 +70,8 @@ def derive_stream(plan: SeedPlan, substream_label: str) -> np.random.Generator:
             f"expected one of {STREAM_LABELS}"
         )
     seq = np.random.SeedSequence(
-        entropy=int(plan.master_seed),
-        spawn_key=(int(plan.rep_index), _LABEL_CODES[substream_label]),
+        entropy=plan.master_seed,
+        spawn_key=(plan.rep_index, _LABEL_CODES[substream_label]),
     )
     return np.random.default_rng(seq)
 
@@ -116,10 +117,8 @@ class TrialConfig:
 
     def __post_init__(self):
         for name in ("n_users", "horizon_T", "state_dim", "master_seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))  # np.int64 is not JSON
+            # np.int64 is not JSON
+            object.__setattr__(self, name, integer(getattr(self, name), name))
         if self.n_users < 2:
             raise ConfigError(f"n_users must be >= 2, got {self.n_users}")
         if self.horizon_T < 2:

@@ -45,10 +45,6 @@ def dosage_normalizer(gamma: float) -> float:
 
 
 def reward(env: EnvConfig, dosage_norm, action, eps):
-    """Exact affine reward formula; no randomness inside (eps supplied)."""
-    return (
-        env.kappa0
-        + env.kappa1 * np.asarray(dosage_norm, dtype=float)
-        + env.kappa2 * np.asarray(action, dtype=float)
-        + np.asarray(eps, dtype=float)
-    )
+    """Exact affine reward formula; no randomness inside (eps supplied).
+    The kappas are Python floats, so int8 actions promote to float64."""
+    return env.kappa0 + env.kappa1 * dosage_norm + env.kappa2 * action + eps

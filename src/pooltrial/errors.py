@@ -6,7 +6,7 @@ diagnostic-suite failures.
 """
 
 import math
-from numbers import Real
+from numbers import Integral, Real
 
 
 class PoolTrialError(Exception):
@@ -26,6 +26,13 @@ def real_number(value, name: str) -> float:
     if not math.isfinite(value):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
     return float(value)
+
+
+def integer(value, name: str) -> int:
+    """``value`` as an int if it is an integer (not a bool), else ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 class DataIntegrityError(PoolTrialError):

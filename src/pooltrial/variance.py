@@ -71,11 +71,6 @@ def weight_products(trajset) -> np.ndarray:
     )
 
 
-def _full_width(grads: np.ndarray) -> np.ndarray:
-    """``grads`` with the zero beta0 half of each block put back, (..., 2 d_S)."""
-    return np.concatenate([np.zeros_like(grads), grads], axis=-1)
-
-
 def confidence_interval(center, se, alpha: float) -> np.ndarray:
     """Normal-quantile intervals center +/- z_{1 - alpha/2} * se, elementwise:
     a (..., 2) array of (lower, upper)."""
@@ -130,7 +125,9 @@ def build_stacked_system(
     n, d_t = trajset.n_users, trajset.config.policy_dim
     blocks = est.blocks
     scores = np.concatenate(blocks.phi_mats + [blocks.psi_mat], axis=1)
-    cross = scores.T @ _full_width(grads).reshape(n, -1) / n
+    # the zero beta0 half of each gradient block put back, (n, T-1, 2 d_S)
+    full = np.concatenate([np.zeros_like(grads), grads], axis=-1)
+    cross = scores.T @ full.reshape(n, -1) / n
     dim = scores.shape[1]
     bread = np.zeros((dim, dim))
     # each row block: the gradient columns of the blocks before it, its Jacobian
@@ -194,13 +191,6 @@ def adaptive_sandwich(trajset, est: EstimationResult) -> AdaptiveResult:
         est=est,
         grads=grads,
     )
-
-
-def invariance_norms(trajset, est: EstimationResult) -> np.ndarray:
-    """Per-time ||V_hat_{T,t}||_F, (..., T-1): a policy diagnostic no sandwich reads."""
-    grads = _full_width(weight_products(trajset))
-    v_hat = np.einsum("...nk,...ntl->...tkl", est.blocks.psi_mat, grads)
-    return np.linalg.norm(v_hat / trajset.n_users, axis=(-2, -1))
 
 
 def check_equivalence(

@@ -13,12 +13,12 @@ holds the package's policy map to the paper's constant, ``lipschitz_bound``.
 A large-n run under the target policies (``target_policy_oracle``) is the
 package's simulator with its policies frozen at the fits of an adaptive
 large-n run.
-``full_width_adaptive`` and ``full_width_invariance_norms`` are the package's
-earlier variance forms, which stored the zero beta0 half of each weight
-gradient and read it in every product: the bit-for-bit reference of the
-forms that carry only the beta1 half.  ``broadcast_phi_pieces`` is the
-package's earlier phi sweep, which formed each per-user outer product by a
-broadcast multiply: the bit-for-bit reference of the einsum sweep.
+``full_width_adaptive`` is the package's earlier recursion, which stored
+the zero beta0 half of each weight gradient and read it in every product:
+the bit-for-bit reference of the recursion that carries only the beta1
+half.  ``broadcast_phi_pieces`` is the package's earlier phi sweep, which
+formed each per-user outer product by a broadcast multiply: the bit-for-bit
+reference of the einsum sweep.
 ``repr_csv_oracle`` is the package's earlier CSV writer, which called
 ``repr`` on every value one by one: the byte-for-byte reference of the
 writer that formats each distinct value of a row block once.
@@ -514,13 +514,6 @@ def full_width_adaptive(trajset, est):
         sandwich_covariance(corrected, blocks.psi_dot),
         np.linalg.solve(blocks.psi_dot, np.concatenate(gains, axis=-1)),
     )
-
-
-def full_width_invariance_norms(trajset, est) -> np.ndarray:
-    """Per-time ||V_hat_{T,t}||_F, (..., T-1), over ``full_width_weight_products``."""
-    grads = full_width_weight_products(trajset)
-    v_hat = np.einsum("...nk,...ntl->...tkl", est.blocks.psi_mat, grads)
-    return np.linalg.norm(v_hat / trajset.n_users, axis=(-2, -1))
 
 
 def broadcast_phi_pieces(trajset):

@@ -15,7 +15,6 @@ import yaml
 from pooltrial import TrajectorySet, fit_theta
 from pooltrial.cli import build_parser, main
 from pooltrial.config import load_config, manifest_config, parse_config
-from pooltrial.variance import invariance_norms
 
 from oracles import dense_stacked_oracle, realised_format
 from test_golden import MC_CONFIG
@@ -161,11 +160,11 @@ class TestEstimate:
             "se_adaptive",
             "ci_sandwich",
             "ci_adaptive",
-            "policy_invariance_norms",
             "stacked_dim",
         ):
             assert key in report
         assert "equivalence_gap" not in report
+        assert "policy_invariance_norms" not in report
         assert len(report["theta_hat"]) == 3
         assert report["stacked_dim"] == 5 * 4 + 3
         assert report["psi_residual_norm"] < 1e-8
@@ -174,23 +173,6 @@ class TestEstimate:
         ts = TrajectorySet.load(str(sim_dir), config)
         dense = dense_stacked_oracle(ts, fit_theta(ts)).cov
         assert np.abs(np.array(report["adaptive_cov"]) - dense).max() < 1e-10
-
-    @pytest.mark.parametrize("variance", ["both", "sandwich"])
-    def test_invariance_norms_key(self, variance, tiny_config_file, tmp_path):
-        sim_dir, est_dir = tmp_path / "sim", tmp_path / "est"
-        main(["simulate", "--config", tiny_config_file, "--out", str(sim_dir)])
-        code = main(["estimate", "--in", str(sim_dir), "--out", str(est_dir),
-                     "--variance", variance])
-        assert code == 0
-        report = json.loads((est_dir / "estimate.json").read_text())
-        got = report["policy_invariance_norms"]
-        if variance == "sandwich":
-            assert got is None
-            return
-        config, _, _ = load_config(tiny_config_file)
-        loaded = TrajectorySet.load(str(sim_dir), config)
-        want = invariance_norms(loaded, fit_theta(loaded))
-        assert np.array(got).tobytes() == want.tobytes()
 
     def test_seed_flag_rejected(self, tiny_config_file, tmp_path):
         # estimation draws no random numbers, so it takes no seed
@@ -349,7 +331,7 @@ class TestFlagsRejected:
         args = {
             "mc": ["--config", tiny_config_file],
             "estimate": ["--in", str(tmp_path), "--config", tiny_config_file],
-            "check": ["--suite", "invariance"],
+            "check": ["--suite", "clt"],
         }[command]
         assert main([command, *args, *flags, "--out", str(out)]) == 1
         assert not out.exists()
@@ -401,7 +383,7 @@ class TestBadPaths:
         "command",
         [
             ["simulate", "--config", "paper_table1"],
-            ["check", "--suite", "invariance", "--reps", "3"],
+            ["check", "--suite", "clt", "--reps", "3"],
             ["mc", "--config", "paper_table1", "--reps", "3"],
             ["estimate", "--in", "missing"],
         ],
@@ -447,7 +429,7 @@ class TestBadPaths:
             lambda path, mode: path != str(tmp_path) and real_access(path, mode),
         )
         out = tmp_path / "new"
-        command = ["check", "--suite", "invariance", "--reps", "3", "--out", str(out)]
+        command = ["check", "--suite", "clt", "--reps", "3", "--out", str(out)]
         assert main(command) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot create output directory {out}: "), err
@@ -461,16 +443,6 @@ class TestBadPaths:
 
 
 class TestCheck:
-    def test_invariance_suite_writes_report(self, tmp_path):
-        out = tmp_path / "chk"
-        code = main(
-            ["check", "--suite", "invariance", "--reps", "40", "--out", str(out)]
-        )
-        assert code == 0
-        report = json.loads((out / "check.json").read_text())
-        assert report["invariance"]["rho5_dominates"] is True
-        assert report["invariance"]["constant_uniform_zero"] is True
-
     def test_oracle_n_reaches_clt(self, monkeypatch, tmp_path):
         import pooltrial.diagnostics as diag
 
@@ -495,10 +467,13 @@ class TestCheck:
         assert manifest["oracle_n"] == 20000
 
     def test_removed_bernstein_suite_exits_1(self, tmp_path, capsys):
+        # the tail-bound and V_hat sensitivity suites are both gone
         out = tmp_path / "chk"
-        assert main(["check", "--suite", "bernstein", "--out", str(out)]) == 1
-        assert not out.exists()
-        assert "argument --suite: invalid choice: 'bernstein'" in capsys.readouterr().err
+        for suite in ("bernstein", "invariance"):
+            assert main(["check", "--suite", suite, "--out", str(out)]) == 1
+            assert not out.exists()
+            err = capsys.readouterr().err
+            assert f"argument --suite: invalid choice: '{suite}'" in err
 
     def test_suite_choices_are_the_diagnostics_suites(self):
         from pooltrial.diagnostics import SUITES
@@ -512,17 +487,16 @@ class TestCheck:
     def test_failure_exits_3(self, monkeypatch, tmp_path):
         import pooltrial.diagnostics as diag
 
-        def fake_scan(labeled, reps):
-            T = 10
-            return {
-                "rho=5": np.zeros(T - 1),
-                "rho=0.5": np.ones(T - 1),
-                "constant_uniform": np.zeros(T - 1),
-            }
+        def fake_check(config, reps, theta_star):
+            return {"reps": reps, "passed": False}
 
-        monkeypatch.setattr(diag, "invariance_scan", fake_scan)
-        code = main(["check", "--suite", "invariance", "--reps", "5"])
+        monkeypatch.setattr(diag, "averaged_theta_star", lambda *args: np.zeros(3))
+        monkeypatch.setattr(diag, "clt_check", fake_check)
+        out = tmp_path / "chk"
+        code = main(["check", "--suite", "clt", "--reps", "5", "--out", str(out)])
         assert code == 3
+        report = json.loads((out / "check.json").read_text())
+        assert report == {"clt": {"reps": 5, "passed": False}}
 
     def test_every_suite_is_a_choice(self, monkeypatch):
         import pooltrial.diagnostics as diag

@@ -24,7 +24,6 @@ from pooltrial.core import write_csv
 from pooltrial.errors import ConfigError, DataIntegrityError
 from pooltrial.policies import policy_path
 from pooltrial.simulator import replay_action_probs, run_trials
-from pooltrial.variance import invariance_norms
 
 FIELDS = ("states", "actions", "rewards", "action_probs", "beta_hats")
 
@@ -254,10 +253,18 @@ class TestTrajectorySet:
         assert peak < 16 * n * T * 8
 
     def test_seed_plan_validation(self):
-        with pytest.raises(ConfigError):
-            SeedPlan(-1, 0)
-        with pytest.raises(ConfigError):
-            SeedPlan(1, -3)
+        # out of range, or not an integer (a bool or float is not one)
+        bad = [(-1, 0), (1, -3), (2**64, 0), (0, 1.5), (0, True), (0.9, 1),
+               (0, 1.0), (False, 1), ("3", 1), (0, None)]
+        for seed, rep in bad:
+            with pytest.raises(ConfigError, match="must be"):
+                SeedPlan(seed, rep)
+        plan = SeedPlan(np.int64(3), np.int64(1))
+        assert type(plan.master_seed) is int and type(plan.rep_index) is int
+        assert plan == SeedPlan(3, 1)
+        for label in core.STREAM_LABELS:
+            want = derive_stream(SeedPlan(3, 1), label).random(4)
+            assert derive_stream(plan, label).random(4).tobytes() == want.tobytes()
 
 
 def _edit_csv(directory, edit):
@@ -401,7 +408,6 @@ class TestOnePolicySweep:
         loaded = TrajectorySet.load(tmp_path, MIRROR)
         est = fit_theta(loaded)
         variance_report(loaded, est, which="both")
-        invariance_norms(loaded, est)
         assert sweeps == [MIRROR.horizon_T]
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -412,7 +418,6 @@ class TestOnePolicySweep:
         sweeps.clear()
         est = fit_theta(batch)
         variance_report(batch, est, which="both")
-        invariance_norms(batch, est)
         assert sweeps == []
 
     def test_loaded_weight_products_bit_identical(self, tmp_path):

@@ -21,7 +21,7 @@ number that degenerate trials and estimation inputs raise, to the same bits.
 suite, of the coverage tables ``mc`` writes for a grid of two (kappa1,
 rho) families at two sample sizes, and of the ``estimate.json`` that
 ``estimate --variance both`` writes for one mirror-descent trial with a
-per-time eta (its adaptive covariance and V_hat norms).
+per-time eta (its adaptive covariance).
 """
 
 import hashlib
@@ -299,13 +299,16 @@ def test_degenerate_estimation_outcomes(name):
 # moved the last bits of theta-hat and of the statistics read from it;
 # table.csv kept its bytes.  check.json was re-recorded again when the
 # bernstein entry was removed (the tail-bound suite is gone); its clt and
-# invariance entries kept their values
+# invariance entries kept their values.  check.json and estimate.json were
+# re-recorded when the V_hat sensitivity diagnostic was removed: each is the
+# earlier file with its invariance entry or policy_invariance_norms key
+# deleted, every other value kept
 COMMAND_DIGESTS = {
     "check": {
-        "check.json": "5fa830a5da2b743032b62d843fc181bee3268b0540564c0ba30c4afeb8e95728",
+        "check.json": "6c9df303ba75fc5e4bd2a55fd829818fe8ca7270a1d9d82f6407937a6f8e44bc",
     },
     "estimate": {
-        "estimate.json": "113303a196df51e95955f3fda1eebb81efbe712cc07de44a8c9932e3a80d052d",
+        "estimate.json": "1006ab2beea7439a6ca8df5d0dec2b232800784ee286eacfe42fee6cc7926ac7",
     },
     "mc": {
         "table.csv": "9139073bd64ddcc9bb9e97b6847ecf8cb5793ed03f532980330d922fca215ec7",
