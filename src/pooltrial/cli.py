@@ -47,14 +47,20 @@ def _checked(cast, ok, rule):
 _REPS = _checked(int, lambda v: 1 <= v <= ORACLE_REP_BASE, f"in [1, {ORACLE_REP_BASE}]")
 _ORACLE_N = _checked(int, lambda v: v >= 2, ">= 2")
 _JOBS = _checked(int, lambda v: v >= 0, ">= 0 (0 = every CPU)")
-_ALPHA = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
+# at alpha <= 2**-53, 1 - alpha/2 rounds to 1.0, whose normal quantile is inf
+_ALPHA = _checked(float, lambda v: 0.0 < v < 1.0 and 1.0 - v / 2.0 < 1.0,
+                  "in (2**-53, 1)")
 
 
-def _write_manifest(out_dir: str, payload: dict) -> None:
+def _write_manifest(out_dir: str, command: str, config=None, **fields) -> None:
+    """Write out_dir/manifest.json: the versions, the command and its flags
+    (``fields``), and the resolved config with its master seed if it read one."""
+    if config is not None:
+        fields.update(config=config_to_raw(config), master_seed=config.master_seed)
     # outputs are bit-identical under the same python, numpy and scipy
     versions = {f"{m.__name__}_version": m.__version__ for m in (np, scipy)}
-    payload = {"package_version": __version__, **versions,
-               "python_version": platform.python_version(), **payload}
+    payload = {"package_version": __version__, **versions, "command": command,
+               "python_version": platform.python_version(), **fields}
     log.info("manifest written to %s", write_json(out_dir, "manifest.json", payload))
 
 
@@ -71,15 +77,7 @@ def cmd_simulate(args) -> int:
     plan = SeedPlan(config.master_seed, args.rep)
     trajset = run_trial(config, plan)
     trajset.save(args.out)
-    _write_manifest(
-        args.out,
-        {
-            "command": "simulate",
-            "config": config_to_raw(config),
-            "master_seed": config.master_seed,
-            "rep_index": args.rep,
-        },
-    )
+    _write_manifest(args.out, "simulate", config, rep_index=args.rep)
     log.info("trajectories written to %s", args.out)
     return 0
 
@@ -98,17 +96,8 @@ def cmd_estimate(args) -> int:
         **report.to_dict(),
     }
     write_json(args.out, "estimate.json", out)
-    _write_manifest(
-        args.out,
-        {
-            "command": "estimate",
-            "config": config_to_raw(config),
-            "master_seed": config.master_seed,
-            "alpha": args.alpha,
-            "variance": args.variance,
-            "input": os.path.abspath(args.input),
-        },
-    )
+    _write_manifest(args.out, "estimate", config, alpha=args.alpha,
+                    variance=args.variance, input=os.path.abspath(args.input))
     log.info("estimate written to %s", args.out)
     return 0
 
@@ -118,18 +107,8 @@ def cmd_mc(args) -> int:
     cells = run_grid(config, grid, reps=args.reps, oracle_n=args.oracle_n,
                      alpha=args.alpha, jobs=args.jobs)
     emit_table(cells, args.out)
-    _write_manifest(
-        args.out,
-        {
-            "command": "mc",
-            "config": config_to_raw(config),
-            "grid": grid,
-            "master_seed": config.master_seed,
-            "reps": args.reps,
-            "oracle_n": args.oracle_n,
-            "alpha": args.alpha,
-        },
-    )
+    _write_manifest(args.out, "mc", config, grid=grid, reps=args.reps,
+                    oracle_n=args.oracle_n, alpha=args.alpha)
     log.info("coverage table written to %s", args.out)
     if any(c.unhealthy for c in cells):
         log.warning("one or more cells exceeded the 1%% abort budget")
@@ -151,16 +130,8 @@ def cmd_check(args) -> int:
 
     if args.out:
         write_json(args.out, "check.json", results)
-        _write_manifest(
-            args.out,
-            {
-                "command": "check",
-                "suite": args.suite,
-                "reps": args.reps,
-                "oracle_n": args.oracle_n,
-                "master_seed": args.seed,
-            },
-        )
+        _write_manifest(args.out, "check", suite=args.suite, reps=args.reps,
+                        oracle_n=args.oracle_n, master_seed=args.seed)
     if failures:
         raise DiagnosticFailure(f"diagnostic suite(s) failed: {failures}")
     return 0

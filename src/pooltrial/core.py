@@ -171,8 +171,12 @@ class TrajectorySet:
     time t+1 (0-based storage for 1-based decision times; 0.5 at time 1),
     whichever action was taken.  ``beta_hats[t-1]`` is the pooled
     least-squares fit on data through decision time t; the policy at decision
-    time t+1 was evaluated with it.  Shapes are checked on the trailing axes;
-    ``ts[r]`` is replication r of a batch, as read-only views.
+    time t+1 was evaluated with it.  ``ts[r]`` is replication r of a batch,
+    as read-only views.  Construction, whoever built the arrays, checks the
+    trailing-axis shapes, finite states, rewards and beta_hats, 0/1 actions
+    (stored as int8) and action_probs in the clip range.  Only ``load``
+    replays the policy: a replay here would cost a policy sweep per
+    simulated batch, which the simulator does not need.
     """
 
     states: np.ndarray        # (..., n, T, d_S)
@@ -199,6 +203,9 @@ class TrajectorySet:
                 # min and max carry a NaN or an inf out, with no temporary array
                 if not -np.inf < arr.min() <= arr.max() < np.inf:
                     raise DataIntegrityError(f"{name} holds a non-finite value")
+            # two comparisons, ~20x faster than np.isin on int8; a NaN fails both
+            if not ((self.actions == 0) | (self.actions == 1)).all():
+                raise DataIntegrityError("actions must be 0 or 1")
             pmin = self.config.policy.pi_min
             lo, hi = self.action_probs.min(), self.action_probs.max()
             # a positive test, so that a NaN (which compares False) fails it
@@ -206,6 +213,7 @@ class TrajectorySet:
                 raise DataIntegrityError(
                     f"action_probs outside [{pmin}, {1 - pmin}]: range ({lo}, {hi})"
                 )
+        object.__setattr__(self, "actions", self.actions.astype(np.int8, copy=False))
         for name in _ARRAYS:
             object.__setattr__(self, name, _freeze(getattr(self, name)))
 
@@ -258,10 +266,10 @@ class TrajectorySet:
         """Read a trajectory directory written by ``save``.
 
         Every (user, t) row of the configured n_users x horizon_T grid must
-        appear exactly once, actions must be 0 or 1, and each stored
-        action_prob must match its replay, the action-1 probability of the
-        policy map at the stored states and beta_hats, within PROB_TOL; any
-        other input raises DataIntegrityError.
+        appear exactly once, the values must pass the constructor's checks,
+        and each stored action_prob must match its replay, the action-1
+        probability of the policy map at the stored states and beta_hats,
+        within PROB_TOL; any other input raises DataIntegrityError.
         """
         from .simulator import replay_action_probs
 
@@ -278,9 +286,6 @@ class TrajectorySet:
                 f"trajectories.csv must hold each (user, t) in 0..{n - 1} x "
                 f"1..{T} exactly once; got {len(rows)} rows"
             )
-        actions = rows[:, 2 + d_S].reshape(n, T)
-        if not np.isin(actions, (0.0, 1.0)).all():
-            raise DataIntegrityError("actions must be 0 or 1")
         beta_rows = _read_rows(
             os.path.join(in_dir, "beta_hats.csv"), 1 + config.policy_dim
         )
@@ -291,7 +296,7 @@ class TrajectorySet:
             )
         trajset = cls(
             states=rows[:, 2 : 2 + d_S].reshape(n, T, d_S),
-            actions=actions.astype(np.int8),
+            actions=rows[:, 2 + d_S].reshape(n, T),
             rewards=rows[:, 3 + d_S].reshape(n, T),
             action_probs=rows[:, 4 + d_S].reshape(n, T),
             beta_hats=beta_rows[:, 1:],
@@ -309,9 +314,9 @@ class TrajectorySet:
 
 
 def write_csv(path, header, columns) -> None:
-    """Write ``columns`` (equal-length numpy arrays or sequences of Python
-    numbers) under ``header``, each value by the repr of its Python number:
-    for a float, the shortest string that reads back to the same float."""
+    """Write ``columns`` (equal-length numeric numpy arrays) under ``header``,
+    each value by the repr of its Python number: for a float, the shortest
+    string that reads back to the same float."""
     lengths = {len(col) for col in columns}
     if len(header) != len(columns) or len(lengths) > 1:
         raise ValueError(f"{path}: {len(header)} header names for {len(columns)} "
@@ -325,15 +330,12 @@ def write_csv(path, header, columns) -> None:
 
 def _block_fields(block) -> list:
     """Each column of one row block as its values' reprs: one repr per
-    distinct value of a numeric numpy column, floats keyed by their bits (so
-    -0.0 is not 0.0), shared by the float64 columns; any other column's
-    (a list, as ``emit_table`` passes) are per value."""
-    arrays = [i for i, col in enumerate(block)
-              if isinstance(col, np.ndarray) and col.dtype.kind in "biuf"]
-    floats = [i for i in arrays if block[i].dtype == np.float64]
-    groups = ([floats] if floats else []) + [[i] for i in arrays if i not in floats]
-    fields = [map(repr, col) for col in block]  # kept for the other columns
-    for group in groups:
+    distinct value of a column, floats keyed by their bits (so -0.0 is not
+    0.0), shared by the float64 columns."""
+    floats = [i for i, col in enumerate(block) if col.dtype == np.float64]
+    others = [[i] for i in range(len(block)) if i not in floats]
+    fields = [None] * len(block)
+    for group in ([floats] if floats else []) + others:
         values = np.concatenate([block[i] for i in group])
         keys = values.view(f"i{values.itemsize}") if values.dtype.kind == "f" else values
         uniq, inverse = np.unique(keys, return_inverse=True)

@@ -253,5 +253,5 @@ def emit_table(cells, out_dir) -> None:
     write_csv(
         os.path.join(out_dir, "table.csv"),
         list(_TABLE_COLUMNS),
-        [[getattr(c, name) for c in ordered] for name in _TABLE_COLUMNS.values()],
+        [np.array([getattr(c, name) for c in ordered]) for name in _TABLE_COLUMNS.values()],
     )

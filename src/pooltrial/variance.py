@@ -77,9 +77,10 @@ def confidence_interval(center, se, alpha: float) -> np.ndarray:
     se = np.asarray(se, dtype=float)
     if not (se >= 0).all():  # a NaN se fails too
         raise ValueError(f"se must be >= 0, got {se}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0,1), got {alpha}")
     z = ndtri(1.0 - alpha / 2.0)
+    # alpha <= 2**-53 rounds 1 - alpha/2 to 1.0, whose quantile is inf
+    if not (0.0 < alpha < 1.0 and np.isfinite(z)):
+        raise ValueError(f"alpha must be in (2**-53, 1), got {alpha}")
     return np.stack([center - z * se, center + z * se], axis=-1)
 
 

@@ -46,7 +46,7 @@ from pooltrial import (
 )
 from pooltrial.diagnostics import clt_check
 from pooltrial.estimators import psi_matrix
-from pooltrial.montecarlo import ORACLE_REP_BASE, CoverageCell, run_replication
+from pooltrial.montecarlo import ORACLE_REP_BASE, CoverageCell, replicate
 from pooltrial.variance import check_equivalence, weight_products
 
 from oracles import lipschitz_scan, phi_matrix, weight_product_at
@@ -268,19 +268,15 @@ class TestCriterion04PolicyInvariance:
         theta_star = estimate_theta_star(
             config, ORACLE_N, SeedPlan(MASTER_SEED, ORACLE_REP_BASE)
         )
-        worst_rel = 0.0
-        cover_s = cover_a = 0
-        for r in range(REPS):
-            res = run_replication(config, SeedPlan(MASTER_SEED, r))
-            rel = np.abs(res.adaptive_cov - res.sandwich_cov).max() / np.abs(
-                res.sandwich_cov
-            ).max()
-            worst_rel = max(worst_rel, rel)
-            lo_s, hi_s = res.ci_sandwich[-1]
-            lo_a, hi_a = res.ci_adaptive[-1]
-            cover_s += lo_s <= theta_star[-1] <= hi_s
-            cover_a += lo_a <= theta_star[-1] <= hi_a
-        cov_s, cov_a = cover_s / REPS, cover_a / REPS
+        # replications 0..REPS-1 on the plans SeedPlan(MASTER_SEED, r)
+        report, errors = replicate(config, REPS)
+        assert errors == [None] * REPS  # no replication aborted
+        gap = np.abs(report.adaptive_cov - report.sandwich_cov).max(axis=(1, 2))
+        worst_rel = (gap / np.abs(report.sandwich_cov).max(axis=(1, 2))).max()
+        cov_s, cov_a = (
+            ((ci[:, -1, 0] <= theta_star[-1]) & (theta_star[-1] <= ci[:, -1, 1])).mean()
+            for ci in (report.ci_sandwich, report.ci_adaptive)
+        )
         ok_eq = worst_rel < 1e-10
         ok_band = 0.93 <= cov_s <= 0.97 and 0.93 <= cov_a <= 0.97
         record(

@@ -15,6 +15,7 @@ import yaml
 from pooltrial import TrajectorySet, fit_theta
 from pooltrial.cli import build_parser, main
 from pooltrial.config import load_config, manifest_config, parse_config
+from pooltrial.errors import PoolTrialError
 
 from oracles import dense_stacked_oracle, realised_format
 from test_golden import MC_CONFIG
@@ -308,6 +309,56 @@ class TestMc:
         }
 
 
+# config_to_raw of TINY_CONFIG, every default filled in, at master seed 9
+TINY_RAW = {
+    "trial": {"n_users": 40, "horizon_T": 6, "state_dim": 2, "master_seed": 9},
+    "policy": {"kind": "boltzmann", "rho": 2.0, "pi_min": 0.1, "eta": None},
+    "env": {"kappa0": 0.0, "kappa1": 2.0, "kappa2": 0.0, "gamma": 0.95,
+            "error_corr_base": 0.5},
+}
+
+
+class TestManifests:
+    """Each command's manifest.json, without the python, numpy and scipy
+    versions (and estimate's absolute input path), as recorded."""
+
+    RECORDED = {
+        "simulate": {"command": "simulate", "config": TINY_RAW, "master_seed": 9,
+                     "rep_index": 2},
+        "estimate": {"command": "estimate", "config": TINY_RAW, "master_seed": 9,
+                     "alpha": 0.1, "variance": "sandwich"},
+        "mc": {"command": "mc", "config": TINY_RAW, "master_seed": 9,
+               "grid": {"kappa1": [2.0], "rho": [2.0], "n_users": [40]},
+               "reps": 2, "oracle_n": 200, "alpha": 0.05},
+        "check": {"command": "check", "suite": "clt", "reps": 5, "oracle_n": 300,
+                  "master_seed": 11},
+    }
+
+    @pytest.mark.parametrize("command", sorted(RECORDED))
+    def test_manifest_is_recorded(self, command, tiny_config_file, tmp_path, monkeypatch):
+        import pooltrial.diagnostics as diag
+
+        monkeypatch.setattr(diag, "run_suite", lambda *args: ({}, True))
+        sim_dir = tmp_path / "simulate"
+        args = {
+            "simulate": ["--config", tiny_config_file, "--seed", "9", "--rep", "2"],
+            "estimate": ["--in", str(sim_dir), "--alpha", "0.1", "--variance", "sandwich"],
+            "mc": ["--config", tiny_config_file, "--seed", "9", "--reps", "2",
+                   "--oracle-n", "200"],
+            "check": ["--suite", "clt", "--reps", "5", "--oracle-n", "300", "--seed", "11"],
+        }
+        if command == "estimate":
+            assert main(["simulate", *args["simulate"], "--out", str(sim_dir)]) == 0
+        out = tmp_path / command
+        assert main([command, *args[command], "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        for key in ("python_version", "numpy_version", "scipy_version"):
+            manifest.pop(key)
+        if command == "estimate":
+            assert manifest.pop("input") == os.path.abspath(sim_dir)
+        assert manifest == {"package_version": "0.1.0", **self.RECORDED[command]}
+
+
 class TestFlagsRejected:
     """Out-of-range counts and levels are usage errors before any work."""
 
@@ -324,6 +375,9 @@ class TestFlagsRejected:
             ("mc", ["--oracle-n", "1"]),
             ("check", ["--oracle-n", "-5"]),
             ("check", ["--reps", "1000001"]),
+            # 1 - alpha/2 rounds to 1.0: an infinite normal quantile
+            ("mc", ["--alpha", "1e-20"]),
+            ("estimate", ["--alpha", "1e-20"]),
         ],
     )
     def test_exits_1_without_output(self, command, flags, tiny_config_file, tmp_path, capsys):
@@ -336,6 +390,13 @@ class TestFlagsRejected:
         assert main([command, *args, *flags, "--out", str(out)]) == 1
         assert not out.exists()
         assert f"argument {flags[0]}: must be" in capsys.readouterr().err
+
+    def test_alpha_limit_is_where_the_quantile_turns_infinite(self):
+        parse = build_parser().parse_args
+        args = ["mc", "--config", "c", "--out", "o", "--alpha"]
+        assert parse([*args, repr(2.0**-52)]).alpha == 2.0**-52
+        with pytest.raises(PoolTrialError, match="2\\*\\*-53"):
+            parse([*args, repr(2.0**-53)])
 
     def test_verbose_is_not_an_option(self, tiny_config_file, tmp_path, capsys):
         out = tmp_path / "out"

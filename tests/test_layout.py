@@ -231,3 +231,44 @@ def test_policy_path_uses_are_found(tmp_path):
         (3, "run_trials"), (6, "run_trials/loop"), (8, "replay_action_probs"),
         (11, "TrajectorySet.weights"),
     ]
+
+
+# The manifest's one writer and its one reader
+MANIFEST_OWNERS = {("cli.py", "_write_manifest"), ("config.py", "manifest_config")}
+
+
+def _manifest_literals(path):
+    """(line, top-level definition) of each string literal in a file that names
+    manifest.json, docstrings and other bare string statements aside."""
+    tree = ast.parse(path.read_text())
+    bare = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and "manifest.json" in node.value and id(node) not in bare):
+                yield node.lineno, getattr(top, "name", "")
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_only_the_manifest_owners_name_the_file(path):
+    """cli._write_manifest composes every manifest and config.manifest_config
+    reads it back; no other code names the file."""
+    uses = [(line, scope) for line, scope in _manifest_literals(path)
+            if (path.name, scope) not in MANIFEST_OWNERS]
+    assert not uses, f"{path.name} names manifest.json outside its owners: {uses}"
+
+
+def test_manifest_literals_are_found(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text(
+        '"""Writes a manifest.json."""\n'
+        "def _write_manifest(out):\n"
+        '    """Write out/manifest.json."""\n'
+        '    write_json(out, "manifest.json", {})\n'
+        "def cmd_mc(out):\n"
+        '    write_json(out, "manifest.json", {"command": "mc"})\n'
+        'PATH = f"{ROOT}/manifest.json"\n'
+    )
+    assert list(_manifest_literals(source)) == [
+        (4, "_write_manifest"), (6, "cmd_mc"), (7, ""),
+    ]

@@ -372,6 +372,13 @@ class TestConfidenceInterval:
         with pytest.raises(ValueError):
             confidence_interval(0.0, 1.0, 1.5)
 
+    def test_alpha_limit_keeps_the_quantile_finite(self):
+        # at alpha <= 2**-53, 1 - alpha/2 rounds to 1.0, where ndtri is inf
+        with pytest.raises(ValueError, match="alpha"):
+            confidence_interval(0.0, 1.0, 2.0**-53)
+        lo, hi = confidence_interval(0.0, 1.0, 2.0**-52)
+        assert -lo == hi == pytest.approx(8.2095, abs=5e-5)
+
     def test_rejects_nan_se(self):
         with pytest.raises(ValueError, match="se must be >= 0"):
             confidence_interval(0.0, float("nan"), 0.05)
