@@ -24,7 +24,7 @@ from .errors import DiagnosticFailure, PoolTrialError
 from .estimators import fit_theta
 from .montecarlo import ORACLE_REP_BASE, emit_table, run_grid
 from .simulator import run_trial
-from .variance import variance_report
+from .variance import alpha_ok, variance_report
 
 log = logging.getLogger("pooltrial")
 
@@ -47,9 +47,7 @@ def _checked(cast, ok, rule):
 _REPS = _checked(int, lambda v: 1 <= v <= ORACLE_REP_BASE, f"in [1, {ORACLE_REP_BASE}]")
 _ORACLE_N = _checked(int, lambda v: v >= 2, ">= 2")
 _JOBS = _checked(int, lambda v: v >= 0, ">= 0 (0 = every CPU)")
-# at alpha <= 2**-53, 1 - alpha/2 rounds to 1.0, whose normal quantile is inf
-_ALPHA = _checked(float, lambda v: 0.0 < v < 1.0 and 1.0 - v / 2.0 < 1.0,
-                  "in (2**-53, 1)")
+_ALPHA = _checked(float, alpha_ok, "in (2**-53, 1)")
 
 
 def _write_manifest(out_dir: str, command: str, config=None, **fields) -> None:

@@ -22,7 +22,7 @@ from .core import SeedPlan, TrialConfig, write_csv, write_json
 from .errors import ConfigError, NumericalError
 from .estimators import fit_theta
 from .simulator import run_trial, run_trials
-from .variance import VarianceReport, variance_report
+from .variance import VarianceReport, alpha_ok, variance_report
 
 # Oracle runs live in a disjoint rep-index range so their draws never overlap
 # with coverage replications (which use rep_index 0..reps-1, reps at most this).
@@ -71,6 +71,13 @@ def _replicate(args):
     return reports or [variance_report(batch[:0], fit_theta(batch[:0]), alpha)], errors
 
 
+def _check_run(reps: int, alpha: float, jobs: int) -> None:
+    """ConfigError unless ``replicate``'s arguments are in range, before any work."""
+    if not (1 <= reps <= ORACLE_REP_BASE and alpha_ok(alpha) and jobs >= 0):
+        raise ConfigError(f"need 1 <= reps <= {ORACLE_REP_BASE}, alpha in (2**-53, 1) "
+                          f"and jobs >= 0, got {reps}, {alpha}, {jobs}")
+
+
 def replicate(
     config: TrialConfig, reps: int, alpha: float = 0.05, jobs: int = 1
 ) -> tuple[VarianceReport, list]:
@@ -81,11 +88,7 @@ def replicate(
     ``jobs`` > 1 spreads the batches over a process pool of at most one worker
     per batch, 0 over every CPU.  The results depend on neither.
     """
-    if not 1 <= reps <= ORACLE_REP_BASE or jobs < 0:
-        raise ConfigError(
-            f"replicate needs 1 <= reps <= {ORACLE_REP_BASE} (the oracles' "
-            f"seed plans start there) and jobs >= 0, got {reps}, {jobs}"
-        )
+    _check_run(reps, alpha, jobs)
     if jobs == 0:
         jobs = os.cpu_count() or 1
     tasks = [(config, batch, alpha) for batch in rep_batches(config.n_users, reps, jobs)]
@@ -223,6 +226,7 @@ def run_grid(
         )
         for kappa1, rho, n in itertools.product(*axes)
     ]
+    _check_run(reps, alpha, jobs)
     cells = []
     for config in configs:
         c = run_cell(config, reps, averaged_theta_star(config, oracle_n, 1), alpha, jobs)

@@ -3,7 +3,7 @@
 Three kinds are supported:
 
 * ``boltzmann`` -- clipped-softmax exploration,
-  pi(1, s; beta) = Clip[expit(rho * beta1' s)] with Clip into
+  pi(1, s; beta) = Clip[1 / (1 + exp(-rho * beta1' s))] with Clip into
   [pi_min, 1 - pi_min].  Depends on beta1 only.
 * ``mirror_descent`` -- one online mirror-descent step,
   pi_t(1, s) = Clip[pi_{t-1}(1, s) + 0.5 * eta_t * beta1' s], starting from
@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigError, real_number
 
@@ -122,7 +121,11 @@ def policy_path(spec: PolicySpec, states, beta_hats):
     if spec.kind == "boltzmann":
         lo = max(2 - first, 0)  # first column with a decision time >= 2
         beta1 = beta_hats[..., None, first + lo - 2 :, d_S:]
-        pre = expit(spec.rho * _linear(states[..., lo:, :], beta1))
+        pre = _linear(states[..., lo:, :], beta1)
+        with np.errstate(over="ignore"):  # exp = inf gives the exact limit 0
+            np.exp(np.multiply(pre, -spec.rho, out=pre), out=pre)
+        pre += 1.0
+        np.divide(1.0, pre, out=pre)  # 1 / (1 + exp(-rho x)), in place
         if lo:  # a column at decision time 1
             pre = np.concatenate([np.full((*batch, n, lo), 0.5), pre], axis=-1)
         return pre

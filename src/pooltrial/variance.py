@@ -36,10 +36,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from statistics import NormalDist
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtri
 
 from .core import TrajectorySet
 from .errors import DegenerateDesignError, SingularBreadError, SingularPolicyBreadError
@@ -71,16 +71,21 @@ def weight_products(trajset) -> np.ndarray:
     )
 
 
+def alpha_ok(alpha) -> bool:
+    """Whether z_{1 - alpha/2} is finite: alpha in (0, 1), above 2**-53, at and
+    below which 1 - alpha/2 rounds to 1.0, whose normal quantile is inf."""
+    return 0.0 < alpha < 1.0 and 1.0 - alpha / 2.0 < 1.0
+
+
 def confidence_interval(center, se, alpha: float) -> np.ndarray:
     """Normal-quantile intervals center +/- z_{1 - alpha/2} * se, elementwise:
     a (..., 2) array of (lower, upper)."""
     se = np.asarray(se, dtype=float)
     if not (se >= 0).all():  # a NaN se fails too
         raise ValueError(f"se must be >= 0, got {se}")
-    z = ndtri(1.0 - alpha / 2.0)
-    # alpha <= 2**-53 rounds 1 - alpha/2 to 1.0, whose quantile is inf
-    if not (0.0 < alpha < 1.0 and np.isfinite(z)):
+    if not alpha_ok(alpha):
         raise ValueError(f"alpha must be in (2**-53, 1), got {alpha}")
+    z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
     return np.stack([center - z * se, center + z * se], axis=-1)
 
 

@@ -594,8 +594,10 @@ class TestCheck:
 def test_cli_import_leaves_out_diagnostics():
     # every CLI start pays for this import; scipy.stats alone would about
     # double its time and memory, so only `check` loads the suites; the
-    # package's solves are numpy's, so nothing loads scipy.linalg
-    absent = ("scipy.stats", "scipy.linalg", "pooltrial.diagnostics")
+    # package's solves are numpy's, so nothing loads scipy.linalg; the
+    # logistic is numpy's exp and the normal quantile the standard library's,
+    # so nothing loads scipy.special, which costs more than numpy itself
+    absent = ("scipy.stats", "scipy.linalg", "scipy.special", "pooltrial.diagnostics")
     code = f"import sys, pooltrial.cli; print([m for m in {absent} if m in sys.modules])"
     src = Path(__file__).resolve().parents[1] / "src"
     result = subprocess.run(

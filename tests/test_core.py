@@ -466,9 +466,10 @@ class TestOnePolicySweep:
 
     def test_sweep_peak_memory(self):
         # the load check's replay of a Boltzmann batch of the cell_n50_T50
-        # shape: its traced peak is ~2.56 (R n T) float buffers (beta1' s, its
-        # rho multiple, then expit's output and the time-1 concatenate), and
-        # the clip runs in place; a clip into a new array makes it ~3.56
+        # shape: its traced peak is ~2.56 (R n T) float buffers (beta1' s with
+        # one term's product, then the logistic's output and the time-1
+        # concatenate); the logistic and the clip run in place; a clip into
+        # a new array makes it ~3.56
         R, n, T = 10, 50, 50
         config = TrialConfig(
             n_users=n, horizon_T=T, master_seed=3,

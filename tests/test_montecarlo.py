@@ -306,6 +306,15 @@ class TestRunCell:
         with pytest.raises(ConfigError):
             replicate(config, reps, jobs=jobs)
 
+    @pytest.mark.parametrize("alpha", [1.5, 1.0, 0.0, 2.0**-53, 1e-20, float("nan")])
+    def test_replicate_rejects_bad_alpha_before_any_run(self, alpha, monkeypatch):
+        def no_run(*args):
+            raise AssertionError("simulated before the alpha check")
+
+        monkeypatch.setattr(montecarlo, "run_trials", no_run)
+        with pytest.raises(ConfigError, match="alpha"):
+            replicate(_paper_cell_config(1.0, 1.0, 50), 200, alpha=alpha)
+
     def test_discordant_counts_match_pairs(self):
         config = TrialConfig(
             n_users=50,
@@ -608,6 +617,16 @@ class TestRunGrid:
         grid = {**self.GRID, "n_users": [20, 1]}
         with pytest.raises(ConfigError, match="n_users must be >= 2"):
             run_grid(self.BASE, grid, reps=4, oracle_n=2_000)
+        assert ran == []
+
+    @pytest.mark.parametrize("reps, alpha", [(4, 1e-20), (4, 1.5), (0, 0.05)])
+    def test_bad_run_arguments_fail_before_the_oracle(self, ran, monkeypatch, reps, alpha):
+        def no_oracle(*args):
+            raise AssertionError("ran an oracle before the argument check")
+
+        monkeypatch.setattr(montecarlo, "estimate_theta_star", no_oracle)
+        with pytest.raises(ConfigError):
+            run_grid(self.BASE, self.GRID, reps=reps, oracle_n=100_000, alpha=alpha)
         assert ran == []
 
 

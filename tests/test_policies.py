@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import expit
 
 from pooltrial import PolicySpec, SeedPlan, derive_stream
 from pooltrial.errors import ConfigError
@@ -52,7 +53,7 @@ class TestProbAction1:
         assert p1_at(BOLTZ, params([0, 0], [0, 0]), [1.0, 3.0]) == 0.5
 
     def test_clip_saturation(self):
-        # expit(10) = 0.99995... clipped to 0.9
+        # 1 / (1 + exp(-10)) = 0.99995... clipped to 0.9
         assert p1_at(BOLTZ, params([0, 0], [10.0, 0.0]), [1.0, 0.0]) == 0.9
 
     def test_scalar_oracle_value(self):
@@ -381,6 +382,32 @@ class TestPolicyPath:
         monkeypatch.setattr(policies, "CHAIN_BLOCK", block)
         for call, pre in zip(calls, want):
             assert np.array_equal(policy_path(*call), pre)
+
+    @pytest.mark.parametrize("rho", [0.5, 1.0, 5.0])
+    def test_boltzmann_within_two_ulp_of_expit(self, rho):
+        # numpy's exp against scipy's: only their last bits may differ
+        spec = PolicySpec(kind="boltzmann", rho=rho, pi_min=0.1)
+        rng = np.random.default_rng(31)
+        states = rng.normal(size=(4, 30, 9, 2)) * 4.0
+        beta_hats = rng.normal(size=(4, 8, 4)) * 3.0
+        lin = states[..., 1:, 0] * beta_hats[:, None, :, 2]
+        lin += states[..., 1:, 1] * beta_hats[:, None, :, 3]  # as policy_path sums
+        want = expit(rho * lin)
+        got = policy_path(spec, states, beta_hats)[..., 1:]
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(want))
+
+    @pytest.mark.parametrize(
+        "rho, lin, want",
+        [(1.0, -800.0, 0.0), (1.0, 800.0, 1.0), (1.0, -np.inf, 0.0),
+         (1.0, np.inf, 1.0), (0.0, -800.0, 0.5), (0.0, 800.0, 0.5),
+         (0.0, 0.0, 0.5), (1.0, np.nan, np.nan)],
+    )
+    def test_boltzmann_limits_are_exact_and_silent(self, rho, lin, want):
+        # exp overflows to inf at 800, the exact limit 0 with no RuntimeWarning
+        # (the test session turns warnings into errors)
+        spec = PolicySpec(kind="boltzmann", rho=rho, pi_min=0.1)
+        pre = policy_path(spec, np.ones((1, 2, 1)), np.array([[0.0, lin]]))
+        np.testing.assert_array_equal(pre, [[0.5, want]])
 
     def test_rejects_inconsistent_shapes(self):
         states = np.ones((2, 4, 2))

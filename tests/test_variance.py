@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from pooltrial import (
     EnvConfig,
@@ -373,11 +374,18 @@ class TestConfidenceInterval:
             confidence_interval(0.0, 1.0, 1.5)
 
     def test_alpha_limit_keeps_the_quantile_finite(self):
-        # at alpha <= 2**-53, 1 - alpha/2 rounds to 1.0, where ndtri is inf
+        # at alpha <= 2**-53, 1 - alpha/2 rounds to 1.0, where the normal
+        # quantile is inf
         with pytest.raises(ValueError, match="alpha"):
             confidence_interval(0.0, 1.0, 2.0**-53)
         lo, hi = confidence_interval(0.0, 1.0, 2.0**-52)
         assert -lo == hi == pytest.approx(8.2095, abs=5e-5)
+
+    def test_quantile_matches_ndtri(self):
+        # statistics.NormalDist's quantile against scipy's ndtri
+        for alpha in np.geomspace(2.0**-52, 0.999, 200):
+            hi = confidence_interval(0.0, 1.0, alpha)[1]
+            assert hi == pytest.approx(ndtri(1.0 - alpha / 2.0), rel=1e-15, abs=0)
 
     def test_rejects_nan_se(self):
         with pytest.raises(ValueError, match="se must be >= 0"):
