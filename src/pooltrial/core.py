@@ -200,11 +200,16 @@ class TrajectorySet:
         if self.actions.size:  # an empty batch holds no value to check
             for name in ("states", "rewards", "beta_hats"):
                 arr = getattr(self, name)
-                # min and max carry a NaN or an inf out, with no temporary array
-                if not -np.inf < arr.min() <= arr.max() < np.inf:
+                # a finite sum proves every value finite, in one pass; a NaN,
+                # an inf or a sum that overflows falls through to min and max
+                with np.errstate(over="ignore", invalid="ignore"):
+                    finite = np.isfinite(arr.sum())
+                if not finite and not -np.inf < arr.min() <= arr.max() < np.inf:
                     raise DataIntegrityError(f"{name} holds a non-finite value")
-            # two comparisons, ~20x faster than np.isin on int8; a NaN fails both
-            if not ((self.actions == 0) | (self.actions == 1)).all():
+            # two comparisons, ~20x faster than np.isin on int8, one bool
+            # temporary at a time; a NaN fails both
+            a = self.actions
+            if np.count_nonzero(a == 0) + np.count_nonzero(a == 1) != a.size:
                 raise DataIntegrityError("actions must be 0 or 1")
             pmin = self.config.policy.pi_min
             lo, hi = self.action_probs.min(), self.action_probs.max()

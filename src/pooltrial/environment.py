@@ -44,7 +44,14 @@ def dosage_normalizer(gamma: float) -> float:
     return 1.0 / (1.0 - gamma)
 
 
-def reward(env: EnvConfig, dosage_norm, action, eps):
+def reward(env: EnvConfig, dosage_norm, action, eps, out=None):
     """Exact affine reward formula; no randomness inside (eps supplied).
-    The kappas are Python floats, so int8 actions promote to float64."""
-    return env.kappa0 + env.kappa1 * dosage_norm + env.kappa2 * action + eps
+    The kappas are Python floats, so int8 actions promote to float64.  With
+    ``out`` the sum is built there in the same order, with the same bits."""
+    if out is None:
+        return env.kappa0 + env.kappa1 * dosage_norm + env.kappa2 * action + eps
+    np.multiply(env.kappa1, dosage_norm, out=out)
+    out += env.kappa0
+    out += env.kappa2 * action
+    out += eps
+    return out

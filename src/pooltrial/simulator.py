@@ -18,6 +18,10 @@ from .errors import ConfigError, DegenerateDesignError
 from .estimators import conditioning_errors, solve_or_nan
 from .policies import clip_prob, policy_path
 
+# users per block of the error draw and of the states' assembly: at T = 50 a
+# block's errors take 100 KB, so their transposed copy is read from cache
+DRAW_USERS = 256
+
 
 def run_trial(config: TrialConfig, plan: SeedPlan, frozen_betas=None) -> TrajectorySet:
     """Simulate one replication; all randomness derives from ``plan``.
@@ -51,22 +55,26 @@ def run_trials(config: TrialConfig, plans, frozen_betas=None) -> tuple:
     # One extra leading error column supplies the initial reward R_0 that
     # seeds S_1 = [1, R_0]; without it the time-1 policy fit would be
     # structurally rank deficient (the second state coordinate would be
-    # constant across users).  The action uniforms of a replication are
-    # drawn at once, the same values as one draw of n per decision time.
-    eps = np.empty((R, n, T + 1))
+    # constant across users).  The loop's buffers are time-outermost, so each
+    # step reads and writes one contiguous (R, n) block.  The errors are drawn
+    # DRAW_USERS users at a time, the values of one (n, T + 1) draw, and each
+    # block is copied in transposed while in cache; the uniforms stay
+    # (R, T, n), as Generator.random(out=) takes no strided out.
+    eps = np.empty((T + 1, R, n))
     uniforms = np.empty((R, T, n))
+    block = np.empty((min(n, DRAW_USERS), T + 1))
     for r, plan in enumerate(plans):
-        derive_stream(plan, "errors").standard_normal(out=eps[r])
+        stream = derive_stream(plan, "errors")
+        for u in range(0, n, DRAW_USERS):
+            draw = stream.standard_normal(out=block[: min(DRAW_USERS, n - u)])
+            eps[:, r, u : u + len(draw)] = draw.T
         derive_stream(plan, "actions").random(out=uniforms[r])
-    # the loop works time-major, so that each step reads and writes
-    # contiguous (R, n) slices; the user-major arrays are assembled after it
-    eps = np.ascontiguousarray(eps.swapaxes(1, 2))
-    correlate_errors(eps.swapaxes(1, 2), env.error_corr_base)
-    r_prev = r_0 = env.kappa0 + eps[:, 0]
+    correlate_errors(eps.transpose(1, 2, 0), env.error_corr_base)
+    r_prev = r_0 = env.kappa0 + eps[0]
 
-    actions = np.empty((R, T, n), dtype=np.int8)
-    rewards = np.empty((R, T, n))
-    action_probs = np.empty((R, T, n))
+    actions = np.empty((T, R, n), dtype=np.int8)
+    rewards = np.empty((T, R, n))
+    action_probs = np.empty((T, R, n))
     beta_hats = np.empty((R, T - 1, 2 * d_S))
     if frozen_betas is not None:
         frozen = np.array(frozen_betas, dtype=float)
@@ -97,11 +105,10 @@ def run_trials(config: TrialConfig, plans, frozen_betas=None) -> tuple:
             s_t[:, 1:] = r_prev[:, None]
             # p1 (0.5 at t = 1) is clipped straight into its action_probs slot
             p1 = policy_path(policy, states_t, beta_hats[:, : t - 1])[..., 0]
-            p1 = clip_prob(p1, policy.pi_min, out=action_probs[:, t - 1])
-            a_t = actions[:, t - 1]
+            p1 = clip_prob(p1, policy.pi_min, out=action_probs[t - 1])
+            a_t = actions[t - 1]
             a_t[:] = uniforms[:, t - 1] < p1
-            r_prev = rewards[:, t - 1]
-            r_prev[:] = reward(env, dosage / c_gamma, a_t, eps[:, t])
+            r_prev = reward(env, dosage / c_gamma, a_t, eps[t], out=rewards[t - 1])
             dosage = env.gamma * dosage + a_t
             if t < T and frozen_betas is None:  # the fit for time t + 1
                 np.multiply(a_t[:, None], s_t, out=x_t[:, d_S:])
@@ -112,22 +119,27 @@ def run_trials(config: TrialConfig, plans, frozen_betas=None) -> tuple:
                 rhs += (x_t @ r_prev[..., None])[..., 0]
                 grams[:, t - 1] = gram
                 beta_hats[:, t - 1] = solve_or_nan(gram, rhs)
-    # free the loop's buffers before the copies (r_prev, a_t and p1 are views,
-    # which would keep the time-major buffers alive)
-    del eps, uniforms, r_prev, a_t, p1
+    # free the loop's buffers before the copies (r_prev, a_t, p1 and x_t's
+    # views would keep the time-major buffers and x_t alive)
+    del eps, uniforms, r_prev, a_t, p1, x_t, s_t, states_t, dosage
 
     errors = [None] * R
     if frozen_betas is None:  # one call for the refit Grams of the whole batch
         errors = conditioning_errors(
             grams, DegenerateDesignError, "policy design", first_t=1, solutions=beta_hats
         )
-    actions = np.ascontiguousarray(actions.swapaxes(1, 2))
-    rewards = np.ascontiguousarray(rewards.swapaxes(1, 2))
-    action_probs = np.ascontiguousarray(action_probs.swapaxes(1, 2))
-    # the states the loop used: S_1 = [1, R_0] and S_t = [1, R_{t-1}]
-    states = np.ones((R, n, T, d_S))
-    states[..., 0, 1:] = r_0[..., None]
-    states[..., 1:, 1:] = rewards[..., :-1, None]
+    # one time-major buffer at a time becomes user-major (R, n, T)
+    actions = np.ascontiguousarray(actions.transpose(1, 2, 0))
+    rewards = np.ascontiguousarray(rewards.transpose(1, 2, 0))
+    action_probs = np.ascontiguousarray(action_probs.transpose(1, 2, 0))
+    # the states the loop used, S_1 = [1, R_0] and S_t = [1, R_{t-1}], written
+    # a block of users at a time, so each element is written once from cache
+    states = np.empty((R, n, T, d_S))
+    for u in range(0, n, DRAW_USERS):
+        users = slice(u, u + DRAW_USERS)
+        states[:, users, :, 0] = 1.0
+        states[:, users, 0, 1:] = r_0[:, users, None]
+        states[:, users, 1:, 1:] = rewards[:, users, :-1, None]
     arrays = [states, actions, rewards, action_probs, beta_hats]
     if any(errors):
         kept = [r for r, err in enumerate(errors) if err is None]

@@ -147,6 +147,40 @@ class TestTrajectorySet:
         with pytest.raises(DataIntegrityError, match=name):
             TrajectorySet(**fields, config=small_trajset.config)
 
+    @pytest.mark.parametrize("name", ["states", "rewards", "beta_hats"])
+    @pytest.mark.parametrize("value", [None, np.nan, np.inf, -np.inf])
+    def test_overflowing_sum_of_finite_values(self, small_trajset, name, value):
+        # two 1e308 values sum to inf: the one-pass scan falls through to min
+        # and max, which accept finite values and still catch a non-finite one
+        fields = {f: np.array(getattr(small_trajset, f)) for f in FIELDS}
+        fields[name].flat[5:7] = 1e308
+        if value is None:
+            ts = TrajectorySet(**fields, config=small_trajset.config)
+            assert np.count_nonzero(getattr(ts, name) == 1e308) == 2
+            return
+        fields[name].flat[7] = value
+        with pytest.raises(DataIntegrityError, match=f"{name} holds a non-finite value"):
+            TrajectorySet(**fields, config=small_trajset.config)
+
+    def test_value_checks_peak_memory(self, small_config):
+        # the 0/1 action check holds one bool temporary at a time (an OR of
+        # two comparisons holds two), and the finiteness scans make none
+        n, T = 20_000, 50
+        fields = dict(
+            states=np.ones((n, T, small_config.state_dim)),
+            actions=np.zeros((n, T), dtype=np.int8),
+            rewards=np.zeros((n, T)),
+            action_probs=np.full((n, T), 0.5),
+            beta_hats=np.zeros((T - 1, small_config.policy_dim)),
+        )
+        tracemalloc.start()
+        try:
+            TrajectorySet(**fields, config=small_config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * n * T
+
     @pytest.mark.parametrize("name", ["states", "rewards", "action_probs", "beta_hats"])
     def test_mismatched_leading_axes_rejected(self, small_config, name):
         batch, _ = run_trials(small_config, [SeedPlan(1, rep) for rep in range(3)])

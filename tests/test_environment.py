@@ -75,6 +75,17 @@ class TestReward:
         diff = reward(env, dn, a, eps) - reward(env, dn, a, 0.0)
         assert diff == pytest.approx(eps, rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.bool_, np.float64])
+    def test_out_matches_the_expression(self, dtype):
+        # the step loop writes each reward straight into its buffer
+        env = EnvConfig(kappa0=0.3, kappa1=5.0, kappa2=-0.7)
+        rng = np.random.default_rng(4)
+        dn, eps = rng.random((2, 50)), rng.standard_normal((2, 50))
+        action = (rng.random((2, 50)) < 0.5).astype(dtype)
+        buf = np.empty((2, 50))
+        assert reward(env, dn, action, eps, out=buf) is buf
+        assert buf.tobytes() == reward(env, dn, action, eps).tobytes()
+
     def test_monotone_in_dosage(self):
         env = EnvConfig(kappa1=2.0)
         lo = reward(env, 0.1, 0, 0.0)
@@ -134,8 +145,8 @@ class TestGenerateErrors:
 
     @pytest.mark.parametrize("corr_base", [0.5, 0.0])
     def test_time_major_view_matches_user_major(self, corr_base):
-        # the simulator correlates a contiguous (R, T + 1, n) copy through
-        # its swapaxes view; the recursion must give the same bits
+        # the simulator correlates its (T + 1, R, n) error buffer through a
+        # transposed view; the recursion must give the same bits
         draws = derive_stream(SeedPlan(9, 6), "errors").standard_normal((3, 40, 11))
         user_major = correlate_errors(draws.copy(), corr_base)
         time_major = np.ascontiguousarray(draws.swapaxes(-1, -2))

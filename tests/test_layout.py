@@ -272,3 +272,42 @@ def test_manifest_literals_are_found(tmp_path):
     assert list(_manifest_literals(source)) == [
         (4, "_write_manifest"), (6, "cmd_mc"), (7, ""),
     ]
+
+
+# The error draws' two owners: the one-trajectory draw and the step loop's
+# block draw, which must give the same values
+NORMAL_DRAW_OWNERS = {("environment.py", "generate_errors"), ("simulator.py", "run_trials")}
+
+
+def _normal_draws(path):
+    """(line, top-level definition) of each use of ``standard_normal`` in a
+    file, as an attribute or a name."""
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            if "standard_normal" in (getattr(node, "attr", None), getattr(node, "id", None)):
+                yield node.lineno, getattr(top, "name", "")
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_only_the_error_owners_draw_normals(path):
+    """environment.generate_errors and simulator.run_trials draw the errors;
+    no other code draws normals, so each error draw has one owner."""
+    uses = [(line, scope) for line, scope in _normal_draws(path)
+            if (path.name, scope) not in NORMAL_DRAW_OWNERS]
+    assert not uses, f"{path.name} draws normals outside their owners: {uses}"
+
+
+def test_normal_draws_are_found(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text(
+        '"""Draws standard_normal errors."""\n'
+        "def generate_errors(stream):\n"
+        "    return stream.standard_normal(3)\n"
+        "def replicate(rng):\n"
+        "    f = rng.standard_normal\n"
+        "from numpy.random import standard_normal\n"
+        "EPS = standard_normal(4)\n"
+    )
+    assert list(_normal_draws(source)) == [
+        (3, "generate_errors"), (5, "replicate"), (7, ""),
+    ]

@@ -18,6 +18,7 @@ from pooltrial import (
     run_trial,
     simulator,
 )
+from pooltrial.environment import generate_errors
 from pooltrial.errors import ConfigError, DegenerateDesignError, NumericalError
 from pooltrial.estimators import conditioning_errors, psi_matrix
 from pooltrial.policies import clip_prob, policy_path, realized_from_p1
@@ -229,7 +230,8 @@ class TestRunTrials:
 
     @pytest.mark.parametrize("state_dim", [1, 2])
     def test_arrays_are_assembled_from_the_loop_values(self, state_dim):
-        # the step loop runs time-major; the user-major arrays are built after it
+        # the step loop runs on (T, R, n) buffers; the user-major arrays, and
+        # the states a block of users at a time, are built after it
         config = TrialConfig(
             n_users=30, horizon_T=7, state_dim=state_dim, master_seed=13,
             policy=PolicySpec(kind="boltzmann", rho=5.0),
@@ -250,6 +252,35 @@ class TestRunTrials:
             # S_1 = [1, kappa0 + eps_0]; the AR recursion leaves column 0 as drawn
             eps_0 = derive_stream(plan, "errors").standard_normal((30, 8))[:, 0]
             assert np.array_equal(states[r, :, 0, 1], 0.25 + eps_0)
+
+    @pytest.mark.parametrize("state_dim", [1, 2])
+    @pytest.mark.parametrize(
+        "n",
+        [
+            simulator.DRAW_USERS - 1,
+            simulator.DRAW_USERS,
+            simulator.DRAW_USERS + 1,
+            2 * simulator.DRAW_USERS + 3,
+        ],
+    )
+    def test_block_error_draw_matches_one_draw(self, n, state_dim):
+        # the errors are drawn DRAW_USERS users at a time; with the kappas at
+        # zero each reward is its error, which must be one (n, T + 1) draw's
+        T, corr = 4, 0.5
+        config = TrialConfig(
+            n_users=n, horizon_T=T, state_dim=state_dim, master_seed=17,
+            policy=PolicySpec(kind="boltzmann", rho=1.0),
+            env=EnvConfig(kappa0=0.0, kappa1=0.0, kappa2=0.0, error_corr_base=corr),
+        )
+        plans = [SeedPlan(17, rep) for rep in range(2)]
+        batch, errors = run_trials(config, plans)
+        assert errors == [None, None]
+        for r, plan in enumerate(plans):
+            eps = generate_errors(derive_stream(plan, "errors"), n, T + 1, corr)
+            for t in range(T):
+                assert batch.rewards[r, :, t].tobytes() == eps[:, t + 1].tobytes()
+            if state_dim == 2:
+                assert batch.states[r, :, 0, 1].tobytes() == eps[:, 0].tobytes()
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_actions_follow_per_step_sampler(self, kind):
@@ -349,10 +380,11 @@ class TestStepLoopCalls:
 
 def test_run_trial_peak_memory():
     # the returned arrays hold 4.125 (T, n) float buffers (two state columns,
-    # rewards, action_probs, and the int8 actions at 1/8); each time-major
-    # buffer of the loop is freed once its user-major copy is made, so the
-    # traced peak stays within a quarter buffer of that (4.35 at n = 20,000),
-    # while a view of one left over from the loop makes it 5.25
+    # rewards, action_probs, and the int8 actions at 1/8); the traced peak,
+    # 4.42 at n = 20,000, is the step loop's errors and uniforms beside its
+    # time-major actions, rewards and action_probs; each of those is freed
+    # once its user-major copy is made, while a view of one left over from
+    # the loop makes the peak 5.38
     n, T = 20_000, 50
     config = TrialConfig(
         n_users=n, horizon_T=T, master_seed=1,
